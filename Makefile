@@ -5,11 +5,12 @@ GO ?= go
 # commit path).
 BENCH_PKGS = ./internal/stm ./internal/stm/container ./internal/stm/container/blink ./internal/pool ./internal/wal
 
-.PHONY: check build vet fmtcheck test race lint lint-fixtures bench benchgate benchscale benchscalegate chaos serve-smoke adaptive-soak crash-soak
+.PHONY: check build vet fmtcheck test race lint lint-fixtures bench-check bench benchgate benchscale benchscalegate chaos serve-smoke adaptive-soak crash-soak
 
 # check is the PR gate: vet, formatting, static analysis, the full test
-# suite, and a race-detector pass over the whole module.
-check: vet fmtcheck lint test race
+# suite, a race-detector pass over the whole module, and the nested
+# benchmark module's own checks.
+check: vet fmtcheck lint test race bench-check
 
 build:
 	$(GO) build ./...
@@ -23,8 +24,13 @@ fmtcheck:
 		echo "gofmt -l found unformatted files:"; echo "$$out"; exit 1; \
 	fi
 
+# test is tier-1, at one processor and at two: code that only runs with a
+# second processor (spinning, real contention) must not depend on the host's
+# core count to be exercised.
 test:
-	$(GO) test ./...
+	$(GO) build ./...
+	GOMAXPROCS=1 $(GO) test -count=1 ./...
+	GOMAXPROCS=2 $(GO) test -count=1 ./...
 
 # race covers the full module; -short trims the STAMP workloads, which are
 # an order of magnitude slower under the race detector.
@@ -50,6 +56,13 @@ lint-fixtures:
 		fi; \
 		echo "lint-fixtures: $$d: findings detected (ok)"; \
 	done
+
+# bench-check covers bench/, a module of its own that the root ./... does not
+# descend into: it compiles against internal/colocate, load and wal, so this
+# is what proves a refactor there still builds the benchmark. -short keeps
+# the contract checks and skips the timed runs.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # bench runs the hot-path, container and pool micro-benchmarks and records
 # them as a dated BENCH_<date>.json snapshot (see cmd/rubic-benchgate).

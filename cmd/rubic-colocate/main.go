@@ -38,7 +38,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"text/tabwriter"
@@ -46,11 +45,9 @@ import (
 
 	"rubic/internal/colocate"
 	"rubic/internal/core"
-	"rubic/internal/fault"
 	"rubic/internal/metrics"
 	"rubic/internal/mproc"
 	"rubic/internal/trace"
-	"rubic/internal/wal"
 )
 
 // agentExec lets tests reroute agent children to a helper binary; nil uses
@@ -76,12 +73,9 @@ type cliConfig struct {
 	// adaptive is the '+'-separated engine[/cm] candidate list for online
 	// engine/CM hot-swap; empty runs the static -algo engine.
 	adaptive string
-	// durable attaches a write-ahead log to every stack (the workload must
-	// implement wal.DurableState); walDir is the parent directory for the
-	// per-stack logs and fsync the group-commit policy.
-	durable bool
-	walDir  string
-	fsync   string
+	// durable is the -durable/-wal-dir/-fsync group: a write-ahead log for
+	// every stack, in its own directory under -wal-dir.
+	durable colocate.DurableFlags
 }
 
 func main() {
@@ -107,9 +101,7 @@ func main() {
 	flag.IntVar(&cfg.restarts, "restarts", 2, "proc mode: restart budget per crashed agent")
 	flag.BoolVar(&cfg.plot, "plot", true, "render the level traces")
 	flag.StringVar(&cfg.adaptive, "adaptive", "", "'+'-separated engine[/cm] hot-swap candidates (e.g. tl2/backoff+norec/greedy); empty stays on -algo")
-	flag.BoolVar(&cfg.durable, "durable", false, "attach a write-ahead log to every stack")
-	flag.StringVar(&cfg.walDir, "wal-dir", "", "parent directory for the per-stack logs (required with -durable; reopening a directory recovers it)")
-	flag.StringVar(&cfg.fsync, "fsync", "always", "wal group-commit policy: always, interval or os")
+	cfg.durable.Register(flag.CommandLine)
 	flag.Parse()
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "rubic-colocate:", err)
@@ -122,26 +114,9 @@ func run(cfg cliConfig) error {
 	if err != nil {
 		return err
 	}
-	if cfg.chaos != "" {
-		if _, _, err := fault.ParseScenario(cfg.chaos); err != nil {
-			return err
-		}
-	}
-	if cfg.adaptive != "" {
-		// Fail fast on a bad candidate list in both modes (proc mode would
-		// otherwise only discover it inside the agents).
-		if _, err := colocate.ParseAdaptive(cfg.adaptive); err != nil {
-			return err
-		}
-	}
-	if cfg.durable {
-		if cfg.walDir == "" {
-			return fmt.Errorf("-durable needs -wal-dir")
-		}
-		if _, err := wal.ParseFsyncPolicy(cfg.fsync); err != nil {
-			return err
-		}
-	}
+	// Both modes validate the engine, chaos scenario, adaptive candidates and
+	// log flags before any stack runs: goroutine mode while assembling its
+	// stacks, proc mode in the supervisor, before it launches a child.
 	switch cfg.mode {
 	case "goroutine":
 		return runGoroutine(cfg, specs)
@@ -156,61 +131,41 @@ func stackName(i int, s colocate.StackSpec) string {
 	return "P" + strconv.Itoa(i+1) + "-" + s.Workload + "-" + s.Policy
 }
 
+// goroutineProc assembles the i-th stack for goroutine mode through the
+// function the process-mode agent uses (colocate.StackSpec.Proc). There are
+// no agent processes here, so only the pool, controller and log injection
+// points of a chaos scenario apply, and the incarnation is always 0: nothing
+// restarts in-process.
+func goroutineProc(cfg cliConfig, specs []colocate.StackSpec, i int) (colocate.Proc, error) {
+	name := stackName(i, specs[i])
+	dur, err := cfg.durable.Options(name)
+	if err != nil {
+		return colocate.Proc{}, err
+	}
+	return specs[i].Proc(name, colocate.StackOptions{
+		Engine:    cfg.engine,
+		Pool:      cfg.pool,
+		Processes: len(specs),
+		Seed:      stackSeed(cfg, i),
+		Chaos:     cfg.chaos,
+		Child:     i,
+		Adaptive:  cfg.adaptive,
+		Durable:   dur,
+	})
+}
+
+// stackSeed derives the i-th stack's seed the way both modes do.
+func stackSeed(cfg cliConfig, i int) int64 { return cfg.seed + int64(i)*7919 }
+
 func runGoroutine(cfg cliConfig, specs []colocate.StackSpec) error {
 	var stacks []colocate.Proc
-	for i, s := range specs {
-		w, rt, ctrl, err := s.Build(cfg.engine, cfg.pool, len(specs))
+	for i := range specs {
+		p, err := goroutineProc(cfg, specs, i)
 		if err != nil {
 			return err
 		}
-		p := colocate.Proc{
-			Name:         stackName(i, s),
-			Workload:     w,
-			Controller:   ctrl,
-			PoolSize:     cfg.pool,
-			Seed:         cfg.seed + int64(i)*7919,
-			ArrivalDelay: s.ArrivalDelay,
-		}
-		if cfg.adaptive != "" {
-			if ctrl == nil {
-				return fmt.Errorf("-adaptive needs a tuning policy (stack %s pins its workers)", p.Name)
-			}
-			stack, err := colocate.NewAdaptiveStack(rt, ctrl, cfg.adaptive, core.AdaptiveConfig{})
-			if err != nil {
-				return err
-			}
-			p.Adapter = stack
-		}
-		if cfg.chaos != "" {
-			// Goroutine mode has no agent processes, so only the pool and
-			// controller injection points of the scenario apply (incarnation
-			// is always 0: nothing restarts in-process).
-			name, seed, err := fault.ParseScenario(cfg.chaos)
-			if err != nil {
-				return err
-			}
-			plan, err := fault.PlanFor(name, seed, i, 0)
-			if err != nil {
-				return err
-			}
-			p.Faults = fault.New(plan)
-			fallback := cfg.pool / len(specs)
-			if fallback < 1 {
-				fallback = 1
-			}
-			p.Health = &core.HealthPolicy{FallbackLevel: fallback}
-		}
-		if cfg.durable {
-			policy, err := wal.ParseFsyncPolicy(cfg.fsync)
-			if err != nil {
-				return err
-			}
-			p.Runtime = rt
-			p.Durable = &wal.Options{
-				Dir:    filepath.Join(cfg.walDir, p.Name),
-				Policy: policy,
-				Faults: p.Faults,
-			}
+		if p.Adapter != nil && p.Controller == nil {
+			return fmt.Errorf("-adaptive needs a tuning policy (stack %s pins its workers)", p.Name)
 		}
 		stacks = append(stacks, p)
 	}
@@ -245,25 +200,17 @@ func runGoroutine(cfg cliConfig, specs []colocate.StackSpec) error {
 	}
 	fmt.Printf("Jain fairness (throughput): %.3f\n", metrics.Jain(tputs))
 	for _, r := range results {
-		if r.Wal == nil {
-			continue
+		if r.Wal != nil {
+			fmt.Printf("%s: %s\n", r.Name, r.Wal)
 		}
-		status := "durable"
-		if r.Wal.Lost {
-			status = "durability LOST: " + r.Wal.LostErr.Error()
-		}
-		fmt.Printf("%s: wal acked %d/%d commits, recovered prefix %d — %s\n",
-			r.Name, r.Wal.DurableCSN, r.Wal.LastCSN, r.Wal.Recovered.LastCSN, status)
 	}
 	fmt.Println("all workload invariants verified")
 	plotLevels(set, cfg.plot)
 	return nil
 }
 
-func runProc(cfg cliConfig, specs []colocate.StackSpec) error {
-	if _, err := colocate.ParseEngine(cfg.engine); err != nil {
-		return err
-	}
+// procChildren describes the run to the process-mode supervisor.
+func procChildren(cfg cliConfig, specs []colocate.StackSpec) ([]mproc.ChildSpec, mproc.Options) {
 	var children []mproc.ChildSpec
 	for i, s := range specs {
 		children = append(children, mproc.ChildSpec{
@@ -272,7 +219,7 @@ func runProc(cfg cliConfig, specs []colocate.StackSpec) error {
 			Policy:       s.Policy,
 			ArrivalDelay: s.ArrivalDelay,
 			Pool:         cfg.pool,
-			Seed:         cfg.seed + int64(i)*7919,
+			Seed:         stackSeed(cfg, i),
 			GOMAXPROCS:   cfg.gomaxprocs,
 		})
 	}
@@ -282,8 +229,6 @@ func runProc(cfg cliConfig, specs []colocate.StackSpec) error {
 		Engine:   cfg.engine,
 		Adaptive: cfg.adaptive,
 		Durable:  cfg.durable,
-		WALRoot:  cfg.walDir,
-		Fsync:    cfg.fsync,
 		Exec:     agentExec,
 	}
 	if cfg.restarts > 0 {
@@ -301,6 +246,11 @@ func runProc(cfg cliConfig, specs []colocate.StackSpec) error {
 		// give the budget headroom so chaos exercises recovery, not failure.
 		opt.FrameErrorBudget = 8
 	}
+	return children, opt
+}
+
+func runProc(cfg cliConfig, specs []colocate.StackSpec) error {
+	children, opt := procChildren(cfg, specs)
 	fmt.Printf("co-locating %d real OS processes for %v (pool %d each, engine %s, %d CPUs, gomaxprocs %d)...\n",
 		len(children), cfg.duration, cfg.pool, cfg.engine, runtime.NumCPU(), cfg.gomaxprocs)
 	if cfg.chaos != "" {

@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
+	"rubic/internal/colocate"
 	"rubic/internal/mproc"
 )
 
@@ -165,5 +168,144 @@ func TestRunBadInputs(t *testing.T) {
 		if err := run(cfg); err == nil {
 			t.Errorf("procs %q algo %q accepted", tc.procs, tc.algo)
 		}
+	}
+}
+
+// TestModesBuildTheSameProc is the parity gate: for every flag combination,
+// the stack goroutine mode assembles and the stack a process-mode agent
+// assembles from the flags the supervisor hands it are wired identically —
+// same controller, same health policy, chaos injector, adapter and log
+// options in the same places.
+func TestModesBuildTheSameProc(t *testing.T) {
+	root := t.TempDir()
+	cases := []struct {
+		name   string
+		procs  string
+		mutate func(*cliConfig)
+	}{
+		{"plain", "bank:rubic,bank:ebs@50ms", func(*cliConfig) {}},
+		{"greedy", "rbtree:greedy", func(*cliConfig) {}},
+		{"norec", "bank:rubic", func(c *cliConfig) { c.engine = "norec" }},
+		{"chaos", "bank:rubic,bank:rubic", func(c *cliConfig) { c.chaos = "mixed@11" }},
+		{"adaptive", "bank:rubic", func(c *cliConfig) { c.adaptive = "tl2/backoff+norec/greedy" }},
+		{"durable", "bank:rubic,bank:greedy", func(c *cliConfig) {
+			c.durable = colocate.DurableFlags{On: true, Root: root, Fsync: "os"}
+		}},
+		{"everything", "bank:rubic,bank:aimd,bank:rubic", func(c *cliConfig) {
+			c.chaos, c.adaptive, c.pool = "durability@3", "norec/backoff+tl2/polka", 6
+			c.durable = colocate.DurableFlags{On: true, Root: root, Fsync: "always"}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig("goroutine", tc.procs)
+			tc.mutate(&cfg)
+			specs, err := colocate.ParseSpecs(cfg.procs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			children, opt := procChildren(cfg, specs)
+			for i := range specs {
+				g, err := goroutineProc(cfg, specs, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// What the supervisor hands child i (mproc.AgentArgs plus its
+				// per-attempt chaos flags), as the agent's parsed config.
+				agent := mproc.AgentConfig{
+					Spec: colocate.StackSpec{Workload: children[i].Workload, Policy: children[i].Policy},
+					Stack: colocate.StackOptions{
+						Engine:    opt.Engine,
+						Pool:      children[i].Pool,
+						Processes: len(children),
+						Seed:      children[i].Seed,
+						Chaos:     opt.Chaos,
+						Child:     i,
+						Adaptive:  opt.Adaptive,
+					},
+				}
+				if agent.Durable = opt.Durable; opt.Durable.On {
+					agent.Durable.Root = colocate.WalDir(opt.Durable.Root, children[i].Name)
+				}
+				a, err := agent.Proc()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g.Name != children[i].Name {
+					t.Errorf("stack %d is %q in goroutine mode, %q in proc mode", i, g.Name, children[i].Name)
+				}
+				if g.PoolSize != a.PoolSize || g.Seed != a.Seed || g.ArrivalDelay != children[i].ArrivalDelay {
+					t.Errorf("stack %d: pool/seed/arrival differ: %+v vs %+v (child %+v)", i, g, a, children[i])
+				}
+				if (g.Controller == nil) != (a.Controller == nil) ||
+					(g.Controller != nil && g.Controller.Name() != a.Controller.Name()) {
+					t.Errorf("stack %d: controllers differ: %v vs %v", i, g.Controller, a.Controller)
+				}
+				if !reflect.DeepEqual(g.Health, a.Health) {
+					t.Errorf("stack %d: health policy %+v vs %+v", i, g.Health, a.Health)
+				}
+				if (g.Health != nil) != (g.Controller != nil) {
+					t.Errorf("stack %d: guard on = %v with controller %v", i, g.Health != nil, g.Controller)
+				}
+				if (g.Faults == nil) != (a.Faults == nil) || (g.Faults != nil) != (cfg.chaos != "") {
+					t.Errorf("stack %d: injector presence differs or ignores -chaos: %v vs %v", i, g.Faults, a.Faults)
+				}
+				if (g.Adapter == nil) != (a.Adapter == nil) || (g.Adapter != nil) != (cfg.adaptive != "") {
+					t.Errorf("stack %d: adapter presence differs or ignores -adaptive: %v vs %v", i, g.Adapter, a.Adapter)
+				}
+				if g.Runtime == nil || a.Runtime == nil || g.Runtime.Algorithm() != a.Runtime.Algorithm() {
+					t.Errorf("stack %d: runtimes differ", i)
+				}
+				if (g.Durable == nil) != (a.Durable == nil) || (g.Durable != nil) != cfg.durable.On {
+					t.Fatalf("stack %d: log presence differs or ignores -durable: %+v vs %+v", i, g.Durable, a.Durable)
+				}
+				if g.Durable != nil {
+					if g.Durable.Dir != a.Durable.Dir || g.Durable.Policy != a.Durable.Policy {
+						t.Errorf("stack %d: log options %+v vs %+v", i, g.Durable, a.Durable)
+					}
+					if filepath.Dir(g.Durable.Dir) != root {
+						t.Errorf("stack %d: log directory %q is not directly under %q", i, g.Durable.Dir, root)
+					}
+					if (g.Durable.Faults != g.Faults) || (a.Durable.Faults != a.Faults) {
+						t.Errorf("stack %d: log not driven by the stack's injector", i)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRunGoroutineRejectsAdaptiveGreedy: a pinned stack has no tuning loop to
+// deliver epochs, so goroutine mode refuses to hot-swap it.
+func TestRunGoroutineRejectsAdaptiveGreedy(t *testing.T) {
+	cfg := testConfig("goroutine", "bank:greedy")
+	cfg.adaptive = "tl2/backoff+norec/greedy"
+	if err := run(cfg); err == nil {
+		t.Fatal("-adaptive on a greedy stack accepted in goroutine mode")
+	}
+}
+
+// TestRunDurableGoroutine: -durable end to end in goroutine mode, twice over
+// one -wal-dir — the second run recovers the first's logs — and the flag
+// group's validation.
+func TestRunDurableGoroutine(t *testing.T) {
+	cfg := testConfig("goroutine", "bank:rubic,bank:greedy")
+	cfg.durable = colocate.DurableFlags{On: true, Root: t.TempDir(), Fsync: "os"}
+	for run_ := 0; run_ < 2; run_++ {
+		if err := run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, err := os.ReadDir(cfg.durable.Root)
+	if err != nil || len(entries) != 2 {
+		t.Fatalf("want one log directory per stack under -wal-dir, got %v (err %v)", entries, err)
+	}
+	cfg.durable.Root = ""
+	if err := run(cfg); err == nil {
+		t.Fatal("-durable without -wal-dir accepted")
+	}
+	cfg.durable.Root, cfg.durable.Fsync = t.TempDir(), "sometimes"
+	if err := run(cfg); err == nil {
+		t.Fatal("unknown -fsync policy accepted")
 	}
 }

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"text/tabwriter"
@@ -43,7 +42,6 @@ import (
 	"rubic/internal/benchfmt"
 	"rubic/internal/colocate"
 	"rubic/internal/load"
-	"rubic/internal/wal"
 )
 
 type cliConfig struct {
@@ -65,9 +63,9 @@ type cliConfig struct {
 	jsonOut  string
 	smoke    bool
 	quiet    bool
-	durable  bool
-	walDir   string
-	fsync    string
+	// durable is the -durable/-wal-dir/-fsync group: a write-ahead log for
+	// every stack, in its own directory under -wal-dir.
+	durable colocate.DurableFlags
 }
 
 func main() {
@@ -90,9 +88,7 @@ func main() {
 	flag.StringVar(&cfg.jsonOut, "json", "", "write a rubic-bench/v2 snapshot to this file")
 	flag.BoolVar(&cfg.smoke, "smoke", false, "CI smoke: short fixed-seed run, fail unless the SLO converges")
 	flag.BoolVar(&cfg.quiet, "quiet", false, "suppress the per-epoch report")
-	flag.BoolVar(&cfg.durable, "durable", false, "log commits to a write-ahead log (recovers an existing log first)")
-	flag.StringVar(&cfg.walDir, "wal-dir", "", "write-ahead log root (one subdirectory per stack; required with -durable)")
-	flag.StringVar(&cfg.fsync, "fsync", "always", "WAL fsync policy: always, interval or os")
+	cfg.durable.Register(flag.CommandLine)
 	flag.Parse()
 	if err := run(cfg, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "rubic-serve:", err)
@@ -101,16 +97,11 @@ func main() {
 }
 
 func run(cfg cliConfig, out io.Writer) error {
-	if cfg.durable {
-		if cfg.walDir == "" {
-			return fmt.Errorf("-durable needs -wal-dir")
-		}
-		if _, err := wal.ParseFsyncPolicy(cfg.fsync); err != nil {
-			return err
-		}
-		if cfg.findMax {
-			return fmt.Errorf("-find-max probes reuse seeds; a recovered log would carry state between probes, so it does not combine with -durable")
-		}
+	if _, err := cfg.durable.Options(""); err != nil {
+		return err
+	}
+	if cfg.durable.On && cfg.findMax {
+		return fmt.Errorf("-find-max probes reuse seeds; a recovered log would carry state between probes, so it does not combine with -durable")
 	}
 	if cfg.smoke {
 		return runSmoke(cfg, out)
@@ -154,47 +145,18 @@ func flagSpec(cfg cliConfig) (colocate.ServeSpec, error) {
 }
 
 // buildProc builds one stack from a spec with the CLI's shared knobs applied.
-func buildProc(cfg cliConfig, spec colocate.ServeSpec, seed int64) (colocate.ServeProc, error) {
+// prefix dedupes identical co-located specs ("P1-"); the log directory
+// follows the final name.
+func buildProc(cfg cliConfig, spec colocate.ServeSpec, seed int64, prefix string) (colocate.ServeProc, error) {
 	proc, err := spec.Build(cfg.engine, cfg.workers, seed)
 	if err != nil {
 		return proc, err
 	}
+	proc.Name = prefix + proc.Name
 	proc.Config.Epoch = cfg.epoch
 	proc.Config.QueueCap = cfg.queue
-	if cfg.durable {
-		policy, err := wal.ParseFsyncPolicy(cfg.fsync)
-		if err != nil {
-			return proc, err
-		}
-		// Dir stays empty here: callers may still rename the proc (runStacks
-		// prefixes an index to dedupe identical specs), and the log directory
-		// must follow the final name. finalizeWal fills it in.
-		proc.Durable = &wal.Options{Policy: policy}
-	}
-	return proc, nil
-}
-
-// finalizeWal points the stack's log at its per-stack directory, derived from
-// the final (post-rename) stack name.
-func finalizeWal(cfg cliConfig, proc *colocate.ServeProc) {
-	if proc.Durable != nil {
-		proc.Durable.Dir = filepath.Join(cfg.walDir, proc.Name)
-	}
-}
-
-// reportWal prints each durable stack's log outcome (no-op without -durable).
-func reportWal(out io.Writer, results []colocate.ServeResult) {
-	for _, r := range results {
-		if r.Wal == nil {
-			continue
-		}
-		status := "durable"
-		if r.Wal.Lost {
-			status = "durability LOST: " + r.Wal.LostErr.Error()
-		}
-		fmt.Fprintf(out, "%s: wal acked %d/%d commits, recovered prefix %d — %s\n",
-			r.Name, r.Wal.DurableCSN, r.Wal.LastCSN, r.Wal.Recovered.LastCSN, status)
-	}
+	proc.Durable, err = cfg.durable.Options(proc.Name)
+	return proc, err
 }
 
 func runSingle(cfg cliConfig, out io.Writer) (colocate.ServeResult, error) {
@@ -203,7 +165,7 @@ func runSingle(cfg cliConfig, out io.Writer) (colocate.ServeResult, error) {
 	if err != nil {
 		return zero, err
 	}
-	proc, err := buildProc(cfg, spec, cfg.seed)
+	proc, err := buildProc(cfg, spec, cfg.seed, "")
 	if err != nil {
 		return zero, err
 	}
@@ -217,26 +179,11 @@ func runSingle(cfg cliConfig, out io.Writer) (colocate.ServeResult, error) {
 				e.Index, e.Level, state, e.QPS, e.P50, e.P99, e.P999, e.QueueDepth, e.Shed)
 		}
 	}
-	finalizeWal(cfg, &proc)
 	fmt.Fprintf(out, "serving %s under %s arrivals at %.0f QPS for %v (workers %d, policy %s, engine %s)...\n",
 		spec.Workload, spec.Arrival, spec.QPS, cfg.duration, cfg.workers, spec.Policy, cfg.engine)
-	group, err := colocate.NewServeGroup([]colocate.ServeProc{proc})
+	results, err := serve(cfg, out, []colocate.ServeProc{proc})
 	if err != nil {
 		return zero, err
-	}
-	results, err := group.Run(cfg.duration)
-	if err != nil {
-		return zero, err
-	}
-	if err := report(out, results); err != nil {
-		return zero, err
-	}
-	reportWal(out, results)
-	if cfg.jsonOut != "" {
-		if err := emitJSON(cfg.jsonOut, benchEntries(results)); err != nil {
-			return zero, err
-		}
-		fmt.Fprintf(out, "wrote %s\n", cfg.jsonOut)
 	}
 	return results[0], nil
 }
@@ -248,34 +195,49 @@ func runStacks(cfg cliConfig, out io.Writer) error {
 	}
 	var procs []colocate.ServeProc
 	for i, s := range specs {
-		proc, err := buildProc(cfg, s, cfg.seed+int64(i)*7919)
+		proc, err := buildProc(cfg, s, cfg.seed+int64(i)*7919, "P"+strconv.Itoa(i+1)+"-")
 		if err != nil {
 			return err
 		}
-		proc.Name = "P" + strconv.Itoa(i+1) + "-" + proc.Name
-		finalizeWal(cfg, &proc)
 		procs = append(procs, proc)
-	}
-	group, err := colocate.NewServeGroup(procs)
-	if err != nil {
-		return err
 	}
 	fmt.Fprintf(out, "co-locating %d open-loop stacks for %v (workers %d each, engine %s, %d CPUs)...\n",
 		len(procs), cfg.duration, cfg.workers, cfg.engine, runtime.NumCPU())
+	_, err = serve(cfg, out, procs)
+	return err
+}
+
+// serve runs the stacks side by side and reports: summary table, log
+// outcomes, and the -json snapshot.
+func serve(cfg cliConfig, out io.Writer, procs []colocate.ServeProc) ([]colocate.ServeResult, error) {
+	group, err := colocate.NewServeGroup(procs)
+	if err != nil {
+		return nil, err
+	}
 	results, err := group.Run(cfg.duration)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := report(out, results); err != nil {
+		return nil, err
+	}
+	for _, r := range results {
+		if r.Wal != nil {
+			fmt.Fprintf(out, "%s: %s\n", r.Name, r.Wal)
+		}
+	}
+	return results, writeJSON(cfg, out, benchEntries(results))
+}
+
+// writeJSON writes the -json snapshot, if one was asked for.
+func writeJSON(cfg cliConfig, out io.Writer, entries map[string]benchfmt.Result) error {
+	if cfg.jsonOut == "" {
+		return nil
+	}
+	if err := benchfmt.Emit(cfg.jsonOut, entries); err != nil {
 		return err
 	}
-	reportWal(out, results)
-	if cfg.jsonOut != "" {
-		if err := emitJSON(cfg.jsonOut, benchEntries(results)); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", cfg.jsonOut)
-	}
+	fmt.Fprintf(out, "wrote %s\n", cfg.jsonOut)
 	return nil
 }
 
@@ -338,19 +300,13 @@ func runFindMax(cfg cliConfig, out io.Writer) error {
 		}
 	}
 	fmt.Fprintf(out, "max sustainable QPS ~= %.0f under p99 <= %v (next failure at %.0f)\n", good, cfg.sloP99, bad)
-	if cfg.jsonOut != "" {
-		name := "ServeMaxQPS/" + cfg.workload + "/" + cfg.arrival
-		entry := benchfmt.Result{
+	return writeJSON(cfg, out, map[string]benchfmt.Result{
+		"ServeMaxQPS/" + cfg.workload + "/" + cfg.arrival: {
 			Procs:   runtime.GOMAXPROCS(0),
 			NsPerOp: float64(cfg.sloP99.Nanoseconds()),
 			Metrics: map[string]float64{"max-sustainable-qps": good},
-		}
-		if err := emitJSON(cfg.jsonOut, map[string]benchfmt.Result{name: entry}); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", cfg.jsonOut)
-	}
-	return nil
+		},
+	})
 }
 
 // sustained is the sweep's pass criterion: the whole run's p99 held under
@@ -373,7 +329,7 @@ func runSmoke(cfg cliConfig, out io.Writer) error {
 	}
 	cfg.queue, cfg.seed = load.DefaultQueueCap, 7
 	cfg.findMax, cfg.stacks = false, ""
-	cfg.durable = false // the smoke gate measures the latency path, not the log
+	cfg.durable.On = false // the smoke gate measures the latency path, not the log
 	res, err := runSingle(cfg, out)
 	if err != nil {
 		return err
@@ -426,8 +382,4 @@ func benchEntries(results []colocate.ServeResult) map[string]benchfmt.Result {
 		}
 	}
 	return out
-}
-
-func emitJSON(path string, entries map[string]benchfmt.Result) error {
-	return benchfmt.Emit(path, entries)
 }

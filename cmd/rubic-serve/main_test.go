@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"rubic/internal/benchfmt"
+	"rubic/internal/colocate"
 	"rubic/internal/load"
 )
 
@@ -136,5 +138,42 @@ func TestFlagSpecValidation(t *testing.T) {
 	spec, err = flagSpec(cfg)
 	if err != nil || spec.Policy != "slo" {
 		t.Fatalf("spec %+v err %v, want slo default policy with a target", spec, err)
+	}
+}
+
+// TestRunStacksDurable: -durable end to end, twice over one -wal-dir — the
+// second run recovers the first's logs. Serving-stack names contain a '/'
+// ("P1-kv/poisson"); each still gets exactly one directory directly under
+// -wal-dir, as in rubic-colocate and the process-mode supervisor.
+func TestRunStacksDurable(t *testing.T) {
+	cfg := testConfig()
+	cfg.stacks = "kv/qps=200,kv/qps=200"
+	cfg.durable = colocate.DurableFlags{On: true, Root: t.TempDir(), Fsync: "os"}
+	var buf strings.Builder
+	for i := 0; i < 2; i++ {
+		buf.Reset()
+		if err := run(cfg, &buf); err != nil {
+			t.Fatalf("run %d: %v\n%s", i, err, buf.String())
+		}
+	}
+	if !strings.Contains(buf.String(), "P2-kv/poisson: wal acked") || strings.Contains(buf.String(), "recovered prefix 0 ") {
+		t.Errorf("second run did not report recovered logs:\n%s", buf.String())
+	}
+	entries, err := os.ReadDir(cfg.durable.Root)
+	if err != nil || len(entries) != 2 || entries[0].Name() != "P1-kv_poisson" || entries[1].Name() != "P2-kv_poisson" {
+		t.Fatalf("log directories under -wal-dir: %v (err %v), want P1-kv_poisson and P2-kv_poisson", entries, err)
+	}
+
+	cfg.findMax = true
+	if err := run(cfg, &buf); err == nil {
+		t.Error("-find-max with -durable accepted")
+	}
+	cfg.findMax, cfg.durable.Root = false, ""
+	if err := run(cfg, &buf); err == nil {
+		t.Error("-durable without -wal-dir accepted")
+	}
+	cfg.durable.Root, cfg.durable.Fsync = t.TempDir(), "sometimes"
+	if err := run(cfg, &buf); err == nil {
+		t.Error("unknown -fsync policy accepted")
 	}
 }

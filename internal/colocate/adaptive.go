@@ -10,17 +10,17 @@ import (
 	"rubic/internal/stm"
 )
 
-// AdaptiveCandidate is one selectable engine/contention-manager pairing.
+// adaptiveCandidate is one selectable engine/contention-manager pairing.
 // The CM is a constructor, not an instance: every actuation installs a
 // fresh manager so per-manager state never leaks between reigns.
-type AdaptiveCandidate struct {
-	Name   string
-	Engine stm.Algorithm
-	CM     func() stm.ContentionManager
+type adaptiveCandidate struct {
+	name   string
+	engine stm.Algorithm
+	cm     func() stm.ContentionManager
 }
 
-// ParseCM resolves a contention-manager name to a constructor.
-func ParseCM(name string) (func() stm.ContentionManager, error) {
+// parseCM resolves a contention-manager name to a constructor.
+func parseCM(name string) (func() stm.ContentionManager, error) {
 	switch name {
 	case "backoff", "":
 		return func() stm.ContentionManager { return stm.BackoffCM{} }, nil
@@ -43,11 +43,11 @@ func ParseCM(name string) (func() stm.ContentionManager, error) {
 // ':' is accepted in place of '/' so candidate specs can ride inside serve
 // specs, whose options are themselves '/'-separated. The CM defaults to
 // backoff.
-func ParseAdaptive(spec string) ([]AdaptiveCandidate, error) {
+func ParseAdaptive(spec string) ([]adaptiveCandidate, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("colocate: empty adaptive spec")
 	}
-	var out []AdaptiveCandidate
+	var out []adaptiveCandidate
 	seen := map[string]struct{}{}
 	for _, part := range strings.Split(spec, "+") {
 		part = strings.TrimSpace(part)
@@ -59,7 +59,7 @@ func ParseAdaptive(spec string) ([]AdaptiveCandidate, error) {
 		if err != nil {
 			return nil, fmt.Errorf("colocate: adaptive candidate %q: %w", part, err)
 		}
-		cm, err := ParseCM(cmName)
+		cm, err := parseCM(cmName)
 		if err != nil {
 			return nil, fmt.Errorf("colocate: adaptive candidate %q: %w", part, err)
 		}
@@ -71,7 +71,7 @@ func ParseAdaptive(spec string) ([]AdaptiveCandidate, error) {
 			return nil, fmt.Errorf("colocate: duplicate adaptive candidate %q", name)
 		}
 		seen[name] = struct{}{}
-		out = append(out, AdaptiveCandidate{Name: name, Engine: engine, CM: cm})
+		out = append(out, adaptiveCandidate{name: name, engine: engine, cm: cm})
 	}
 	return out, nil
 }
@@ -88,7 +88,7 @@ func ParseAdaptive(spec string) ([]AdaptiveCandidate, error) {
 type AdaptiveStack struct {
 	rt     *stm.Runtime
 	policy *core.AdaptivePolicy
-	cands  []AdaptiveCandidate
+	cands  []adaptiveCandidate
 
 	// Faults drives the adapt.handoff injection point; OnHandoffCrash, when
 	// both are set and the point fires, is invoked mid-handoff (the mproc
@@ -103,18 +103,18 @@ type AdaptiveStack struct {
 	handoffs uint64
 }
 
-// NewAdaptiveStack parses spec, builds the policy and actuates the first
+// newAdaptiveStack parses spec, builds the policy and actuates the first
 // candidate on rt. ctrl may be nil (no controller to re-anchor; it can be
-// bound later with BindController). cfg.Candidates is overwritten with the
+// bound later with bindController). cfg.Candidates is overwritten with the
 // parsed candidate names.
-func NewAdaptiveStack(rt *stm.Runtime, ctrl core.Controller, spec string, cfg core.AdaptiveConfig) (*AdaptiveStack, error) {
+func newAdaptiveStack(rt *stm.Runtime, ctrl core.Controller, spec string, cfg core.AdaptiveConfig) (*AdaptiveStack, error) {
 	cands, err := ParseAdaptive(spec)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Candidates = make([]string, len(cands))
 	for i, c := range cands {
-		cfg.Candidates[i] = c.Name
+		cfg.Candidates[i] = c.name
 	}
 	policy, err := core.NewAdaptivePolicy(cfg)
 	if err != nil {
@@ -125,20 +125,14 @@ func NewAdaptiveStack(rt *stm.Runtime, ctrl core.Controller, spec string, cfg co
 	return a, nil
 }
 
-// BindController attaches (or replaces) the controller the stack re-anchors
+// bindController attaches (or replaces) the controller the stack re-anchors
 // at engine handoffs — for assemblies where the controller is built after
 // the runtime (the serve path wraps it in an SLOGuard inside load.NewServer).
-func (a *AdaptiveStack) BindController(ctrl core.Controller) {
+func (a *AdaptiveStack) bindController(ctrl core.Controller) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.ctrl = ctrl
 }
-
-// Policy exposes the policy, for telemetry and tests.
-func (a *AdaptiveStack) Policy() *core.AdaptivePolicy { return a.policy }
-
-// Runtime exposes the bound runtime.
-func (a *AdaptiveStack) Runtime() *stm.Runtime { return a.rt }
 
 // Handoffs reports completed engine handoffs.
 func (a *AdaptiveStack) Handoffs() uint64 {
@@ -185,8 +179,8 @@ func (a *AdaptiveStack) Epoch(tput float64) {
 // no drain), the engine only when it differs (stop-the-world handoff).
 func (a *AdaptiveStack) actuate(i int) {
 	c := a.cands[i]
-	a.rt.SetContentionManager(c.CM())
-	if a.rt.Algorithm() == c.Engine {
+	a.rt.SetContentionManager(c.cm())
+	if a.rt.Algorithm() == c.engine {
 		return
 	}
 	a.mu.Lock()
@@ -203,7 +197,7 @@ func (a *AdaptiveStack) actuate(i int) {
 	if a.Faults.Fire(fault.HandoffCrash) && a.OnHandoffCrash != nil {
 		a.OnHandoffCrash()
 	}
-	a.rt.SwitchEngine(c.Engine)
+	a.rt.SwitchEngine(c.engine)
 	if restorable {
 		// Epoch left zero deliberately: a new engine restarts the cubic
 		// round count while keeping the learned level and anchor.

@@ -18,15 +18,15 @@ func TestParseCM(t *testing.T) {
 		"karma":     stm.KarmaCM{}.Name(),
 		"polka":     stm.PolkaCM{}.Name(),
 	} {
-		ctor, err := ParseCM(name)
+		ctor, err := parseCM(name)
 		if err != nil {
-			t.Fatalf("ParseCM(%q): %v", name, err)
+			t.Fatalf("parseCM(%q): %v", name, err)
 		}
 		if got := ctor().Name(); got != want {
-			t.Fatalf("ParseCM(%q) built %q, want %q", name, got, want)
+			t.Fatalf("parseCM(%q) built %q, want %q", name, got, want)
 		}
 	}
-	if _, err := ParseCM("aggressive"); err == nil {
+	if _, err := parseCM("aggressive"); err == nil {
 		t.Fatal("unknown contention manager accepted")
 	}
 }
@@ -43,13 +43,13 @@ func TestParseAdaptive(t *testing.T) {
 			if len(cands) != 2 {
 				t.Fatalf("%q parsed to %d candidates", spec, len(cands))
 			}
-			if cands[0].Name != "tl2/backoff" || cands[0].Engine != stm.TL2 {
+			if cands[0].name != "tl2/backoff" || cands[0].engine != stm.TL2 {
 				t.Fatalf("%q candidate 0: %+v", spec, cands[0])
 			}
-			if cands[1].Name != "norec/greedy" || cands[1].Engine != stm.NOrec {
+			if cands[1].name != "norec/greedy" || cands[1].engine != stm.NOrec {
 				t.Fatalf("%q candidate 1: %+v", spec, cands[1])
 			}
-			if got := cands[1].CM().Name(); got != (stm.GreedyCM{}).Name() {
+			if got := cands[1].cm().Name(); got != (stm.GreedyCM{}).Name() {
 				t.Fatalf("%q candidate 1 CM %q", spec, got)
 			}
 		}
@@ -59,8 +59,8 @@ func TestParseAdaptive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cands[0].Name != "norec/backoff" || cands[0].CM().Name() != (stm.BackoffCM{}).Name() {
-			t.Fatalf("bare engine candidate %+v with CM %q", cands[0], cands[0].CM().Name())
+		if cands[0].name != "norec/backoff" || cands[0].cm().Name() != (stm.BackoffCM{}).Name() {
+			t.Fatalf("bare engine candidate %+v with CM %q", cands[0], cands[0].cm().Name())
 		}
 	})
 	t.Run("rejects", func(t *testing.T) {
@@ -84,7 +84,7 @@ func TestParseAdaptive(t *testing.T) {
 // serves on a configuration outside its candidate list.
 func TestAdaptiveStackActuatesFirstCandidate(t *testing.T) {
 	rt := stm.New(stm.Config{Algorithm: stm.TL2})
-	stack, err := NewAdaptiveStack(rt, nil, "norec/greedy+tl2/backoff", core.AdaptiveConfig{})
+	stack, err := newAdaptiveStack(rt, nil, "norec/greedy+tl2/backoff", core.AdaptiveConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestAdaptiveStackActuatesFirstCandidate(t *testing.T) {
 	if stack.Handoffs() != 1 {
 		t.Fatalf("handoffs %d after the construction switch, want 1", stack.Handoffs())
 	}
-	if names := stack.Policy().Candidates(); len(names) != 2 || names[0] != "norec/greedy" {
+	if names := stack.policy.Candidates(); len(names) != 2 || names[0] != "norec/greedy" {
 		t.Fatalf("policy candidates %v", names)
 	}
 }
@@ -107,7 +107,7 @@ func TestAdaptiveStackActuatesFirstCandidate(t *testing.T) {
 // actuates the decision — the engine handoff and CM swap land on the runtime.
 func TestAdaptiveStackEpochDrivesSwitches(t *testing.T) {
 	rt := stm.New(stm.Config{Algorithm: stm.TL2})
-	stack, err := NewAdaptiveStack(rt, nil, "tl2/backoff+norec/greedy", core.AdaptiveConfig{
+	stack, err := newAdaptiveStack(rt, nil, "tl2/backoff+norec/greedy", core.AdaptiveConfig{
 		Window: 1,
 		Warmup: -1, // no warmup: every epoch scores
 	})
@@ -127,8 +127,8 @@ func TestAdaptiveStackEpochDrivesSwitches(t *testing.T) {
 	// Epoch 2 closes candidate 1's window; the sweep settles on the higher
 	// score — candidate 1, already running, so no further handoff.
 	stack.Epoch(100)
-	if stack.Policy().Current() != 1 {
-		t.Fatalf("settled on candidate %d, want 1", stack.Policy().Current())
+	if stack.policy.Current() != 1 {
+		t.Fatalf("settled on candidate %d, want 1", stack.policy.Current())
 	}
 	if rt.Algorithm() != stm.NOrec || stack.Handoffs() != 1 {
 		t.Fatalf("settling flapped the runtime: %s, %d handoffs",
@@ -147,7 +147,7 @@ func TestAdaptiveStackEpochDrivesSwitches(t *testing.T) {
 func TestAdaptiveStackReanchorsController(t *testing.T) {
 	rt := stm.New(stm.Config{Algorithm: stm.TL2})
 	ctrl := core.NewRUBIC(core.RUBICConfig{MaxLevel: 16, InitialLevel: 6})
-	stack, err := NewAdaptiveStack(rt, ctrl, "tl2/backoff+norec/backoff", core.AdaptiveConfig{
+	stack, err := newAdaptiveStack(rt, ctrl, "tl2/backoff+norec/backoff", core.AdaptiveConfig{
 		Window: 1,
 		Warmup: -1,
 	})
@@ -186,7 +186,7 @@ func TestAdaptiveStackReanchorsController(t *testing.T) {
 // candidate and actuates it — runtime engine included — without a sweep.
 func TestAdaptiveStackRestore(t *testing.T) {
 	rt := stm.New(stm.Config{Algorithm: stm.TL2})
-	stack, err := NewAdaptiveStack(rt, nil, "tl2/backoff+norec/greedy", core.AdaptiveConfig{})
+	stack, err := newAdaptiveStack(rt, nil, "tl2/backoff+norec/greedy", core.AdaptiveConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@
 package colocate
 
 import (
+	"context"
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,7 +17,6 @@ import (
 
 	"rubic/internal/core"
 	"rubic/internal/fault"
-	"rubic/internal/pool"
 	"rubic/internal/stamp"
 	"rubic/internal/stm"
 	"rubic/internal/trace"
@@ -75,6 +74,11 @@ type Result struct {
 	Levels *trace.Series
 	// Faults is the pool's recovered-panic count over the run.
 	Faults uint64
+	// Level is the pool's parallelism level when the result was taken; Ctl
+	// the controller's last published resumable state (nil before the first
+	// decision, and for policies that are not resumable).
+	Level int
+	Ctl   *core.TuningState
 	// Wal summarizes the stack's durability outcome (nil without Durable).
 	Wal *WalResult
 }
@@ -130,62 +134,43 @@ func NewGroup(procs []Proc, period time.Duration) (*Group, error) {
 	return &Group{procs: procs, period: period}, nil
 }
 
-// Run sets up every workload, starts the stacks (honoring arrival delays),
-// lets the group run for the given duration, stops everything, verifies all
-// workload invariants and returns per-stack results in input order.
+// Run opens every stack, starts each at its arrival delay, lets the group run
+// for the given duration, stops everything, finishes every stack (log
+// outcomes, workload invariants) and returns per-stack results in input
+// order.
 func (g *Group) Run(duration time.Duration) ([]Result, error) {
 	if duration <= 0 {
 		return nil, fmt.Errorf("colocate: duration must be positive")
 	}
-	// Setup is sequential and up front so arrival delays measure pure
-	// execution, not population. Durable stacks open (and possibly recover)
-	// their logs here too, before any traffic exists to log.
-	logs := make([]*wal.Log, len(g.procs))
+	// Opening is sequential and up front so arrival delays measure pure
+	// execution, not population or recovery.
+	stacks := make([]*stack, len(g.procs))
 	for i := range g.procs {
-		p := &g.procs[i]
-		if err := p.Workload.Setup(rand.New(rand.NewSource(p.Seed))); err != nil {
-			return nil, fmt.Errorf("colocate: setup %s: %w", p.Name, err)
-		}
-		if p.Durable != nil {
-			l, err := AttachDurability(p.Workload, p.Runtime, *p.Durable)
-			if err != nil {
-				for _, open := range logs {
-					if open != nil {
-						open.Close()
-					}
+		s, err := openStack(&g.procs[i], g.period)
+		if err != nil {
+			for _, open := range stacks[:i] {
+				if open.log != nil {
+					open.log.Close()
 				}
-				return nil, fmt.Errorf("colocate: durability %s: %w", p.Name, err)
 			}
-			logs[i] = l
+			return nil, err
 		}
+		stacks[i] = s
 	}
 
-	results := make([]Result, len(g.procs))
-	errs := make([]error, len(g.procs))
-	// abort is closed on the first stack failure so the surviving stacks cut
-	// their runs short instead of burning the full duration; firstErr records
-	// the failure that triggered it, already labelled with its stack name.
-	abort := make(chan struct{})
-	var abortOnce sync.Once
-	var firstErr error
-	fail := func(i int, err error) {
-		errs[i] = err
-		abortOnce.Do(func() {
-			firstErr = err
-			close(abort)
-		})
-	}
+	// The first stack failure cancels run, so the surviving stacks cut theirs
+	// short instead of burning the full duration; its cause — already
+	// labelled with the stack's name — is what Run returns.
+	run, fail := context.WithCancelCause(context.Background())
+	defer fail(nil)
 	// sleep waits for d but returns early (false) once the group aborts.
 	sleep := func(d time.Duration) bool {
-		if d <= 0 {
-			return true
-		}
 		t := time.NewTimer(d)
 		defer t.Stop()
 		select {
 		case <-t.C:
 			return true
-		case <-abort:
+		case <-run.Done():
 			return false
 		}
 	}
@@ -194,65 +179,25 @@ func (g *Group) Run(duration time.Duration) ([]Result, error) {
 	// can be attributed to the stacks actually stuck in it.
 	finished := make([]atomic.Bool, len(g.procs))
 	start := time.Now()
-	for i := range g.procs {
+	for i, s := range stacks {
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, s *stack) {
 			defer wg.Done()
 			defer finished[i].Store(true)
-			p := &g.procs[i]
-			if !sleep(p.ArrivalDelay) {
+			if !sleep(s.p.ArrivalDelay) {
 				return
 			}
-			active := duration - p.ArrivalDelay
-			if active <= 0 {
-				fail(i, fmt.Errorf("colocate: %s arrives after the run ends", p.Name))
+			if duration <= s.p.ArrivalDelay {
+				fail(fmt.Errorf("colocate: %s arrives after the run ends", s.p.Name))
 				return
 			}
-			pl, err := pool.New(p.PoolSize, p.Seed+1, p.Workload.Task())
-			if err != nil {
-				fail(i, fmt.Errorf("colocate: %s: %w", p.Name, err))
+			if err := s.start(); err != nil {
+				fail(err)
 				return
-			}
-			pl.InstallFaults(p.Faults)
-			var tuner *core.Tuner
-			if p.Controller != nil {
-				results[i].Levels = trace.NewSeries(p.Name + "/level")
-				tuner = &core.Tuner{
-					Controller: p.Controller,
-					Target:     pl,
-					Period:     g.period,
-					Levels:     results[i].Levels,
-					Health:     p.Health,
-					Faults:     p.Faults,
-					Adapter:    p.Adapter,
-				}
-			} else {
-				pl.SetLevel(p.PoolSize)
-			}
-			began := time.Now()
-			pl.Start()
-			if tuner != nil {
-				tuner.Start()
 			}
 			sleep(duration - time.Since(start))
-			if tuner != nil {
-				tuner.Stop()
-			}
-			pl.Stop()
-			elapsed := time.Since(began).Seconds()
-
-			results[i].Name = p.Name
-			results[i].Completed = pl.Completed()
-			results[i].Faults = pl.Faults()
-			if elapsed > 0 {
-				results[i].Throughput = float64(results[i].Completed) / elapsed
-			}
-			if results[i].Levels != nil && results[i].Levels.Len() > 0 {
-				results[i].MeanLevel = results[i].Levels.Mean()
-			} else {
-				results[i].MeanLevel = float64(p.PoolSize)
-			}
-		}(i)
+			s.stop()
+		}(i, s)
 	}
 	// Bounded teardown: a wedged stack (a task that never returns keeps its
 	// pool's Stop from completing) must not hang the whole run. Past the run
@@ -270,54 +215,36 @@ func (g *Group) Run(duration time.Duration) ([]Result, error) {
 	}()
 	deadline := time.NewTimer(time.Until(start.Add(duration)) + grace)
 	defer deadline.Stop()
+	var wedged []string
 	select {
 	case <-allDone:
 	case <-deadline.C:
-		var wedged []string
 		for i := range g.procs {
 			if !finished[i].Load() {
 				wedged = append(wedged, g.procs[i].Name)
 			}
 		}
+	}
+	// Every stopped stack's pool is down, so no commit of its can still
+	// publish: finish it. A wedged stack is left alone — its workers may
+	// still be committing, so its log stays open and its result empty.
+	results := make([]Result, len(g.procs))
+	var verifyErr error
+	for i, s := range stacks {
+		if !finished[i].Load() {
+			continue
+		}
+		var err error
+		if results[i], err = s.finish(); err != nil && verifyErr == nil {
+			verifyErr = err
+		}
+	}
+	if wedged != nil {
 		return results, fmt.Errorf("colocate: teardown wedged %v past the deadline; stacks still stopping: %s",
 			grace, strings.Join(wedged, ", "))
 	}
-	// Every pool has stopped, so no commit can still publish: flush and close
-	// the logs, and record each durable stack's outcome. A log that lost
-	// durability mid-run surfaces as an explicit flag on the result, not a run
-	// failure — the degradation ladder already kept the stack serving.
-	for i, l := range logs {
-		if l == nil {
-			continue
-		}
-		lost, lostErr := l.Lost()
-		wr := &WalResult{
-			Recovered:  l.Recovered(),
-			LastCSN:    l.LastCSN(),
-			DurableCSN: l.DurableCSN(),
-			Lost:       lost,
-			LostErr:    lostErr,
-		}
-		if err := l.Close(); err != nil && wr.LostErr == nil {
-			wr.Lost, wr.LostErr = true, err
-		}
-		if !wr.Lost {
-			wr.DurableCSN = l.DurableCSN() // final batch flushed by Close
-		}
-		results[i].Wal = wr
+	if err := context.Cause(run); err != nil {
+		return results, err
 	}
-	if firstErr != nil {
-		return results, firstErr
-	}
-	for _, err := range errs {
-		if err != nil {
-			return results, err
-		}
-	}
-	for i := range g.procs {
-		if err := g.procs[i].Workload.Verify(); err != nil {
-			return results, fmt.Errorf("colocate: %s verification: %w", g.procs[i].Name, err)
-		}
-	}
-	return results, nil
+	return results, verifyErr
 }

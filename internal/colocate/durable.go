@@ -1,7 +1,11 @@
 package colocate
 
 import (
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 
 	"rubic/internal/stamp"
 	"rubic/internal/stm"
@@ -55,4 +59,91 @@ func AttachDurability(w stamp.Workload, rt *stm.Runtime, opts wal.Options) (*wal
 	}
 	rt.AttachCommitSink(l)
 	return l, nil
+}
+
+// readLog reports a log's current position.
+func readLog(l *wal.Log) *WalResult {
+	lost, lostErr := l.Lost()
+	return &WalResult{
+		Recovered:  l.Recovered(),
+		LastCSN:    l.LastCSN(),
+		DurableCSN: l.DurableCSN(),
+		Lost:       lost,
+		LostErr:    lostErr,
+	}
+}
+
+// String is the outcome line the CLIs print after a stack's name.
+func (w *WalResult) String() string {
+	status := "durable"
+	if w.Lost {
+		status = fmt.Sprintf("durability LOST: %v", w.LostErr)
+	}
+	return fmt.Sprintf("wal acked %d/%d commits, recovered prefix %d — %s",
+		w.DurableCSN, w.LastCSN, w.Recovered.LastCSN, status)
+}
+
+// closeLog flushes and closes a log whose stack has stopped committing and
+// reports its final outcome: Close drains the tail first, so the durable
+// watermark read after it includes the last batch. A failed Close counts as
+// lost durability.
+func closeLog(l *wal.Log) *WalResult {
+	closeErr := l.Close()
+	wr := readLog(l)
+	if closeErr != nil && wr.LostErr == nil {
+		wr.Lost, wr.LostErr = true, closeErr
+	}
+	return wr
+}
+
+// WalDir is a stack's log directory under root: stable across restarts (a
+// replacement must find its predecessor's log) and disjoint from its
+// siblings'. Path separators in the name are flattened, so a stack named
+// "kv/poisson" gets one directory directly under root. An empty name means
+// root already is the stack's own directory.
+func WalDir(root, stack string) string {
+	if stack == "" {
+		return root
+	}
+	return filepath.Join(root, strings.Map(func(c rune) rune {
+		if c == '/' || c == '\\' || c == os.PathSeparator {
+			return '_'
+		}
+		return c
+	}, stack))
+}
+
+// DurableFlags is the -durable/-wal-dir/-fsync flag group every driver
+// shares.
+type DurableFlags struct {
+	// On attaches a write-ahead log to every stack; the workload must
+	// implement wal.DurableState.
+	On bool
+	// Root is the parent directory of the per-stack logs (see WalDir).
+	Root string
+	// Fsync names the group-commit policy: always, interval or os.
+	Fsync string
+}
+
+// Register declares the group on fs.
+func (d *DurableFlags) Register(fs *flag.FlagSet) {
+	fs.BoolVar(&d.On, "durable", false, "attach a write-ahead log to every stack (an existing log is recovered first)")
+	fs.StringVar(&d.Root, "wal-dir", "", "parent directory of the per-stack logs (required with -durable)")
+	fs.StringVar(&d.Fsync, "fsync", "always", "wal group-commit policy: always, interval or os")
+}
+
+// Options validates the group and returns the named stack's log options, nil
+// when -durable is off.
+func (d DurableFlags) Options(stack string) (*wal.Options, error) {
+	if !d.On {
+		return nil, nil
+	}
+	if d.Root == "" {
+		return nil, fmt.Errorf("colocate: -durable needs -wal-dir")
+	}
+	policy, err := wal.ParseFsyncPolicy(d.Fsync)
+	if err != nil {
+		return nil, err
+	}
+	return &wal.Options{Dir: WalDir(d.Root, stack), Policy: policy}, nil
 }

@@ -96,7 +96,7 @@ func NewServeGroup(procs []ServeProc) (*ServeGroup, error) {
 			// re-bind so engine handoffs re-anchor the guard's inner
 			// controller rather than a stale pre-wrap reference.
 			if guard := s.Guard(); guard != nil {
-				p.Adaptive.BindController(guard)
+				p.Adaptive.bindController(guard)
 			}
 		}
 		g.names = append(g.names, p.Name)
@@ -104,9 +104,6 @@ func NewServeGroup(procs []ServeProc) (*ServeGroup, error) {
 	}
 	return g, nil
 }
-
-// Servers exposes the built servers in input order (for guard inspection).
-func (g *ServeGroup) Servers() []*load.Server { return g.servers }
 
 // Run drives every stack concurrently for the given duration and returns
 // per-stack results in input order. Each server verifies its own workload;
@@ -128,28 +125,13 @@ func (g *ServeGroup) Run(duration time.Duration) ([]ServeResult, error) {
 		}(i)
 	}
 	wg.Wait()
-	// Every server has drained, so no commit can still publish: flush and
-	// close the logs, and record each durable stack's outcome. A log that
-	// lost durability mid-run surfaces as an explicit flag, not a run failure.
+	// Every server has drained, so no commit can still publish: close the
+	// logs the way closed-loop stacks do. A log that lost durability mid-run
+	// surfaces as an explicit flag, not a run failure.
 	for i, l := range g.logs {
-		if l == nil {
-			continue
+		if l != nil {
+			results[i].Wal = closeLog(l)
 		}
-		lost, lostErr := l.Lost()
-		wr := &WalResult{
-			Recovered:  l.Recovered(),
-			LastCSN:    l.LastCSN(),
-			DurableCSN: l.DurableCSN(),
-			Lost:       lost,
-			LostErr:    lostErr,
-		}
-		if err := l.Close(); err != nil && wr.LostErr == nil {
-			wr.Lost, wr.LostErr = true, err
-		}
-		if !wr.Lost {
-			wr.DurableCSN = l.DurableCSN() // final batch flushed by Close
-		}
-		results[i].Wal = wr
 	}
 	for _, err := range errs {
 		if err != nil {
@@ -264,23 +246,16 @@ func (s ServeSpec) Build(engine string, workers int, seed int64) (ServeProc, err
 	}
 	cfg := load.Config{Workers: workers, Seed: seed}
 	var rt *stm.Runtime
+	keys := 0 // a keyed workload's key-space size
 	switch s.Workload {
 	case "kv":
 		rt = stm.New(stm.Config{Algorithm: algo})
 		kv := load.NewKV(rt, load.KVConfig{})
-		keys, err := load.NewZipf(uint64(kv.Keys()), s.Theta, seed)
-		if err != nil {
-			return proc, err
-		}
-		cfg.Workload, cfg.Keys = kv, keys
+		cfg.Workload, keys = kv, kv.Keys()
 	case "ordered":
 		rt = stm.New(stm.Config{Algorithm: algo})
 		ord := load.NewOrdered(rt, load.OrderedConfig{})
-		keys, err := load.NewZipf(uint64(ord.Keys()), s.Theta, seed)
-		if err != nil {
-			return proc, err
-		}
-		cfg.Workload, cfg.Keys = ord, keys
+		cfg.Workload, keys = ord, ord.Keys()
 	case "shardedkv":
 		if s.Adaptive != "" {
 			return proc, fmt.Errorf("colocate: adaptive engine switching is per-runtime; use the sharded runtime's own SwitchEngine instead of adaptive= with shardedkv")
@@ -289,23 +264,21 @@ func (s ServeSpec) Build(engine string, workers int, seed int64) (ServeProc, err
 		if shards <= 0 {
 			shards = workers
 		}
-		sr := stm.NewSharded(shards, stm.Config{Algorithm: algo})
-		skv := load.NewShardedKV(sr, load.KVConfig{})
-		keys, err := load.NewZipf(uint64(skv.Keys()), s.Theta, seed)
-		if err != nil {
-			return proc, err
-		}
-		cfg.Workload, cfg.Keys = skv, keys
 		// Durability needs a single commit critical section; the sharded
 		// runtime deliberately has none (stm.ErrCrossShardDurable), so the
 		// stack carries no Runtime and AttachDurability rejects it.
-		rt = nil
+		skv := load.NewShardedKV(stm.NewSharded(shards, stm.Config{Algorithm: algo}), load.KVConfig{})
+		cfg.Workload, keys = skv, skv.Keys()
 	default:
-		w, wrt, err := workloads.New(s.Workload, stm.Config{Algorithm: algo})
+		cfg.Workload, rt, err = workloads.New(s.Workload, stm.Config{Algorithm: algo})
 		if err != nil {
 			return proc, err
 		}
-		cfg.Workload, rt = w, wrt
+	}
+	if keys > 0 {
+		if cfg.Keys, err = load.NewZipf(uint64(keys), s.Theta, seed); err != nil {
+			return proc, err
+		}
 	}
 	cfg.Arrival, err = load.NewArrival(s.Arrival, s.QPS, seed)
 	if err != nil {
@@ -324,7 +297,7 @@ func (s ServeSpec) Build(engine string, workers int, seed int64) (ServeProc, err
 	if s.Adaptive != "" {
 		// policy=slo binds the guard later (NewServeGroup, once the server
 		// builds it); policy=rubic re-anchors the bare controller directly.
-		stack, err := NewAdaptiveStack(rt, cfg.Controller, s.Adaptive, core.AdaptiveConfig{})
+		stack, err := newAdaptiveStack(rt, cfg.Controller, s.Adaptive, core.AdaptiveConfig{})
 		if err != nil {
 			return proc, err
 		}

@@ -6,16 +6,18 @@ import (
 	"time"
 
 	"rubic/internal/core"
+	"rubic/internal/fault"
 	"rubic/internal/stamp"
 	"rubic/internal/stamp/workloads"
 	"rubic/internal/stm"
+	"rubic/internal/wal"
 )
 
 // StackSpec is the parsed form of one "workload:policy[@arrivalDelay]"
 // stack description. It is the shared currency between the goroutine-mode
 // co-location driver (this package's Group) and the process-mode supervisor
-// (internal/mproc): both assemble the same workload/controller stack from it,
-// so every spec accepted by one mode runs unchanged in the other.
+// (internal/mproc): both turn it into a Proc through StackSpec.Proc, so
+// every spec accepted by one mode runs unchanged in the other.
 type StackSpec struct {
 	// Workload names a benchmark from internal/stamp/workloads.
 	Workload string
@@ -26,8 +28,8 @@ type StackSpec struct {
 	ArrivalDelay time.Duration
 }
 
-// ParseSpec parses one "workload:policy[@arrivalDelay]" description.
-func ParseSpec(s string) (StackSpec, error) {
+// parseSpec parses one "workload:policy[@arrivalDelay]" description.
+func parseSpec(s string) (StackSpec, error) {
 	var spec StackSpec
 	if at := strings.IndexByte(s, '@'); at >= 0 {
 		d, err := time.ParseDuration(s[at+1:])
@@ -49,7 +51,7 @@ func ParseSpec(s string) (StackSpec, error) {
 func ParseSpecs(s string) ([]StackSpec, error) {
 	var out []StackSpec
 	for _, part := range strings.Split(s, ",") {
-		spec, err := ParseSpec(part)
+		spec, err := parseSpec(part)
 		if err != nil {
 			return nil, err
 		}
@@ -91,4 +93,85 @@ func (s StackSpec) Build(engine string, poolSize, processes int) (stamp.Workload
 		ctrl = fac()
 	}
 	return w, rt, ctrl, nil
+}
+
+// StackOptions is everything besides the spec that shapes a stack. Goroutine
+// mode and the process-mode agent each fill one for StackSpec.Proc, so both
+// run the identical Proc by construction.
+type StackOptions struct {
+	Engine string // tl2 or norec
+	// Pool is the worker count; Processes the co-located stack count (the
+	// equalshare policy and the health fallback divide the machine by it).
+	Pool      int
+	Processes int
+	Seed      int64 // derives the stack's random streams
+	// Chaos names the fault scenario ("scenario@seed"; empty: none); the
+	// stack's index in the group and its restart count select its schedule.
+	Chaos       string
+	Child       int
+	Incarnation int
+	// Adaptive, when non-empty, is the '+'-separated engine/CM candidate
+	// list the runtime hot-swaps among; Window the policy's scoring window in
+	// epochs (0: stackAdaptWindow).
+	Adaptive string
+	Window   int
+	// Durable, when non-nil, gives the stack a write-ahead log.
+	Durable *wal.Options
+}
+
+// stackAdaptWindow is a closed-loop stack's default adaptive scoring window:
+// short, so probing converges within seconds-scale runs at the 10 ms tick.
+const stackAdaptWindow = 2
+
+// Proc assembles the named stack: Build's workload and controller plus the
+// wiring every driver shares — one chaos injector for pool, tuner, adaptive
+// handoff and log; the health guard on every tuned stack; the adaptive stack
+// as the tuner's adapter.
+func (s StackSpec) Proc(name string, o StackOptions) (Proc, error) {
+	w, rt, ctrl, err := s.Build(o.Engine, o.Pool, o.Processes)
+	if err != nil {
+		return Proc{}, err
+	}
+	p := Proc{
+		Name:         name,
+		Workload:     w,
+		Controller:   ctrl,
+		PoolSize:     o.Pool,
+		Seed:         o.Seed,
+		ArrivalDelay: s.ArrivalDelay,
+		Runtime:      rt,
+	}
+	if o.Chaos != "" {
+		scenario, seed, err := fault.ParseScenario(o.Chaos)
+		if err != nil {
+			return Proc{}, err
+		}
+		plan, err := fault.PlanFor(scenario, seed, o.Child, o.Incarnation)
+		if err != nil {
+			return Proc{}, err
+		}
+		p.Faults = fault.New(plan)
+	}
+	if ctrl != nil {
+		// Degraded telemetry parks the stack at its equal share of the
+		// machine — the fair static split — until samples recover.
+		p.Health = &core.HealthPolicy{FallbackLevel: o.Pool / max(o.Processes, 1)}
+	}
+	if o.Adaptive != "" {
+		if o.Window <= 0 {
+			o.Window = stackAdaptWindow
+		}
+		stack, err := newAdaptiveStack(rt, ctrl, o.Adaptive, core.AdaptiveConfig{Window: o.Window})
+		if err != nil {
+			return Proc{}, err
+		}
+		stack.Faults = p.Faults
+		p.Adapter = stack
+	}
+	if o.Durable != nil {
+		d := *o.Durable
+		d.Faults = p.Faults
+		p.Durable = &d
+	}
+	return p, nil
 }

@@ -6,14 +6,14 @@ import (
 )
 
 func TestParseSpec(t *testing.T) {
-	s, err := ParseSpec("rbtree-ro:rubic@250ms")
+	s, err := parseSpec("rbtree-ro:rubic@250ms")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Workload != "rbtree-ro" || s.Policy != "rubic" || s.ArrivalDelay != 250*time.Millisecond {
 		t.Fatalf("parsed %+v", s)
 	}
-	s, err = ParseSpec("bank:greedy")
+	s, err = parseSpec("bank:greedy")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestParseSpec(t *testing.T) {
 		t.Fatalf("parsed %+v", s)
 	}
 	for _, bad := range []string{"", "rbtree", "rbtree:", ":rubic", "a:b:c", "rbtree:rubic@x"} {
-		if _, err := ParseSpec(bad); err == nil {
+		if _, err := parseSpec(bad); err == nil {
 			t.Errorf("accepted %q", bad)
 		}
 	}

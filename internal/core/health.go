@@ -9,10 +9,15 @@ import (
 // Telemetry-health constants of the controller layer (see DefaultPeriod for
 // the unit-discipline rationale).
 const (
-	// DefaultMaxStaleness is the default bound on a sample's age: a sample
-	// covering more than three ticks means the monitoring loop lost ticks and
-	// the observation no longer describes the level it is attributed to.
-	DefaultMaxStaleness = 3 * DefaultPeriod
+	// maxStaleTicks bounds a sample's age in ticks of the loop that took it:
+	// a sample covering more than three ticks means the monitoring loop lost
+	// ticks and the observation no longer describes the level it is
+	// attributed to.
+	maxStaleTicks = 3
+
+	// DefaultMaxStaleness is that bound at the default period — what a guard
+	// outside a Tuner (which knows its own period) falls back to.
+	DefaultMaxStaleness = maxStaleTicks * DefaultPeriod
 
 	// DefaultDegradeAfter is K, the number of consecutive silent or garbage
 	// ticks after which a guarded controller stops holding and degrades to

@@ -274,6 +274,32 @@ func TestChaosTunerDegradesUnderSeededPlan(t *testing.T) {
 	}
 }
 
+// TestTunerStalenessFollowsPeriod: a guarded loop ticking slower than the
+// canonical period must not read every healthy sample as stale — its
+// staleness bound is in ticks of its own period.
+func TestTunerStalenessFollowsPeriod(t *testing.T) {
+	target := &fakeTarget{}
+	target.level.Store(1)
+	tuner := &Tuner{
+		Controller: NewRUBIC(RUBICConfig{MaxLevel: 16}),
+		Target:     target,
+		Period:     2 * DefaultMaxStaleness,
+		Health:     &HealthPolicy{FallbackLevel: 1},
+	}
+	tuner.Start()
+	deadline := time.Now().Add(5 * time.Second)
+	for target.setCalls.Load() < 4 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	tuner.Stop()
+	if calls := target.setCalls.Load(); calls < 4 {
+		t.Fatalf("only %d ticks", calls)
+	}
+	if st := tuner.Guard().Stats(); st.Held != 0 || st.Degradations != 0 {
+		t.Fatalf("healthy samples at a %v period counted as bad: %+v", tuner.Period, st)
+	}
+}
+
 func TestTunerPublishesResumableState(t *testing.T) {
 	target := &fakeTarget{}
 	target.level.Store(1)

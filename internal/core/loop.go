@@ -85,7 +85,13 @@ func (t *Tuner) Start() {
 		t.Period = DefaultPeriod
 	}
 	if t.Health != nil && t.guard == nil {
-		t.guard = NewHealthGuard(t.Controller, *t.Health)
+		policy := *t.Health
+		if policy.MaxStaleness <= 0 {
+			// Ticks of this loop, not of the canonical one: at a longer
+			// period every sample would otherwise count as stale.
+			policy.MaxStaleness = maxStaleTicks * t.Period
+		}
+		t.guard = NewHealthGuard(t.Controller, policy)
 	}
 	t.stop = make(chan struct{})
 	t.done = make(chan struct{})

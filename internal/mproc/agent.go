@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"os/signal"
 	"runtime"
@@ -16,104 +15,77 @@ import (
 	"rubic/internal/colocate"
 	"rubic/internal/core"
 	"rubic/internal/fault"
-	"rubic/internal/pool"
-	"rubic/internal/trace"
-	"rubic/internal/wal"
 )
 
 // AgentConfig describes the single stack an agent process runs.
 type AgentConfig struct {
-	// Workload and Policy select the stack, as in colocate.StackSpec.
-	Workload string
-	Policy   string
-	// Pool is the worker count (the maximum parallelism level).
-	Pool int
-	// Seed derives the workload's and the workers' random streams.
-	Seed int64
+	// Spec and Stack describe the stack exactly as goroutine mode does — the
+	// agent hands them to colocate.StackSpec.Proc unchanged, except that
+	// Stack.Durable is filled from Durable below. Stack.Child is the child's
+	// index in the group and Stack.Incarnation the supervisor's restart
+	// count for it: restarted incarnations draw different chaos schedules.
+	Spec  colocate.StackSpec
+	Stack colocate.StackOptions
 	// Duration is the measurement length; Period the controller period.
 	Duration time.Duration
 	Period   time.Duration
-	// Engine selects the STM engine (tl2 or norec).
-	Engine string
 	// GOMAXPROCS, when positive, caps the child's Go scheduler — the knob
 	// for pinning each co-located process to a hardware-context budget.
 	GOMAXPROCS int
-	// Processes is the number of co-located siblings (equalshare divides
-	// the machine by it); defaults to 1.
-	Processes int
-	// Chaos names the fault scenario ("scenario@seed") this agent runs
-	// under; empty means no injection (the inert nil injector).
-	Chaos string
-	// ChaosChild is this stack's index in the group, feeding the per-child
-	// schedule derivation.
-	ChaosChild int
-	// Incarnation is the supervisor's restart count for this child (0 for
-	// the first launch); restarted incarnations draw different schedules.
-	Incarnation int
 	// Restore, when non-empty, is a "level,wmax,epoch" tuning state the
 	// controller resumes from — the supervisor passes the crashed
 	// predecessor's last published state so CUBIC growth restarts from its
 	// preserved anchors instead of the floor.
 	Restore string
-	// Guard enables the controller health guard (hold on bad telemetry,
-	// degrade to the equal-share level after consecutive bad ticks).
-	Guard bool
-	// Adaptive, when non-empty, runs the stack's runtime adaptively over the
-	// '+'-separated candidate list (see colocate.ParseAdaptive), hot-swapping
-	// engine and contention manager at epoch boundaries.
-	Adaptive string
-	// AdaptWindow is the adaptive policy's scoring window in epochs; the
-	// default is short so probing converges within agent-scale runs.
-	AdaptWindow int
 	// AdaptRestore, when non-empty, is the JSON core.AdaptiveState the
 	// adaptive policy resumes from — the supervisor passes the crashed
 	// predecessor's last published state, mirroring Restore.
 	AdaptRestore string
 	// Durable attaches a write-ahead log to the stack: the agent opens (or,
-	// on restart, recovers) the log in WALDir before taking traffic, streams
-	// WalState in its telemetry, and flushes and closes the log before the
-	// result frame. The workload must implement wal.DurableState.
-	Durable bool
-	// WALDir is the log directory; required with Durable. The supervisor
-	// keeps it stable across a child's incarnations so a restarted agent
-	// recovers its predecessor's committed prefix.
-	WALDir string
-	// Fsync names the log's fsync policy: always, interval or os (default
-	// always — the only policy whose acks survive kill -9 by contract).
-	Fsync string
+	// on restart, recovers) the log before taking traffic, streams WalState
+	// in its telemetry, and flushes and closes the log before the result
+	// frame. The workload must implement wal.DurableState. Durable.Root is
+	// the stack's own log directory, not a parent: the supervisor derives it
+	// (colocate.WalDir) and keeps it stable across a child's incarnations so
+	// a restarted agent recovers its predecessor's committed prefix.
+	Durable colocate.DurableFlags
 }
 
 // AgentMain parses agent-mode command-line flags and runs the agent,
 // streaming protocol frames to out. It is the body of the "agent"
 // subcommand of cmd/rubic-colocate.
 func AgentMain(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("agent", flag.ContinueOnError)
-	fs.SetOutput(os.Stderr)
-	var cfg AgentConfig
-	fs.StringVar(&cfg.Workload, "workload", "", "workload name")
-	fs.StringVar(&cfg.Policy, "policy", "rubic", "controller policy (or greedy)")
-	fs.IntVar(&cfg.Pool, "pool", runtime.NumCPU(), "worker pool size")
-	fs.Int64Var(&cfg.Seed, "seed", 1, "random seed")
-	fs.DurationVar(&cfg.Duration, "duration", 2*time.Second, "run duration")
-	fs.DurationVar(&cfg.Period, "period", core.DefaultPeriod, "controller period")
-	fs.StringVar(&cfg.Engine, "engine", "tl2", "stm engine: tl2 or norec")
-	fs.IntVar(&cfg.GOMAXPROCS, "gomaxprocs", 0, "GOMAXPROCS for this agent (0 leaves the default)")
-	fs.IntVar(&cfg.Processes, "processes", 1, "number of co-located processes")
-	fs.StringVar(&cfg.Chaos, "chaos", "", "fault scenario, scenario@seed (empty: none)")
-	fs.IntVar(&cfg.ChaosChild, "chaos-child", 0, "this stack's index in the chaos derivation")
-	fs.IntVar(&cfg.Incarnation, "incarnation", 0, "restart count (0 = first launch)")
-	fs.StringVar(&cfg.Restore, "restore", "", "tuning state to resume from, level,wmax,epoch")
-	fs.BoolVar(&cfg.Guard, "guard", true, "run the controller behind the telemetry health guard")
-	fs.StringVar(&cfg.Adaptive, "adaptive", "", "adaptive engine/CM candidates, e.g. tl2/backoff+norec/greedy (empty: static)")
-	fs.IntVar(&cfg.AdaptWindow, "adapt-window", 2, "adaptive scoring window, epochs")
-	fs.StringVar(&cfg.AdaptRestore, "adapt-restore", "", "adaptive policy state to resume from (JSON)")
-	fs.BoolVar(&cfg.Durable, "durable", false, "attach a write-ahead log to the stack")
-	fs.StringVar(&cfg.WALDir, "wal-dir", "", "write-ahead log directory (required with -durable)")
-	fs.StringVar(&cfg.Fsync, "fsync", "always", "wal fsync policy: always, interval or os")
-	if err := fs.Parse(args); err != nil {
+	cfg, err := parseAgentFlags(args)
+	if err != nil {
 		return err
 	}
 	return RunAgent(cfg, out)
+}
+
+// parseAgentFlags decodes the flag list AgentArgs (plus the supervisor's
+// per-attempt additions) encodes.
+func parseAgentFlags(args []string) (AgentConfig, error) {
+	fs := flag.NewFlagSet("agent", flag.ContinueOnError)
+	fs.SetOutput(os.Stderr)
+	var cfg AgentConfig
+	fs.StringVar(&cfg.Spec.Workload, "workload", "", "workload name")
+	fs.StringVar(&cfg.Spec.Policy, "policy", "rubic", "controller policy (or greedy)")
+	fs.IntVar(&cfg.Stack.Pool, "pool", runtime.NumCPU(), "worker pool size")
+	fs.Int64Var(&cfg.Stack.Seed, "seed", 1, "random seed")
+	fs.DurationVar(&cfg.Duration, "duration", 2*time.Second, "run duration")
+	fs.DurationVar(&cfg.Period, "period", core.DefaultPeriod, "controller period")
+	fs.StringVar(&cfg.Stack.Engine, "engine", "tl2", "stm engine: tl2 or norec")
+	fs.IntVar(&cfg.GOMAXPROCS, "gomaxprocs", 0, "GOMAXPROCS for this agent (0 leaves the default)")
+	fs.IntVar(&cfg.Stack.Processes, "processes", 1, "number of co-located processes")
+	fs.StringVar(&cfg.Stack.Chaos, "chaos", "", "fault scenario, scenario@seed (empty: none)")
+	fs.IntVar(&cfg.Stack.Child, "chaos-child", 0, "this stack's index in the chaos derivation")
+	fs.IntVar(&cfg.Stack.Incarnation, "incarnation", 0, "restart count (0 = first launch)")
+	fs.StringVar(&cfg.Restore, "restore", "", "tuning state to resume from, level,wmax,epoch")
+	fs.StringVar(&cfg.Stack.Adaptive, "adaptive", "", "adaptive engine/CM candidates, e.g. tl2/backoff+norec/greedy (empty: static)")
+	fs.IntVar(&cfg.Stack.Window, "adapt-window", 0, "adaptive scoring window, epochs (0: the stack default)")
+	fs.StringVar(&cfg.AdaptRestore, "adapt-restore", "", "adaptive policy state to resume from (JSON)")
+	cfg.Durable.Register(fs)
+	return cfg, fs.Parse(args)
 }
 
 // parseRestore decodes the -restore flag's "level,wmax,epoch" payload.
@@ -141,11 +113,11 @@ func parseRestore(s string) (core.TuningState, error) {
 // the agent tears its stack down, verifies, and reports Interrupted in its
 // result instead of dying mid-write.
 func RunAgent(cfg AgentConfig, out io.Writer) error {
-	if cfg.Workload == "" {
+	if cfg.Spec.Workload == "" {
 		return fmt.Errorf("mproc: agent needs a workload")
 	}
-	if cfg.Pool < 1 {
-		return fmt.Errorf("mproc: agent pool size %d < 1", cfg.Pool)
+	if cfg.Stack.Pool < 1 {
+		return fmt.Errorf("mproc: agent pool size %d < 1", cfg.Stack.Pool)
 	}
 	if cfg.Duration <= 0 {
 		return fmt.Errorf("mproc: agent duration must be positive")
@@ -153,136 +125,39 @@ func RunAgent(cfg AgentConfig, out io.Writer) error {
 	if cfg.Period <= 0 {
 		cfg.Period = core.DefaultPeriod
 	}
-	if cfg.Processes < 1 {
-		cfg.Processes = 1
-	}
 	if cfg.GOMAXPROCS > 0 {
 		runtime.GOMAXPROCS(cfg.GOMAXPROCS)
 	}
-	var inj *fault.Injector
-	if cfg.Chaos != "" {
-		name, seed, err := fault.ParseScenario(cfg.Chaos)
-		if err != nil {
-			return err
-		}
-		plan, err := fault.PlanFor(name, seed, cfg.ChaosChild, cfg.Incarnation)
-		if err != nil {
-			return err
-		}
-		inj = fault.New(plan)
-	}
-
 	// The handshake goes out before the stack is assembled: it only echoes
 	// configuration, and workload population can take arbitrarily long — the
 	// supervisor's startup timeout must not charge the agent for it.
 	enc := NewEncoder(out)
 	if err := enc.Encode(HelloFrame(Hello{
-		Workload:   cfg.Workload,
-		Policy:     cfg.Policy,
-		Pool:       cfg.Pool,
-		Seed:       cfg.Seed,
+		Workload:   cfg.Spec.Workload,
+		Policy:     cfg.Spec.Policy,
+		Pool:       cfg.Stack.Pool,
+		Seed:       cfg.Stack.Seed,
 		PeriodNS:   int64(cfg.Period),
 		DurationNS: int64(cfg.Duration),
-		Engine:     cfg.Engine,
+		Engine:     cfg.Stack.Engine,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		PID:        os.Getpid(),
 	})); err != nil {
 		return fmt.Errorf("mproc: handshake: %w", err)
 	}
 
-	spec := colocate.StackSpec{Workload: cfg.Workload, Policy: cfg.Policy}
-	w, rt, ctrl, err := spec.Build(cfg.Engine, cfg.Pool, cfg.Processes)
+	p, err := cfg.Proc()
 	if err != nil {
 		return err
 	}
-	if cfg.Restore != "" && ctrl != nil {
-		st, err := parseRestore(cfg.Restore)
-		if err != nil {
-			return err
-		}
-		// Non-resumable policies (the baselines) simply start fresh.
-		core.RestoreInto(ctrl, st)
+	// Injected hard-crash points (a torn batch write, a kill mid-handoff) are
+	// real crashes here, like agent.crash — the supervisor restarts us and
+	// recovery proves the prefix.
+	if p.Durable != nil {
+		p.Durable.OnCrash = crash
 	}
-	if err := w.Setup(rand.New(rand.NewSource(cfg.Seed))); err != nil {
-		return fmt.Errorf("mproc: setup %s: %w", cfg.Workload, err)
-	}
-	var wlog *wal.Log
-	var recoveredCSN uint64
-	if cfg.Durable {
-		if cfg.WALDir == "" {
-			return fmt.Errorf("mproc: -durable needs -wal-dir")
-		}
-		policy, err := wal.ParseFsyncPolicy(cfg.Fsync)
-		if err != nil {
-			return err
-		}
-		// Open (or, for a restarted incarnation, recover) the log before any
-		// traffic exists to log. A torn batch write is a real crash, like
-		// agent.crash: die with no teardown and no result frame — the
-		// supervisor restarts us and recovery proves the prefix.
-		wlog, err = colocate.AttachDurability(w, rt, wal.Options{
-			Dir:     cfg.WALDir,
-			Policy:  policy,
-			Faults:  inj,
-			OnCrash: func() { os.Exit(3) },
-		})
-		if err != nil {
-			return fmt.Errorf("mproc: durability %s: %w", cfg.Workload, err)
-		}
-		recoveredCSN = wlog.Recovered().LastCSN
-	}
-	pl, err := pool.New(cfg.Pool, cfg.Seed+1, w.Task())
-	if err != nil {
-		return err
-	}
-	pl.InstallFaults(inj)
-
-	var tuner *core.Tuner
-	levels := trace.NewSeries(cfg.Workload + "/level")
-	if ctrl != nil {
-		tuner = &core.Tuner{
-			Controller: ctrl,
-			Target:     pl,
-			Period:     cfg.Period,
-			Levels:     levels,
-			Faults:     inj,
-		}
-		if cfg.Guard {
-			// Degraded telemetry parks the stack at its equal share of the
-			// machine — the fair static split — until samples recover.
-			fallback := cfg.Pool / cfg.Processes
-			if fallback < 1 {
-				fallback = 1
-			}
-			tuner.Health = &core.HealthPolicy{
-				MaxStaleness:  core.DefaultMaxStaleness,
-				FallbackLevel: fallback,
-			}
-		}
-	} else {
-		pl.SetLevel(cfg.Pool)
-	}
-
-	var stack *colocate.AdaptiveStack
-	if cfg.Adaptive != "" {
-		stack, err = colocate.NewAdaptiveStack(rt, ctrl, cfg.Adaptive, core.AdaptiveConfig{Window: cfg.AdaptWindow})
-		if err != nil {
-			return err
-		}
-		stack.Faults = inj
-		// The adapt.handoff point is a real crash, like agent.crash: die
-		// mid-handoff with no teardown and no result frame.
-		stack.OnHandoffCrash = func() { os.Exit(3) }
-		if cfg.AdaptRestore != "" {
-			var st core.AdaptiveState
-			if err := json.Unmarshal([]byte(cfg.AdaptRestore), &st); err != nil {
-				return fmt.Errorf("mproc: adapt-restore state %q: %w", cfg.AdaptRestore, err)
-			}
-			stack.Restore(st)
-		}
-		if tuner != nil {
-			tuner.Adapter = stack
-		}
+	if adaptive, ok := p.Adapter.(*colocate.AdaptiveStack); ok {
+		adaptive.OnHandoffCrash = crash
 	}
 
 	// An interrupt from the supervisor's graceful-shutdown escalation ends
@@ -291,170 +166,176 @@ func RunAgent(cfg AgentConfig, out io.Writer) error {
 	signal.Notify(interrupt, os.Interrupt)
 	defer signal.Stop(interrupt)
 
-	// The telemetry ticker samples the pool and STM counters at the
-	// controller period and streams one frame per sample. It runs alongside
-	// the tuner but shares nothing with it beyond atomic counter reads.
-	// The chaos points for process-level faults live here: each telemetry
-	// tick is one occurrence, so a scenario's From indexes are tick numbers.
-	stopTelemetry := make(chan struct{})
-	telemetryDone := make(chan struct{})
-	started := time.Now()
-	go func() {
-		defer close(telemetryDone)
-		ticker := time.NewTicker(cfg.Period)
-		defer ticker.Stop()
-		prevCount := pl.Completed()
-		prevTime := started
-		for {
-			select {
-			case <-stopTelemetry:
-				return
-			case now := <-ticker.C:
-				if inj.Fire(fault.AgentCrash) {
-					// A real crash: no teardown, no result frame, nonzero exit.
-					os.Exit(3)
-				}
-				if inj.Fire(fault.AgentHang) {
-					// A wedged agent: telemetry stops, interrupts are ignored,
-					// and the main goroutine will block on telemetryDone —
-					// only the supervisor's kill escalation ends the process.
-					signal.Ignore(os.Interrupt)
-					select {}
-				}
-				if fired, occ := inj.FireN(fault.TelemetrySlow); fired {
-					time.Sleep(cfg.Period * time.Duration(1+inj.Payload(fault.TelemetrySlow, occ)%3))
-				}
-				count := pl.Completed()
-				elapsed := now.Sub(prevTime).Seconds()
-				if elapsed <= 0 {
-					continue
-				}
-				tput := float64(count-prevCount) / elapsed
-				if stack != nil && tuner == nil {
-					// No tuning loop to drive the adapter (greedy policy):
-					// the telemetry tick is the epoch boundary instead.
-					stack.Epoch(tput)
-				}
-				stats := rt.Stats()
-				tele := Telemetry{
-					T:       now.Sub(started).Seconds(),
-					Level:   pl.Level(),
-					Tput:    tput,
-					Commits: stats.Commits,
-					Aborts:  stats.Aborts,
-					Faults:  pl.Faults(),
-				}
-				if tuner != nil {
-					if st, ok := tuner.TuningState(); ok {
-						tele.Ctl = &st
-					}
-				}
-				if stack != nil {
-					st := stack.State()
-					tele.Adapt = &st
-				}
-				if wlog != nil {
-					lost, _ := wlog.Lost()
-					tele.Wal = &WalState{
-						Acked:     wlog.DurableCSN(),
-						Last:      wlog.LastCSN(),
-						Recovered: recoveredCSN,
-						Lost:      lost,
-					}
-				}
-				prevCount, prevTime = count, now
-				var encErr error
-				if fired, occ := inj.FireN(fault.TelemetryCorrupt); fired {
-					encErr = enc.WriteRaw(fmt.Sprintf("@@corrupt-telemetry:%016x@@\n", inj.Payload(fault.TelemetryCorrupt, occ)))
-				} else if inj.Fire(fault.TelemetryTruncate) {
-					encErr = enc.WriteRaw(`{"v":1,"type":"telemetry","telemetry":{"t":` + "\n")
-				} else if inj.Fire(fault.TelemetrySkew) {
-					encErr = enc.WriteRaw(`{"v":99,"type":"telemetry","telemetry":{"t":0,"level":1,"tput":0,"commits":0,"aborts":0}}` + "\n")
-				} else {
-					encErr = enc.Encode(TelemetryFrame(tele))
-				}
-				if encErr != nil {
-					// The supervisor hung up; keep running so the workload
-					// still verifies, but stop streaming.
-					return
-				}
-			}
+	ran, interrupted := false, false
+	res, err := colocate.RunStack(p, cfg.Period, func(live func() colocate.Result) {
+		ran = true
+		stopTelemetry := make(chan struct{})
+		telemetryDone := make(chan struct{})
+		go func() {
+			defer close(telemetryDone)
+			streamTelemetry(enc, cfg.Period, p, live, stopTelemetry)
+		}()
+		select {
+		case <-time.After(cfg.Duration):
+		case <-interrupt:
+			interrupted = true
 		}
-	}()
-
-	pl.Start()
-	if tuner != nil {
-		tuner.Start()
+		close(stopTelemetry)
+		<-telemetryDone
+	})
+	if !ran {
+		return err
 	}
-	if wlog != nil && tuner != nil {
-		// Losing durability escalates the health guard straight to the
-		// equal-share fallback: a stack that is silently non-durable should
-		// not also be running wide. The pool keeps serving — explicitly
-		// degraded, never wedged.
-		if g := tuner.Guard(); g != nil {
-			wlog.SetLostHook(func(error) { g.Escalate() })
-		}
+	// The stack is stopped, its log flushed and closed — so the Acked the
+	// result frame carries is the log's final durable watermark. Losing
+	// durability is an explicit flag on the result, not an agent failure: the
+	// degradation contract kept the pool serving.
+	verifyErr := err
+	if res.Wal != nil && res.Wal.Lost {
+		fmt.Fprintf(os.Stderr, "mproc: %s lost durability: %v\n", p.Name, res.Wal.LostErr)
 	}
-	interrupted := false
-	select {
-	case <-time.After(cfg.Duration):
-	case <-interrupt:
-		interrupted = true
-	}
-	if tuner != nil {
-		tuner.Stop()
-	}
-	pl.Stop()
-	close(stopTelemetry)
-	<-telemetryDone
-	elapsed := time.Since(started).Seconds()
-
-	// Flush and close the log before the result frame so the Acked it
-	// carries is the log's final durable watermark. Losing durability is an
-	// explicit flag on the result, not an agent failure — the degradation
-	// contract kept the pool serving.
-	var walFinal *WalState
-	if wlog != nil {
-		_ = wlog.Close()
-		lost, _ := wlog.Lost()
-		walFinal = &WalState{
-			Acked:     wlog.DurableCSN(),
-			Last:      wlog.LastCSN(),
-			Recovered: recoveredCSN,
-			Lost:      lost,
-		}
-	}
-
-	verifyErr := w.Verify()
-	stats := rt.Stats()
-	res := Result{
-		Completed:   pl.Completed(),
+	stats := p.Runtime.Stats()
+	final := Result{
+		Completed:   res.Completed,
+		Tput:        res.Throughput,
+		MeanLevel:   res.MeanLevel,
 		Commits:     stats.Commits,
 		Aborts:      stats.Aborts,
-		Faults:      pl.Faults(),
+		Faults:      res.Faults,
 		Verified:    verifyErr == nil,
 		Interrupted: interrupted,
-		Wal:         walFinal,
-	}
-	if elapsed > 0 {
-		res.Tput = float64(res.Completed) / elapsed
-	}
-	if tuner != nil && levels.Len() > 0 {
-		res.MeanLevel = levels.Mean()
-	} else {
-		res.MeanLevel = float64(cfg.Pool)
+		Wal:         walState(res.Wal),
 	}
 	if verifyErr != nil {
-		res.Err = verifyErr.Error()
+		final.Err = verifyErr.Error()
 	}
-	if err := enc.Encode(ResultFrame(res)); err != nil {
+	if err := enc.Encode(ResultFrame(final)); err != nil {
 		return fmt.Errorf("mproc: result: %w", err)
 	}
 	if verifyErr != nil {
-		return fmt.Errorf("mproc: %s verification: %w", cfg.Workload, verifyErr)
+		return fmt.Errorf("mproc: %w", verifyErr)
 	}
 	if interrupted {
-		return fmt.Errorf("mproc: %s interrupted before completing its run", cfg.Workload)
+		return fmt.Errorf("mproc: %s interrupted before completing its run", p.Name)
 	}
 	return nil
+}
+
+// crash is what an injected hard-crash point does to an agent: no teardown,
+// no result frame, nonzero exit.
+func crash() { os.Exit(3) }
+
+// streamTelemetry samples the stack and the STM counters at the controller
+// period and streams one frame per sample until stop closes (or the
+// supervisor hangs up). It runs alongside the tuner but shares nothing with
+// it beyond atomic counter reads. The chaos points for process-level faults
+// live here: each telemetry tick is one occurrence, so a scenario's From
+// indexes are tick numbers.
+func streamTelemetry(enc *Encoder, period time.Duration, p colocate.Proc, live func() colocate.Result, stop <-chan struct{}) {
+	inj := p.Faults
+	adaptive, _ := p.Adapter.(*colocate.AdaptiveStack)
+	ticker := time.NewTicker(period)
+	defer ticker.Stop()
+	started := time.Now()
+	prevCount, prevTime := live().Completed, started
+	for {
+		select {
+		case <-stop:
+			return
+		case now := <-ticker.C:
+			if inj.Fire(fault.AgentCrash) {
+				crash()
+			}
+			if inj.Fire(fault.AgentHang) {
+				// A wedged agent: telemetry stops, interrupts are ignored,
+				// and the main goroutine will block waiting for this one —
+				// only the supervisor's kill escalation ends the process.
+				signal.Ignore(os.Interrupt)
+				select {}
+			}
+			if fired, occ := inj.FireN(fault.TelemetrySlow); fired {
+				time.Sleep(period * time.Duration(1+inj.Payload(fault.TelemetrySlow, occ)%3))
+			}
+			snap := live()
+			elapsed := now.Sub(prevTime).Seconds()
+			if elapsed <= 0 {
+				continue
+			}
+			tput := float64(snap.Completed-prevCount) / elapsed
+			if adaptive != nil && p.Controller == nil {
+				// No tuning loop to drive the adapter (greedy policy): the
+				// telemetry tick is the epoch boundary instead.
+				adaptive.Epoch(tput)
+			}
+			stats := p.Runtime.Stats()
+			tele := Telemetry{
+				T:       now.Sub(started).Seconds(),
+				Level:   snap.Level,
+				Tput:    tput,
+				Commits: stats.Commits,
+				Aborts:  stats.Aborts,
+				Faults:  snap.Faults,
+				Ctl:     snap.Ctl,
+				Wal:     walState(snap.Wal),
+			}
+			if adaptive != nil {
+				st := adaptive.State()
+				tele.Adapt = &st
+			}
+			prevCount, prevTime = snap.Completed, now
+			var encErr error
+			if fired, occ := inj.FireN(fault.TelemetryCorrupt); fired {
+				encErr = enc.WriteRaw(fmt.Sprintf("@@corrupt-telemetry:%016x@@\n", inj.Payload(fault.TelemetryCorrupt, occ)))
+			} else if inj.Fire(fault.TelemetryTruncate) {
+				encErr = enc.WriteRaw(`{"v":1,"type":"telemetry","telemetry":{"t":` + "\n")
+			} else if inj.Fire(fault.TelemetrySkew) {
+				encErr = enc.WriteRaw(`{"v":99,"type":"telemetry","telemetry":{"t":0,"level":1,"tput":0,"commits":0,"aborts":0}}` + "\n")
+			} else {
+				encErr = enc.Encode(TelemetryFrame(tele))
+			}
+			if encErr != nil {
+				// The supervisor hung up; keep running so the workload
+				// still verifies, but stop streaming.
+				return
+			}
+		}
+	}
+}
+
+// Proc assembles the agent's stack through the function goroutine mode uses
+// (colocate.StackSpec.Proc), then resumes a crashed predecessor's controller
+// and adaptive-policy state.
+func (cfg AgentConfig) Proc() (colocate.Proc, error) {
+	var err error
+	if cfg.Stack.Durable, err = cfg.Durable.Options(""); err != nil {
+		return colocate.Proc{}, err
+	}
+	p, err := cfg.Spec.Proc(cfg.Spec.Workload, cfg.Stack)
+	if err != nil {
+		return p, err
+	}
+	if cfg.Restore != "" && p.Controller != nil {
+		st, err := parseRestore(cfg.Restore)
+		if err != nil {
+			return p, err
+		}
+		// Non-resumable policies (the baselines) simply start fresh.
+		core.RestoreInto(p.Controller, st)
+	}
+	if cfg.AdaptRestore != "" && p.Adapter != nil {
+		var st core.AdaptiveState
+		if err := json.Unmarshal([]byte(cfg.AdaptRestore), &st); err != nil {
+			return p, fmt.Errorf("mproc: adapt-restore state %q: %w", cfg.AdaptRestore, err)
+		}
+		p.Adapter.(*colocate.AdaptiveStack).Restore(st)
+	}
+	return p, nil
+}
+
+// walState maps a stack's log position onto the wire (nil without a log).
+func walState(wr *colocate.WalResult) *WalState {
+	if wr == nil {
+		return nil
+	}
+	return &WalState{Acked: wr.DurableCSN, Last: wr.LastCSN, Recovered: wr.Recovered.LastCSN, Lost: wr.Lost}
 }

@@ -3,9 +3,14 @@ package mproc
 import (
 	"bufio"
 	"bytes"
+	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"rubic/internal/colocate"
+	"rubic/internal/wal"
 )
 
 // runAgentFrames runs an in-process agent and decodes everything it streams.
@@ -29,13 +34,10 @@ func runAgentFrames(t *testing.T, cfg AgentConfig) []Frame {
 
 func TestAgentStreamsProtocol(t *testing.T) {
 	frames := runAgentFrames(t, AgentConfig{
-		Workload: "rbtree-ro",
-		Policy:   "rubic",
-		Pool:     2,
-		Seed:     1,
+		Spec:     colocate.StackSpec{Workload: "rbtree-ro", Policy: "rubic"},
+		Stack:    colocate.StackOptions{Pool: 2, Seed: 1, Engine: "tl2"},
 		Duration: 150 * time.Millisecond,
 		Period:   5 * time.Millisecond,
-		Engine:   "tl2",
 	})
 	if len(frames) < 3 {
 		t.Fatalf("only %d frames (want hello + telemetry + result)", len(frames))
@@ -72,13 +74,10 @@ func TestAgentStreamsProtocol(t *testing.T) {
 
 func TestAgentGreedyPinsPool(t *testing.T) {
 	frames := runAgentFrames(t, AgentConfig{
-		Workload: "bank",
-		Policy:   "greedy",
-		Pool:     3,
-		Seed:     1,
+		Spec:     colocate.StackSpec{Workload: "bank", Policy: "greedy"},
+		Stack:    colocate.StackOptions{Pool: 3, Seed: 1, Engine: "norec"},
 		Duration: 100 * time.Millisecond,
 		Period:   5 * time.Millisecond,
-		Engine:   "norec",
 	})
 	last := frames[len(frames)-1].Result
 	if last.MeanLevel != 3 {
@@ -90,13 +89,20 @@ func TestAgentGreedyPinsPool(t *testing.T) {
 }
 
 func TestAgentBadConfig(t *testing.T) {
+	mk := func(workload, policy string, pool int, d time.Duration, engine string) AgentConfig {
+		return AgentConfig{
+			Spec:     colocate.StackSpec{Workload: workload, Policy: policy},
+			Stack:    colocate.StackOptions{Pool: pool, Engine: engine},
+			Duration: d,
+		}
+	}
 	cases := []AgentConfig{
-		{Policy: "rubic", Pool: 2, Duration: time.Second, Engine: "tl2"},                         // no workload
-		{Workload: "rbtree", Policy: "rubic", Pool: 0, Duration: time.Second, Engine: "tl2"},     // bad pool
-		{Workload: "rbtree", Policy: "rubic", Pool: 2, Engine: "tl2"},                            // no duration
-		{Workload: "nope", Policy: "rubic", Pool: 2, Duration: time.Second, Engine: "tl2"},       // bad workload
-		{Workload: "rbtree", Policy: "nope", Pool: 2, Duration: time.Second, Engine: "tl2"},      // bad policy
-		{Workload: "rbtree", Policy: "rubic", Pool: 2, Duration: time.Second, Engine: "quantum"}, // bad engine
+		mk("", "rubic", 2, time.Second, "tl2"),           // no workload
+		mk("rbtree", "rubic", 0, time.Second, "tl2"),     // bad pool
+		mk("rbtree", "rubic", 2, 0, "tl2"),               // no duration
+		mk("nope", "rubic", 2, time.Second, "tl2"),       // bad workload
+		mk("rbtree", "nope", 2, time.Second, "tl2"),      // bad policy
+		mk("rbtree", "rubic", 2, time.Second, "quantum"), // bad engine
 	}
 	for i, cfg := range cases {
 		var buf bytes.Buffer
@@ -121,5 +127,85 @@ func TestAgentMainFlags(t *testing.T) {
 	}
 	if err := AgentMain([]string{"-pool", "x"}, &buf); err == nil {
 		t.Error("bad flag accepted")
+	}
+}
+
+// TestAgentArgsRoundTrip: the flag list the supervisor builds decodes into
+// the config the agent runs — including the child's log directory, which is
+// a single directory directly under the root whatever the child is called.
+func TestAgentArgsRoundTrip(t *testing.T) {
+	root := t.TempDir()
+	spec := ChildSpec{Name: `P1-kv/hot\cold`, Workload: "bank", Policy: "ebs", Pool: 3, Seed: 9, GOMAXPROCS: 2}
+	opt := Options{
+		Period: 5 * time.Millisecond, Engine: "norec", Processes: 4,
+		Adaptive: "tl2/backoff+norec/greedy", Durable: colocate.DurableFlags{On: true, Root: root, Fsync: "os"},
+	}
+	args := append(AgentArgs(spec, opt, time.Second), "-chaos", "mixed@11", "-chaos-child", "2", "-incarnation", "1")
+	got, err := parseAgentFlags(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := AgentConfig{
+		Spec: colocate.StackSpec{Workload: "bank", Policy: "ebs"},
+		Stack: colocate.StackOptions{
+			Engine: "norec", Pool: 3, Processes: 4, Seed: 9,
+			Chaos: "mixed@11", Child: 2, Incarnation: 1,
+			Adaptive: "tl2/backoff+norec/greedy",
+		},
+		Duration: time.Second, Period: 5 * time.Millisecond, GOMAXPROCS: 2,
+		Durable: colocate.DurableFlags{On: true, Root: filepath.Join(root, "P1-kv_hot_cold"), Fsync: "os"},
+	}
+	if got != want {
+		t.Fatalf("agent config\n got %+v\nwant %+v", got, want)
+	}
+	p, err := got.Proc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Durable.Dir != want.Durable.Root || filepath.Dir(p.Durable.Dir) != root || p.Durable.Policy != wal.FsyncOS {
+		t.Fatalf("log options %+v, want the supervisor's directory %q as is", p.Durable, want.Durable.Root)
+	}
+}
+
+// TestAgentDurableFrames: a durable agent streams its log position with the
+// telemetry and fills the result frame's from the closed log — acked catches
+// up with issued, and the outcome is the shared lifecycle's WalResult.
+func TestAgentDurableFrames(t *testing.T) {
+	cfg := AgentConfig{
+		Spec:     colocate.StackSpec{Workload: "bank", Policy: "rubic"},
+		Stack:    colocate.StackOptions{Pool: 2, Seed: 1, Engine: "tl2"},
+		Duration: 150 * time.Millisecond,
+		Period:   5 * time.Millisecond,
+		Durable:  colocate.DurableFlags{On: true, Root: t.TempDir(), Fsync: "os"},
+	}
+	frames := runAgentFrames(t, cfg)
+	for _, f := range frames[1 : len(frames)-1] {
+		if f.Telemetry.Wal == nil {
+			t.Fatal("telemetry frame of a durable agent carries no WAL state")
+		}
+	}
+	final := frames[len(frames)-1].Result.Wal
+	if final == nil || final.Lost || final.Last == 0 || final.Acked != final.Last || final.Recovered != 0 {
+		t.Fatalf("final WAL state %+v, want every issued commit acked by the close", final)
+	}
+
+	cfg.Durable.Root = ""
+	if err := RunAgent(cfg, &bytes.Buffer{}); err == nil {
+		t.Error("durable agent without a log directory accepted")
+	}
+}
+
+// TestWalStateFromResult: the wire form of a stack's log outcome keeps the
+// lost flag the shared lifecycle derived, including from a failed Close.
+func TestWalStateFromResult(t *testing.T) {
+	if walState(nil) != nil {
+		t.Fatal("no log must mean no WAL state on the wire")
+	}
+	got := walState(&colocate.WalResult{
+		Recovered: wal.Recovered{LastCSN: 3}, LastCSN: 9, DurableCSN: 7,
+		Lost: true, LostErr: errors.New("close: disk gone"),
+	})
+	if want := (WalState{Acked: 7, Last: 9, Recovered: 3, Lost: true}); *got != want {
+		t.Fatalf("wal state %+v, want %+v", *got, want)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"rubic/internal/colocate"
 	"rubic/internal/fault"
 )
 
@@ -167,8 +168,7 @@ func TestChaosDurabilitySoak(t *testing.T) {
 		Duration: 2 * time.Second,
 		Period:   5 * time.Millisecond,
 		Chaos:    "durability@9",
-		Durable:  true,
-		WALRoot:  t.TempDir(),
+		Durable:  colocate.DurableFlags{On: true, Root: t.TempDir()},
 		Restart: RestartPolicy{MaxRestarts: 4, Backoff: 10 * time.Millisecond,
 			MaxBackoff: 40 * time.Millisecond, JitterSeed: 9},
 		Exec: fakeExec("agent", nil),
@@ -218,8 +218,7 @@ func TestChaosCrashSoak(t *testing.T) {
 				Duration: 2 * time.Second,
 				Period:   5 * time.Millisecond,
 				Chaos:    fmt.Sprintf("crashloop@%d", seed),
-				Durable:  true,
-				WALRoot:  t.TempDir(),
+				Durable:  colocate.DurableFlags{On: true, Root: t.TempDir()},
 				Restart: RestartPolicy{MaxRestarts: 4, Backoff: 10 * time.Millisecond,
 					MaxBackoff: 40 * time.Millisecond, JitterSeed: seed},
 				Exec: fakeExec("agent", nil),

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"rubic/internal/colocate"
 	"rubic/internal/core"
 	"rubic/internal/fault"
 	"rubic/internal/trace"
@@ -147,19 +148,15 @@ type Options struct {
 	// preserves each child's last published policy state and hands it to
 	// replacement incarnations, mirroring the tuning-state preservation.
 	Adaptive string
-	// Durable runs every child with a write-ahead log under WALRoot. Each
-	// child gets a directory stable across its incarnations, so a restarted
-	// agent recovers its predecessor's committed prefix — and the supervisor
-	// asserts it did: a replacement whose recovered prefix misses a commit
-	// the predecessor had acked durable fails the child.
-	Durable bool
-	// WALRoot is the parent directory for the per-child logs; required with
-	// Durable.
-	WALRoot string
-	// Fsync names the children's fsync policy (default always — the only
-	// policy whose acks survive kill -9 by contract, so the only one the
-	// exact-prefix assertion can hold restarted incarnations to).
-	Fsync string
+	// Durable runs every child with a write-ahead log in its own directory
+	// under Durable.Root (colocate.WalDir), stable across its incarnations,
+	// so a restarted agent recovers its predecessor's committed prefix — and
+	// the supervisor asserts it did: a replacement whose recovered prefix
+	// misses a commit the predecessor had acked durable fails the child.
+	// Fsync defaults to always — the only policy whose acks survive kill -9
+	// by contract, so the only one the exact-prefix assertion can hold
+	// restarted incarnations to.
+	Durable colocate.DurableFlags
 	// Exec overrides child command construction; nil re-executes the
 	// current binary in agent mode.
 	Exec ExecFunc
@@ -260,18 +257,26 @@ func Run(specs []ChildSpec, opt Options) ([]ChildResult, error) {
 		opt.KillGrace = 2 * time.Second
 	}
 	opt.Restart.defaults()
+	// A bad engine, scenario or candidate list would otherwise only surface
+	// inside every agent, after the children are already launched.
+	if _, err := colocate.ParseEngine(opt.Engine); err != nil {
+		return nil, err
+	}
 	if opt.Chaos != "" {
 		if _, _, err := fault.ParseScenario(opt.Chaos); err != nil {
 			return nil, err
 		}
 	}
-	if opt.Durable {
-		if opt.WALRoot == "" {
-			return nil, fmt.Errorf("mproc: Durable needs WALRoot")
+	if opt.Adaptive != "" {
+		if _, err := colocate.ParseAdaptive(opt.Adaptive); err != nil {
+			return nil, err
 		}
-		if opt.Fsync == "" {
-			opt.Fsync = "always"
-		}
+	}
+	if opt.Durable.Fsync == "" {
+		opt.Durable.Fsync = "always"
+	}
+	if _, err := opt.Durable.Options(""); err != nil {
+		return nil, err
 	}
 	if opt.Exec == nil {
 		opt.Exec = selfExec
@@ -326,26 +331,10 @@ func AgentArgs(spec ChildSpec, opt Options, active time.Duration) []string {
 	if opt.Adaptive != "" {
 		args = append(args, "-adaptive", opt.Adaptive)
 	}
-	if opt.Durable {
-		args = append(args, "-durable", "-wal-dir", walDirFor(opt.WALRoot, spec.Name), "-fsync", opt.Fsync)
+	if d := opt.Durable; d.On {
+		args = append(args, "-durable", "-wal-dir", colocate.WalDir(d.Root, spec.Name), "-fsync", d.Fsync)
 	}
 	return args
-}
-
-// walDirFor is the child's log directory: stable across its incarnations
-// (that is the whole point — a replacement must find its predecessor's log)
-// and disjoint from its siblings'. Path separators in the name are flattened
-// so a creative child name cannot escape the root.
-func walDirFor(root, name string) string {
-	safe := make([]byte, len(name))
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		if c == '/' || c == '\\' || c == os.PathSeparator {
-			c = '_'
-		}
-		safe[i] = c
-	}
-	return root + string(os.PathSeparator) + string(safe)
 }
 
 // selfExec re-executes the current binary in agent mode, the production

@@ -92,8 +92,12 @@ type backoffStep struct {
 // plan computes the pacing for the attempt-th retry from one PRNG draw r
 // and the number of schedulable contexts. It is a pure function, which is
 // what makes the ladder unit-testable: the same (attempt, r, procs) always
-// yields the same step.
+// yields the same step. It is total: an attempt below 1 (Runtime.Atomic
+// never passes one, direct callers may) plans as the first retry.
 func (b BackoffCM) plan(attempt int, r uint64, procs int) backoffStep {
+	if attempt < 1 {
+		attempt = 1
+	}
 	if procs > 1 && attempt <= backoffSpinRetries {
 		// The conflicting owner is likely mid-commit on another core;
 		// spinning a few hundred nanoseconds beats handing our context to

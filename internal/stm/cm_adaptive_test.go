@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -103,6 +104,47 @@ func TestBackoffLadderEscalation(t *testing.T) {
 	// A draw below the sleep floor degrades to a yield, never a busy sleep.
 	if s := cm.plan(backoffYieldRetries+1, 0, 4); s.sleep != 0 || s.yields != 1 {
 		t.Fatalf("sub-floor draw: want single yield, got %+v", s)
+	}
+}
+
+// TestBackoffPlanTotal sweeps plan over its whole domain, including the
+// attempts and processor counts no caller passes today: every input plans
+// exactly one non-zero action, within that action's cap.
+func TestBackoffPlanTotal(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	draws := []uint64{0, 1, backoffSpinCap - 1, backoffSpinCap, ^uint64(0)}
+	for i := 0; i < 64; i++ {
+		draws = append(draws, rng.Uint64())
+	}
+	for _, cm := range []BackoffCM{{}, {Base: time.Microsecond, Max: 50 * time.Microsecond}} {
+		maxSleep := cm.Max
+		if maxSleep <= 0 {
+			maxSleep = backoffSleepMax
+		}
+		for attempt := -1; attempt <= 64; attempt++ {
+			for _, procs := range []int{0, 1, 2, 64} {
+				for _, r := range draws {
+					s := cm.plan(attempt, r, procs)
+					nonZero := 0
+					for _, set := range []bool{s.spins != 0, s.yields != 0, s.sleep != 0} {
+						if set {
+							nonZero++
+						}
+					}
+					if nonZero != 1 {
+						t.Fatalf("plan(%d, %#x, %d) = %+v: want exactly one non-zero field", attempt, r, procs, s)
+					}
+					if s.spins < 0 || s.spins > backoffSpinCap<<(backoffSpinRetries-1) ||
+						s.yields < 0 || s.yields > backoffYieldCap ||
+						s.sleep < 0 || s.sleep > maxSleep {
+						t.Fatalf("plan(%d, %#x, %d) = %+v: outside its cap", attempt, r, procs, s)
+					}
+					if procs <= 1 && s.spins != 0 {
+						t.Fatalf("plan(%d, %#x, %d) = %+v: spins with no second processor", attempt, r, procs, s)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -213,7 +213,7 @@ func TestSortedListQuickSortedness(t *testing.T) {
 }
 
 // TestOrderedRangeHelpersAtomicRO exercises every ordered-scan helper on the
-// skip list and the red-black tree inside read-only transactions, on both
+// blink map and the red-black tree inside read-only transactions, on both
 // engines: AtomicRO is the path the ordered workloads actually serve scans
 // from, and it validates reads differently per engine (TL2 version checks vs
 // NOrec value comparison), so write-path tests alone don't cover it.
@@ -221,20 +221,20 @@ func TestOrderedRangeHelpersAtomicRO(t *testing.T) {
 	keys := []int64{2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
 	for _, algo := range []stm.Algorithm{stm.TL2, stm.NOrec} {
 		rt := stm.New(stm.Config{Algorithm: algo})
-		sl := NewSkipList[int64]()
+		bm := blink.NewMap[int64]()
 		rb := NewRBTree[int64]()
 		run(t, rt, func(tx *stm.Tx) {
 			for _, k := range keys {
-				sl.Put(tx, k, k*10)
+				bm.Put(tx, k, k*10)
 				rb.Put(tx, k, k*10)
 			}
 		})
 		if err := rt.AtomicRO(func(tx *stm.Tx) error {
 			// Full iteration, both containers, same ascending order.
 			var got []int64
-			sl.Range(tx, func(k, v int64) bool {
+			bm.Range(tx, func(k, v int64) bool {
 				if v != k*10 {
-					t.Fatalf("SkipList.Range value for %d = %d", k, v)
+					t.Fatalf("blink.Map.Range value for %d = %d", k, v)
 				}
 				got = append(got, k)
 				return true
@@ -245,22 +245,22 @@ func TestOrderedRangeHelpersAtomicRO(t *testing.T) {
 				return true
 			})
 			if len(got) != len(keys) || len(rbGot) != len(keys) {
-				t.Fatalf("Range lengths: skiplist %d, rbtree %d, want %d", len(got), len(rbGot), len(keys))
+				t.Fatalf("Range lengths: blink %d, rbtree %d, want %d", len(got), len(rbGot), len(keys))
 			}
 			for i := range keys {
 				if got[i] != keys[i] || rbGot[i] != keys[i] {
-					t.Fatalf("Range order: skiplist %v, rbtree %v, want %v", got, rbGot, keys)
+					t.Fatalf("Range order: blink %v, rbtree %v, want %v", got, rbGot, keys)
 				}
 			}
 			// Keys helpers agree with Range.
-			if sk, rk := sl.Keys(tx), rb.Keys(tx); len(sk) != len(keys) || len(rk) != len(keys) {
-				t.Fatalf("Keys lengths: %d, %d", len(sk), len(rk))
+			if rk := rb.Keys(tx); len(rk) != len(keys) {
+				t.Fatalf("Keys length: %d", len(rk))
 			}
 			// Bounded windows: interior, exact-endpoint, empty, and
 			// past-the-end windows must agree across both containers.
 			for _, w := range [][2]int64{{5, 19}, {4, 18}, {0, 2}, {24, 28}, {30, 99}, {-5, 100}} {
 				var sw, rw []int64
-				sl.RangeBetween(tx, w[0], w[1], func(k, v int64) bool {
+				bm.RangeBetween(tx, w[0], w[1], func(k, v int64) bool {
 					sw = append(sw, k)
 					return true
 				})
@@ -275,19 +275,19 @@ func TestOrderedRangeHelpersAtomicRO(t *testing.T) {
 					}
 				}
 				if len(sw) != len(want) || len(rw) != len(want) {
-					t.Fatalf("window %v: skiplist %v, rbtree %v, want %v", w, sw, rw, want)
+					t.Fatalf("window %v: blink %v, rbtree %v, want %v", w, sw, rw, want)
 				}
 				for i := range want {
 					if sw[i] != want[i] || rw[i] != want[i] {
-						t.Fatalf("window %v: skiplist %v, rbtree %v, want %v", w, sw, rw, want)
+						t.Fatalf("window %v: blink %v, rbtree %v, want %v", w, sw, rw, want)
 					}
 				}
 			}
 			// Early termination stops the walk without visiting further keys.
 			n := 0
-			sl.RangeBetween(tx, 0, 100, func(k, v int64) bool { n++; return n < 3 })
+			bm.RangeBetween(tx, 0, 100, func(k, v int64) bool { n++; return n < 3 })
 			if n != 3 {
-				t.Fatalf("skiplist early stop visited %d", n)
+				t.Fatalf("blink early stop visited %d", n)
 			}
 			n = 0
 			rb.RangeBetween(tx, 0, 100, func(k, v int64) bool { n++; return n < 3 })
@@ -320,32 +320,29 @@ func TestOrderedRangeHelpersAtomicRO(t *testing.T) {
 	}
 }
 
-// TestOrderedScanAgreement is the three-way scan property test: arbitrary
-// insert/delete histories applied identically to the skip list, the
-// red-black tree, and the blink map must yield identical bounded scans from
-// read-only transactions, for arbitrary windows. Any divergence in ordering,
-// boundary handling, or deletion visibility between the three ordered
-// containers fails here.
+// TestOrderedScanAgreement is the scan property test: arbitrary
+// insert/delete histories applied identically to the red-black tree and the
+// blink map must yield identical bounded scans from read-only transactions,
+// for arbitrary windows. Any divergence in ordering, boundary handling, or
+// deletion visibility between the ordered containers fails here.
 func TestOrderedScanAgreement(t *testing.T) {
 	f := func(ins []uint8, del []uint8, loRaw, width uint8) bool {
 		rt := stm.New(stm.Config{})
-		sl := NewSkipList[int64]()
 		rb := NewRBTree[int64]()
 		bm := blink.NewMap[int64]()
 		model := map[int64]int64{}
 		err := rt.Atomic(func(tx *stm.Tx) error {
 			for i, k := range ins {
 				key, val := int64(k%64), int64(i)
-				sl.Put(tx, key, val)
 				rb.Put(tx, key, val)
 				bm.Put(tx, key, val)
 				model[key] = val
 			}
 			for _, k := range del {
 				key := int64(k % 64)
-				a, b, c := sl.Delete(tx, key), rb.Delete(tx, key), bm.Delete(tx, key)
-				if a != b || b != c {
-					t.Fatalf("Delete(%d) disagrees: skiplist %v, rbtree %v, blink %v", key, a, b, c)
+				a, b := rb.Delete(tx, key), bm.Delete(tx, key)
+				if a != b {
+					t.Fatalf("Delete(%d) disagrees: rbtree %v, blink %v", key, a, b)
 				}
 				delete(model, key)
 			}
@@ -377,7 +374,6 @@ func TestOrderedScanAgreement(t *testing.T) {
 				return out
 			}
 			got := [][]int64{
-				collect(func(fn func(k, v int64) bool) { sl.RangeBetween(tx, lo, hi, fn) }),
 				collect(func(fn func(k, v int64) bool) { rb.RangeBetween(tx, lo, hi, fn) }),
 				collect(func(fn func(k, v int64) bool) { bm.RangeBetween(tx, lo, hi, fn) }),
 			}

@@ -297,6 +297,13 @@ func (tx *Tx) read(b *varBase) any {
 			if tx.readOnly || !tx.extend() {
 				tx.conflict(ConflictStaleRead)
 			}
+			// extend revalidated the earlier reads, not this one: a commit
+			// to b between the sample above and extend's clock read would
+			// leave a stale value whose version the raised rv now covers,
+			// and a later quiet commit skips validation. Re-sample.
+			if b.meta.Load() != m1 {
+				continue
+			}
 		}
 		if !tx.readOnly {
 			//lint:ignore rubic/noalloc read-set capacity is retained across retries and pooled reuse; growth amortizes to zero

@@ -236,9 +236,9 @@ func (l *Log) Lost() (bool, error) {
 	return true, l.lostErr
 }
 
-// SetLostHook installs the durability-lost escalation callback (the agent
-// points it at HealthGuard). If durability is already lost the hook fires
-// immediately on this goroutine.
+// SetLostHook installs the durability-lost escalation callback (colocate's
+// stack lifecycle points it at HealthGuard). If durability is already lost
+// the hook fires immediately on this goroutine.
 func (l *Log) SetLostHook(f func(error)) {
 	l.mu.Lock()
 	if l.lost.Load() {
