@@ -5,7 +5,7 @@ GO ?= go
 # commit path).
 BENCH_PKGS = ./internal/stm ./internal/stm/container ./internal/stm/container/blink ./internal/pool ./internal/wal
 
-.PHONY: check build vet fmtcheck test race lint lint-fixtures bench-check bench benchgate benchscale benchscalegate chaos serve-smoke adaptive-soak crash-soak
+.PHONY: check build vet fmtcheck test race lint lint-fixtures bench-check bench benchgate benchscale benchscalegate chaos serve-smoke adaptive-soak shard-soak crash-soak fuzz-wal
 
 # check is the PR gate: vet, formatting, static analysis, the full test
 # suite, a race-detector pass over the whole module, and the nested
@@ -149,3 +149,10 @@ shard-soak:
 crash-soak:
 	$(GO) test -race -count=1 -run 'TestChaosDurabilitySoak|TestChaosCrashSoak' \
 		./internal/mproc -v
+
+# fuzz-wal is a time-boxed run of the log-replay fuzz target: mutilated
+# copies of a canonical log must recover to exactly a prefix of it, never
+# panic, never surface a damaged record. A failing input is written to
+# internal/wal/testdata/fuzz/FuzzWALReplay/ — check it in with the fix.
+fuzz-wal:
+	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal

@@ -156,7 +156,7 @@ func TestRunStacksDurable(t *testing.T) {
 			t.Fatalf("run %d: %v\n%s", i, err, buf.String())
 		}
 	}
-	if !strings.Contains(buf.String(), "P2-kv/poisson: wal acked") || strings.Contains(buf.String(), "recovered prefix 0 ") {
+	if !strings.Contains(buf.String(), "P2-kv/poisson: wal acked") || strings.Contains(buf.String(), "recovered prefix 0,") {
 		t.Errorf("second run did not report recovered logs:\n%s", buf.String())
 	}
 	entries, err := os.ReadDir(cfg.durable.Root)

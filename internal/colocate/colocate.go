@@ -97,6 +97,11 @@ type WalResult struct {
 	// caller's signal to alarm.
 	Lost    bool
 	LostErr error
+	// Batches and Records count the logger's write calls and the records
+	// they carried (Records/Batches is the group-commit factor); Snapshots
+	// the compactions taken; RingFullWaits the times a committer parked on
+	// a full commit ring. All since the log was opened.
+	Batches, Records, Snapshots, RingFullWaits uint64
 }
 
 // Group is a set of co-located stacks.

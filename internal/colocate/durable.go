@@ -70,6 +70,11 @@ func readLog(l *wal.Log) *WalResult {
 		DurableCSN: l.DurableCSN(),
 		Lost:       lost,
 		LostErr:    lostErr,
+
+		Batches:       l.Batches(),
+		Records:       l.Records(),
+		Snapshots:     l.Snapshots(),
+		RingFullWaits: l.RingFullWaits(),
 	}
 }
 
@@ -79,8 +84,12 @@ func (w *WalResult) String() string {
 	if w.Lost {
 		status = fmt.Sprintf("durability LOST: %v", w.LostErr)
 	}
-	return fmt.Sprintf("wal acked %d/%d commits, recovered prefix %d — %s",
-		w.DurableCSN, w.LastCSN, w.Recovered.LastCSN, status)
+	perBatch := 0.0
+	if w.Batches > 0 {
+		perBatch = float64(w.Records) / float64(w.Batches)
+	}
+	return fmt.Sprintf("wal acked %d/%d commits, recovered prefix %d, %.1f records/batch, %d snapshots, %d ring-full waits — %s",
+		w.DurableCSN, w.LastCSN, w.Recovered.LastCSN, perBatch, w.Snapshots, w.RingFullWaits, status)
 }
 
 // closeLog flushes and closes a log whose stack has stopped committing and

@@ -32,8 +32,9 @@ func durableRig(t *testing.T, algo stm.Algorithm) (*stm.Runtime, *stm.Var[int], 
 	}
 	rt.AttachCommitSink(l)
 	// Warm every ring slot's retained buffer (the ring wraps every
-	// defaultRingSize commits), the tx pools, and the logger's batch/state
-	// scratch, so the measured loop sees steady state.
+	// defaultRingSize commits), the tx pools, and the logger's batch (up to a
+	// ring's worth of frames) and state image, so the measured loop sees
+	// steady state.
 	for i := 0; i < 3*defaultRingSize; i++ {
 		if err := rt.Atomic(func(tx *stm.Tx) error {
 			x.Write(tx, (x.Read(tx)+1)&0x3f)

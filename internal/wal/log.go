@@ -1,11 +1,11 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -63,12 +63,25 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 
 // Defaults and sizing for the log goroutine.
 const (
-	defaultRingSize      = 1024
-	defaultSnapshotEvery = 1 << 14
-	maxBatchBytes        = 1 << 20
+	// defaultRingSize holds one drain tick's worth of small commits at a few
+	// hundred thousand commits per second; faster committers reach the
+	// half-full mark first and wake the logger themselves.
+	defaultRingSize = 4096
+	maxBatchBytes   = 1 << 20
+	// ringFullSpins bounds how long a committer polls a full ring before it
+	// parks: a drain in progress frees slots within microseconds, anything
+	// longer (a snapshot, a stalled fsync) is not worth a processor.
+	ringFullSpins = 64
+	// The default compaction rule: snapshot once the bytes logged since the
+	// last snapshot reach compactFactor times that snapshot's size, and at
+	// least compactFloor. Snapshot bytes written per log byte, and log bytes
+	// replayed after a crash per byte of state, are both bounded by the
+	// factor whatever the commit rate.
+	compactFactor = 4
+	compactFloor  = 4 << 20
 )
 
-// defaultFsyncInterval paces the FsyncInterval policy's group fsync.
+// defaultFsyncInterval is the default Options.Interval.
 var defaultFsyncInterval = 5 * time.Millisecond
 
 // Options parameterizes Open.
@@ -77,13 +90,17 @@ type Options struct {
 	Dir string
 	// Policy is the fsync policy; the zero value is FsyncAlways.
 	Policy FsyncPolicy
-	// Interval paces FsyncInterval's group fsync; 0 means the default (5ms).
+	// Interval is the asynchronous policies' drain tick: the longest a
+	// published commit waits before it is written (FsyncOS) or written and
+	// fsynced (FsyncInterval). 0 means the default (5ms).
 	Interval time.Duration
 	// SnapshotEvery compacts the log after this many records; 0 means the
-	// default (16384), negative disables periodic snapshots.
+	// default, which is by size instead — once the bytes logged since the
+	// last snapshot reach 4x that snapshot's size (at least 4 MiB) — and
+	// negative disables periodic snapshots.
 	SnapshotEvery int
 	// RingSize bounds the commit ring (rounded up to a power of two);
-	// 0 means the default (1024).
+	// 0 means the default (4096).
 	RingSize int
 	// Faults is the chaos injector for the wal.* points; nil is inert.
 	Faults *fault.Injector
@@ -122,8 +139,10 @@ type Log struct {
 	lost    atomic.Bool   // durability lost: log degraded to in-memory mode
 	closed  atomic.Bool
 
-	mu       sync.Mutex // guards cond, lostErr, lostHook
-	cond     *sync.Cond
+	mu       sync.Mutex // guards cond, space, lostErr, lostHook
+	cond     *sync.Cond // FsyncAlways committers waiting for the watermark
+	space    *sync.Cond // committers parked on a full ring
+	parked   atomic.Int32
 	lostErr  error
 	lostHook func(error)
 
@@ -138,19 +157,28 @@ type Log struct {
 	nBatches   atomic.Uint64
 	nRecords   atomic.Uint64
 	nSnapshots atomic.Uint64
+	nRingFull  atomic.Uint64
 
 	// Log-goroutine-owned state. state is the materialized image of the
 	// written prefix: after framing record n it equals an exact replay of
 	// CSNs 1..n, which is what makes snapshots trivially consistent.
-	f         *os.File
-	state     map[uint64][]byte
-	pending   map[uint64][]byte // out-of-CSN-order arrivals awaiting their gap
-	batch     []byte
-	scratch   []byte
-	next      uint64 // next CSN to frame
-	written   uint64 // last CSN written to the segment
-	sinceSnap int
-	segStart  uint64
+	f        *os.File
+	state    map[uint64][]byte
+	pending  map[uint64][]byte // out-of-CSN-order arrivals awaiting their gap
+	batch    []byte
+	next     uint64 // next CSN to frame
+	written  uint64 // last CSN written to the segment
+	segStart uint64
+
+	// Compaction bookkeeping: records and bytes framed since the last
+	// snapshot, that snapshot's size, and what the next one reuses — the
+	// ascending id list (rebuilt only after a new id appeared) and the
+	// encode buffer.
+	sinceSnap      int
+	bytesSinceSnap int
+	snapBytes      int
+	ids            []uint64
+	snapBuf        []byte
 }
 
 // Open recovers the directory's durable prefix (snapshot + segments),
@@ -164,9 +192,6 @@ func Open(opts Options) (*Log, error) {
 	}
 	if opts.Interval <= 0 {
 		opts.Interval = defaultFsyncInterval
-	}
-	if opts.SnapshotEvery == 0 {
-		opts.SnapshotEvery = defaultSnapshotEvery
 	}
 	if opts.RingSize <= 0 {
 		opts.RingSize = defaultRingSize
@@ -192,6 +217,7 @@ func Open(opts Options) (*Log, error) {
 		written: rec.LastCSN,
 	}
 	l.cond = sync.NewCond(&l.mu)
+	l.space = sync.NewCond(&l.mu)
 	l.csn.Store(rec.LastCSN)
 	l.durable.Store(rec.LastCSN)
 	// Compact on open: persist the recovered prefix as one snapshot, start a
@@ -206,7 +232,7 @@ func Open(opts Options) (*Log, error) {
 	if err := l.openSegment(rec.LastCSN + 1); err != nil {
 		return nil, err
 	}
-	l.deleteSegmentsBelow(rec.LastCSN + 1)
+	l.deleteOtherSegments()
 	go l.run()
 	return l, nil
 }
@@ -223,6 +249,15 @@ func (l *Log) LastCSN() uint64 { return l.csn.Load() }
 // DurableCSN returns the ack watermark: every commit with CSN at or below
 // it is durable under the configured policy.
 func (l *Log) DurableCSN() uint64 { return l.durable.Load() }
+
+// Batches, Records and Snapshots count the log goroutine's work since Open:
+// write calls, the records they carried (Records/Batches is the group-commit
+// factor), and snapshots taken. RingFullWaits counts the times a committer
+// parked on a full ring.
+func (l *Log) Batches() uint64       { return l.nBatches.Load() }
+func (l *Log) Records() uint64       { return l.nRecords.Load() }
+func (l *Log) Snapshots() uint64     { return l.nSnapshots.Load() }
+func (l *Log) RingFullWaits() uint64 { return l.nRingFull.Load() }
 
 // Lost reports whether durability has been lost (fsync or write failure,
 // torn-write injection): the runtime keeps committing in memory, but acks
@@ -260,42 +295,81 @@ func (l *Log) SetLostHook(f func(error)) {
 func (l *Log) BeginCommit() uint64 { return l.csn.Add(1) }
 
 // Publish implements stm.CommitSink: it encodes the committed write-set
-// into a ring slot. When the ring is full it spins (bounded by the log
-// goroutine's drain rate — this is the commit path's backpressure), unless
-// durability is lost or the log closed, in which case the record is
-// dropped: the prefix contract only covers acked commits.
+// into a ring slot. Under the asynchronous policies nobody waits for the
+// log goroutine, so Publish does not wake it per record: it signals only
+// when the backlog reaches half the ring while the logger sleeps, and the
+// logger's drain tick bounds how long a record can sit otherwise. Under
+// FsyncAlways the committer is about to block in WaitDurable, so the wake
+// is immediate. A full ring is the commit path's backpressure (claimSlow).
+// When durability is lost or the log closed the record is dropped: the
+// prefix contract only covers acked commits.
 //
 //rubic:noalloc
 func (l *Log) Publish(csn uint64, ops []stm.DurableOp) {
 	if l.lost.Load() || l.closed.Load() {
 		return
 	}
-	r := l.ring
-	for {
-		pos := r.enq.Load()
-		s := &r.slots[pos&r.mask]
-		if s.seq.Load() == pos {
-			if r.enq.CompareAndSwap(pos, pos+1) {
-				s.csn = csn
-				var ok bool
-				s.buf, ok = appendRecord(s.buf[:0], csn, ops)
-				s.seq.Store(pos + 1)
-				if !ok {
-					l.markLost(errUnsupportedType)
-				}
-				select {
-				case l.wake <- struct{}{}:
-				default:
-				}
-				return
-			}
-			continue
-		}
-		if l.lost.Load() || l.closed.Load() {
+	s, pos := l.ring.claim()
+	if s == nil {
+		if s, pos = l.claimSlow(); s == nil {
 			return
 		}
-		runtime.Gosched()
 	}
+	var ok bool
+	s.buf, ok = appendRecord(s.buf[:0], csn, ops)
+	s.seq.Store(pos + 1)
+	if !ok {
+		l.markLost(errUnsupportedType)
+	}
+	if l.opts.Policy == FsyncAlways || l.ring.wakeDue(pos) {
+		l.kick()
+	}
+}
+
+// claimSlow is Publish on a full ring: the log goroutine is a whole ring
+// behind. Poll briefly, then park until it has drained; markLost and Close
+// release parked committers too, and those return without a slot.
+func (l *Log) claimSlow() (*rslot, uint64) {
+	for i := 0; i < ringFullSpins; i++ {
+		if s, pos := l.ring.claim(); s != nil {
+			return s, pos
+		}
+	}
+	l.kick()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	// The count goes up before the ring is looked at again and the logger
+	// reads it after freeing slots, so either this committer sees a free
+	// slot or the logger sees it parked and broadcasts.
+	l.parked.Add(1)
+	defer l.parked.Add(-1)
+	for {
+		if s, pos := l.ring.claim(); s != nil {
+			return s, pos
+		}
+		if l.lost.Load() || l.closed.Load() {
+			return nil, 0
+		}
+		l.nRingFull.Add(1)
+		l.space.Wait()
+	}
+}
+
+// kick wakes the log goroutine, or leaves the wake pending if it is busy.
+//
+//rubic:noalloc
+func (l *Log) kick() {
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
+}
+
+// release unparks committers waiting for ring space.
+func (l *Log) release() {
+	l.mu.Lock()
+	l.space.Broadcast()
+	l.mu.Unlock()
 }
 
 // WaitDurable implements stm.CommitSink: under FsyncAlways it blocks until
@@ -325,74 +399,111 @@ func (l *Log) Close() error {
 		_, err := l.Lost()
 		return err
 	}
+	l.release()
 	close(l.stopc)
 	<-l.done
 	_, err := l.Lost()
 	return err
 }
 
-// run is the log goroutine: drain, reorder, frame, group-commit, snapshot.
+// run is the log goroutine: sleep until signalled, drain, reorder, frame,
+// group-commit, snapshot. It sleeps between drains even when records keep
+// arriving — that is what makes a batch a group: the next drain starts when
+// the backlog reaches half the ring (Publish's signal), when a committer
+// finds the ring full, or at the drain tick. FsyncAlways has no tick; every
+// Publish signals.
 func (l *Log) run() {
 	defer close(l.done)
 	var tick <-chan time.Time
-	if l.opts.Policy == FsyncInterval {
+	if l.opts.Policy != FsyncAlways {
 		t := time.NewTicker(l.opts.Interval)
 		defer t.Stop()
 		tick = t.C
 	}
 	for {
-		l.gather()
-		if len(l.batch) > 0 {
-			l.commitBatch()
-			l.maybeSnapshot()
-			continue
-		}
+		var ticked, stop bool
+		l.ring.asleep.Store(true)
 		select {
 		case <-l.wake:
 		case <-tick:
-			l.syncTail()
+			ticked = true
 		case <-l.stopc:
-			l.gather()
-			if len(l.batch) > 0 {
-				l.commitBatch()
-			}
+			stop = true
+		}
+		l.ring.asleep.Store(false)
+		l.drain()
+		if stop {
 			l.syncTail()
 			l.finalCompact()
 			l.closeFile()
 			return
 		}
+		if ticked {
+			l.syncTail()
+		}
 	}
 }
 
-// gather drains the ring into the batch in exact CSN order, parking
-// out-of-order arrivals in pending until their gap fills. In lost mode it
-// drains and discards so committers never wedge on a full ring.
-func (l *Log) gather() {
-	for len(l.batch) < maxBatchBytes {
-		csn, buf, ok := l.ring.pop(l.scratch)
-		l.scratch = buf
-		if !ok {
+// drain writes out what was published before it started; records arriving
+// meanwhile wait for the next signal or tick instead of being chased one
+// write call at a time. A batch ends at maxBatchBytes and at the record that
+// makes compaction due, so snapshots fall exactly where
+// Options.SnapshotEvery puts them however many records one drain finds.
+// (Compaction only becomes due by framing a record into the batch, and the
+// snapshot after that batch resets it or loses the log, so it is never due
+// while the batch is empty.)
+func (l *Log) drain() {
+	end := l.ring.enq.Load()
+	for {
+		l.gather(end)
+		if l.parked.Load() > 0 {
+			l.release()
+		}
+		if len(l.batch) == 0 {
 			return
 		}
-		if l.lost.Load() {
-			continue
-		}
-		if csn != l.next {
-			// A committer between BeginCommit and Publish still owns the gap;
-			// it is at most a few instructions behind.
-			l.pending[csn] = append([]byte(nil), l.scratch...)
-			continue
-		}
-		l.frame(l.scratch)
-		for {
-			p, ok := l.pending[l.next]
-			if !ok {
+		l.commitBatch()
+		l.maybeSnapshot()
+	}
+}
+
+// gather moves published records below ring position end into the batch in
+// exact CSN order, parking out-of-order arrivals in pending until their gap
+// fills. In lost mode it drains and discards so committers never wedge on a
+// full ring.
+func (l *Log) gather(end uint64) {
+	r := l.ring
+	for len(l.batch) < maxBatchBytes {
+		lost := l.lost.Load()
+		if !lost {
+			if l.compactionDue() {
 				break
 			}
-			delete(l.pending, l.next)
-			l.frame(p)
+			if p, ok := l.pending[l.next]; ok {
+				delete(l.pending, l.next)
+				l.frame(p)
+				continue
+			}
 		}
+		if r.deq == end {
+			break
+		}
+		rec, ok := r.head()
+		if !ok {
+			break
+		}
+		if csn := binary.LittleEndian.Uint64(rec); lost {
+			// Discard.
+		} else if csn == l.next {
+			l.frame(rec)
+		} else {
+			// A committer between BeginCommit and Publish still owns the gap;
+			// it is at most a few instructions behind.
+			l.pending[csn] = append([]byte(nil), rec...)
+		}
+		r.advance()
 	}
+	r.drained.Store(r.deq)
 }
 
 // frame appends one record payload to the batch and folds it into the
@@ -409,6 +520,7 @@ func (l *Log) frame(payload []byte) {
 	}
 	l.next++
 	l.sinceSnap++
+	l.bytesSinceSnap += frameHeader + len(payload)
 	l.nRecords.Add(1)
 }
 
@@ -456,12 +568,12 @@ func (l *Log) commitBatch() {
 	case FsyncOS:
 		l.setDurable(last)
 	case FsyncInterval:
-		// The ticker's syncTail advances the watermark.
+		// The drain tick's syncTail advances the watermark.
 	}
 }
 
 // syncTail force-syncs written-but-unsynced records (FsyncInterval's group
-// fsync; also the close path's final flush).
+// fsync at the drain tick; also the close path's final flush).
 func (l *Log) syncTail() {
 	if l.lost.Load() || l.written <= l.durable.Load() {
 		return
@@ -514,20 +626,32 @@ func (l *Log) markLost(err error) {
 	l.lost.Store(true)
 	hook := l.lostHook
 	l.cond.Broadcast()
+	l.space.Broadcast()
 	l.mu.Unlock()
 	if hook != nil {
 		hook(err)
 	}
 }
 
-// maybeSnapshot compacts once enough records accumulated since the last
-// snapshot: persist the state image, rotate to a fresh segment, drop the
-// segments the snapshot subsumes.
+// compactionDue applies Options.SnapshotEvery: an explicit record count, or
+// by default the size rule (see compactFactor).
+func (l *Log) compactionDue() bool {
+	switch every := l.opts.SnapshotEvery; {
+	case every < 0:
+		return false
+	case every > 0:
+		return l.sinceSnap >= every
+	}
+	return l.bytesSinceSnap >= max(compactFloor, compactFactor*l.snapBytes)
+}
+
+// maybeSnapshot compacts when due: persist the state image, rotate to a
+// fresh segment, drop the segment the snapshot subsumes.
 func (l *Log) maybeSnapshot() {
-	if l.lost.Load() || l.opts.SnapshotEvery < 0 || l.sinceSnap < l.opts.SnapshotEvery {
+	if l.lost.Load() || !l.compactionDue() {
 		return
 	}
-	at := l.written
+	at, old := l.written, l.segStart
 	if err := l.writeSnapshotAt(at); err != nil {
 		l.markLost(err)
 		return
@@ -537,8 +661,7 @@ func (l *Log) maybeSnapshot() {
 		l.markLost(err)
 		return
 	}
-	l.deleteSegmentsBelow(at + 1)
-	l.sinceSnap = 0
+	os.Remove(filepath.Join(l.dir, segName(old)))
 }
 
 // finalCompact runs on clean close: one snapshot covering everything, no
@@ -552,7 +675,7 @@ func (l *Log) finalCompact() {
 		return
 	}
 	l.closeFile()
-	l.deleteSegmentsBelow(l.written + 1)
+	os.Remove(filepath.Join(l.dir, segName(l.segStart)))
 }
 
 // Segment file management. Names embed the first CSN the segment may
@@ -584,7 +707,8 @@ func (l *Log) openSegment(start uint64) error {
 	l.segStart = start
 	// Make the directory entry itself durable: a power cut must not lose
 	// the file that holds fsynced frames.
-	return syncDir(l.dir)
+	l.syncDir()
+	return nil
 }
 
 func (l *Log) closeFile() {
@@ -594,26 +718,34 @@ func (l *Log) closeFile() {
 	}
 }
 
-// deleteSegmentsBelow removes every segment whose start CSN is below keep —
-// they only contain records a durable snapshot already covers.
-func (l *Log) deleteSegmentsBelow(keep uint64) {
+// deleteOtherSegments removes every segment but the live one. Open calls it
+// once the recovered prefix is safe in a snapshot: older segments are
+// subsumed by it and later ones lie beyond the point where replay stopped,
+// so none may ever be replayed again. From then on the live segment is the
+// only one, and rotation removes its predecessor by name.
+func (l *Log) deleteOtherSegments() {
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
-		if start, ok := parseSegName(e.Name()); ok && start < keep {
+		if start, ok := parseSegName(e.Name()); ok && start != l.segStart {
 			os.Remove(filepath.Join(l.dir, e.Name()))
 		}
 	}
 }
 
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return nil // directory sync is best-effort on exotic filesystems
+// syncDir makes the directory's entries durable — a created, renamed or
+// removed file survives a power cut. FsyncOS promises no more than the page
+// cache and skips it, like every other fsync.
+func (l *Log) syncDir() {
+	if l.opts.Policy == FsyncOS {
+		return
 	}
-	defer d.Close()
+	d, err := os.Open(l.dir)
+	if err != nil {
+		return // directory sync is best-effort on exotic filesystems
+	}
 	d.Sync()
-	return nil
+	d.Close()
 }

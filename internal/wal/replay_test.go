@@ -205,3 +205,37 @@ func FuzzWALReplay(f *testing.F) {
 		checkAgainstOracle(t, state, rec)
 	})
 }
+
+// TestOpenDropsSegmentsBeyondThePrefix: replay stopped inside the first of
+// two segments, so the second holds records of a history that was never
+// surfaced. Open must remove it with the rest: left behind, it would be
+// replayed as CSNs 11..20 of the new history as soon as that reached 10.
+func TestOpenDropsSegmentsBeyondThePrefix(t *testing.T) {
+	data, bounds := buildCanonicalSegment(canonicalRecords)
+	dir := writeSegmentDir(t, data[:bounds[7]+5]) // records 1..7 and a torn 8th
+	later := append([]byte(segMagic), data[bounds[10]:]...)
+	if err := os.WriteFile(filepath.Join(dir, segName(11)), later, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(Options{Dir: dir, Policy: FsyncOS, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if rec := l.Recovered(); rec.LastCSN != 7 || !rec.Torn {
+		t.Fatalf("recovered %+v, want the 7 whole records and a torn tail", rec)
+	}
+	box := any(0)
+	for csn := uint64(8); csn <= 10; csn++ {
+		l.Publish(l.BeginCommit(), []stm.DurableOp{{ID: 1, Box: &box}})
+	}
+	quiesce(t, l)
+	// A kill here: the directory as it is, without Close's snapshot.
+	_, rec, err := recoverDir(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.LastCSN != 10 || rec.Torn {
+		t.Fatalf("recovered %+v, want exactly the 10 commits of the new history", rec)
+	}
+}

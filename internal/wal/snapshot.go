@@ -6,7 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 )
 
 // A snapshot is the materialized state image at one CSN, replacing every
@@ -14,33 +14,44 @@ import (
 // [payload], payload = [8-byte LE snapshot CSN][uvarint entry count]
 // [entries: uvarint id, tagged value], entries sorted by id so the bytes
 // are a deterministic function of the state. It is written to a temporary
-// file, fsynced, and renamed over dir/snapshot — the replacement is atomic,
-// so recovery always finds either the old or the new snapshot intact.
+// file, fsynced as the log's policy fsyncs segments (FsyncOS: not at all —
+// the segments it replaces were never synced either), and renamed over
+// dir/snapshot — the replacement is atomic, so recovery always finds either
+// the old or the new snapshot intact.
 
 const snapshotFile = "snapshot"
+
+// sortedIDs returns the state image's ids in ascending order. The list is
+// kept between snapshots: ids are never removed, so it is stale exactly when
+// the image has grown, and a snapshot over an unchanged key set sorts
+// nothing.
+func (l *Log) sortedIDs() []uint64 {
+	if len(l.ids) != len(l.state) {
+		l.ids = l.ids[:0]
+		for id := range l.state {
+			l.ids = append(l.ids, id)
+		}
+		slices.Sort(l.ids)
+	}
+	return l.ids
+}
 
 // writeSnapshotAt persists the log goroutine's state image, which at call
 // time equals an exact replay of CSNs 1..at.
 func (l *Log) writeSnapshotAt(at uint64) error {
-	ids := make([]uint64, 0, len(l.state))
-	for id := range l.state {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	payload := make([]byte, 0, 16+len(ids)*16)
-	payload = binary.LittleEndian.AppendUint64(payload, at)
-	payload = appendUvarint(payload, uint64(len(ids)))
+	ids := l.sortedIDs()
+	buf := append(l.snapBuf[:0], snapMagic...)
+	buf = append(buf, make([]byte, frameHeader)...) // length and CRC, set below
+	buf = binary.LittleEndian.AppendUint64(buf, at)
+	buf = appendUvarint(buf, uint64(len(ids)))
 	for _, id := range ids {
-		payload = appendUvarint(payload, id)
-		payload = append(payload, l.state[id]...)
+		buf = appendUvarint(buf, id)
+		buf = append(buf, l.state[id]...)
 	}
-
-	buf := make([]byte, 0, len(snapMagic)+frameHeader+len(payload))
-	buf = append(buf, snapMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
-	buf = append(buf, payload...)
+	payload := buf[len(snapMagic)+frameHeader:]
+	binary.LittleEndian.PutUint32(buf[len(snapMagic):], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[len(snapMagic)+4:], crc32.Checksum(payload, castagnoli))
+	l.snapBuf = buf
 
 	tmp := filepath.Join(l.dir, snapshotFile+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -51,9 +62,11 @@ func (l *Log) writeSnapshotAt(at uint64) error {
 		f.Close()
 		return fmt.Errorf("wal: snapshot write: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: snapshot fsync: %w", err)
+	if l.opts.Policy != FsyncOS {
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return fmt.Errorf("wal: snapshot fsync: %w", err)
+		}
 	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("wal: snapshot close: %w", err)
@@ -61,17 +74,18 @@ func (l *Log) writeSnapshotAt(at uint64) error {
 	if err := os.Rename(tmp, filepath.Join(l.dir, snapshotFile)); err != nil {
 		return fmt.Errorf("wal: snapshot rename: %w", err)
 	}
-	if err := syncDir(l.dir); err != nil {
-		return err
-	}
+	l.syncDir()
 	l.nSnapshots.Add(1)
+	l.snapBytes = len(buf)
+	l.sinceSnap, l.bytesSinceSnap = 0, 0
 	return nil
 }
 
 // readSnapshot loads dir/snapshot. A missing file is an empty log; a
-// damaged file is a hard error — the snapshot was written with
-// write+fsync+rename, so damage means real media corruption, and guessing
-// would silently drop acked commits.
+// damaged file is a hard error — the snapshot was renamed into place only
+// after it was completely written (and, unless the policy is FsyncOS,
+// fsynced), so damage means media corruption or a power cut under FsyncOS,
+// and guessing would silently drop acked commits.
 func readSnapshot(dir string) (map[uint64][]byte, uint64, error) {
 	state := make(map[uint64][]byte)
 	data, err := os.ReadFile(filepath.Join(dir, snapshotFile))

@@ -296,10 +296,7 @@ func TestCorruptBatchIsDetectedOnRecovery(t *testing.T) {
 	// Quiesce the logger, then read the directory underneath it (simulating
 	// the no-clean-shutdown case: Close would write a pristine snapshot that
 	// papers over the damaged segment).
-	deadline := time.Now().Add(5 * time.Second)
-	for s.log.DurableCSN() < s.log.LastCSN() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	quiesce(t, s.log)
 	state, rec, err := recoverDir(dir, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -321,10 +318,7 @@ func TestSnapshotRotationCompacts(t *testing.T) {
 	dir := t.TempDir()
 	s := newStorm(t, dir, stm.NOrec, 4, Options{Policy: FsyncOS, SnapshotEvery: 16})
 	s.run(t, 2, 400)
-	deadline := time.Now().Add(5 * time.Second)
-	for s.log.DurableCSN() < s.log.LastCSN() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	quiesce(t, s.log)
 	segs := 0
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -393,10 +387,7 @@ func TestTruncateInjectionOnRecovery(t *testing.T) {
 		}
 	}
 	last := s.log.LastCSN()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.log.DurableCSN() < last && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	quiesce(t, s.log)
 	inj := fault.New(&fault.Plan{Seed: 11, Events: []fault.Event{{Point: fault.WALTruncate, From: 0}}})
 	_, rec, err := recoverDir(dir, inj)
 	if err != nil {
