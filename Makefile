@@ -5,7 +5,7 @@ GO ?= go
 # commit path).
 BENCH_PKGS = ./internal/stm ./internal/stm/container ./internal/stm/container/blink ./internal/pool ./internal/wal
 
-.PHONY: check build vet fmtcheck test race lint lint-fixtures bench-check bench benchgate benchscale benchscalegate chaos serve-smoke adaptive-soak shard-soak crash-soak fuzz-wal
+.PHONY: check build vet fmtcheck test race lint lint-fixtures bench-check bench benchgate benchscale benchscalegate bench-ab chaos serve-smoke adaptive-soak shard-soak crash-soak fuzz-wal
 
 # check is the PR gate: vet, formatting, static analysis, the full test
 # suite, a race-detector pass over the whole module, and the nested
@@ -101,6 +101,18 @@ benchscale:
 benchscalegate:
 	GOMAXPROCS=2 $(GO) test -run '^$$' -bench . -benchmem -benchtime 0.3s $(BENCH_PKGS) \
 		| $(GO) run ./cmd/rubic-benchgate -compare BENCH_baseline_parallel.json -alloc-slack 3
+
+# bench-ab is the end-to-end A/B a performance PR reports: the working tree
+# against PARENT (any revision), PAIRS alternating parent/change runs of
+# SECONDS each per workload listed in BENCHMARK.json, each side built and run
+# through its own bench/run.sh. Prints the quartile table and fails when a
+# median is worse than its bound (see scripts/benchab). Run it on an idle
+# host: ~2 x PAIRS x (SECONDS + 8 s) per workload.
+PAIRS ?= 10
+SECONDS ?= 15
+bench-ab:
+	@test -n "$(PARENT)" || { echo "usage: make bench-ab PARENT=<rev> [PAIRS=10] [SECONDS=15]"; exit 2; }
+	$(GO) run ./scripts/benchab -parent $(PARENT) -pairs $(PAIRS) -seconds $(SECONDS)
 
 # serve-smoke is the open-loop gate: a short fixed-seed Poisson run at low
 # QPS through cmd/rubic-serve, failing unless the latency histogram reports

@@ -20,10 +20,21 @@ import "math/bits"
 // zero-alloc budget with the hook compiled in (the benchgate pins this).
 
 // sigAggWindow is the decay window of the rolling write-signature
-// aggregate: every sigAggWindow-th writer commit replaces the aggregate
-// with its own signature instead of ORing into it, so the estimate tracks
-// the recent epoch instead of saturating over the run.
+// aggregate: every sigAggWindow-th sampled writer commit replaces the
+// aggregate with its own signature instead of ORing into it, so the
+// estimate tracks the recent epoch instead of saturating over the run.
 const sigAggWindow = 64
+
+// sigSampleEvery is the sampling period of the signature aggregate: the
+// writer commits whose timestamp (Tx.wv) is a multiple of it feed it. The
+// conflict degree is a ratio of two sums over the same commits, so a
+// subsample estimates it as well as the full stream does, and only the
+// adaptive policy reads it — seven writers in eight skip two shared-word
+// atomics and two counter adds. The set-size sums stay exact. Sampling by
+// timestamp keeps the profile a pure function of the commit sequence: a
+// counter on the pooled Tx object would tie it to which object the pool
+// hands out (sync.Pool drops objects at random under the race detector).
+const sigSampleEvery = 8
 
 // enter parks until no engine switch is draining, then claims an in-flight
 // slot. The double check closes the race with a switcher sampling the count
@@ -105,11 +116,13 @@ func (rt *Runtime) SwitchCounts() (engine, cm uint64) {
 	return rt.engineSwitches.Load(), rt.cmSwitches.Load()
 }
 
-// noteCommit folds a committed attempt into the conflict-profile counters:
-// read/write-set sizes, and for writers the overlap of the write signature
-// against the rolling aggregate of recent writers' signatures (the
-// wsig-collision conflict-degree estimate). Zero-size adds are skipped so
-// the read-only fast path costs nothing extra.
+// noteCommit counts a committed attempt — once, as a read-only or a writer
+// commit (Stats.Commits is their sum) — and folds it into the
+// conflict-profile counters: read/write-set sizes exactly, and for a sample
+// of writers the overlap of the write signature against the rolling
+// aggregate of recent writers' signatures (the wsig-collision
+// conflict-degree estimate). Zero-size adds are skipped, so a read-only
+// block that kept no read set pays one counter add.
 //
 //rubic:noalloc
 func (rt *Runtime) noteCommit(tx *Tx) {
@@ -117,9 +130,14 @@ func (rt *Runtime) noteCommit(tx *Tx) {
 		rt.stats.readSetSum.Add(tx.shard, n)
 	}
 	if len(tx.writes) == 0 {
+		rt.stats.readOnlyCommits.Add(tx.shard, 1)
 		return
 	}
+	rt.stats.writerCommits.Add(tx.shard, 1)
 	rt.stats.writeSetSum.Add(tx.shard, uint64(len(tx.writes)))
+	if tx.wv%sigSampleEvery != 0 {
+		return
+	}
 	sig := tx.wsig
 	agg := rt.sigAgg.Load()
 	rt.stats.sigBits.Add(tx.shard, uint64(bits.OnesCount64(sig)))

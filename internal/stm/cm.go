@@ -265,7 +265,14 @@ type KarmaCM struct{}
 
 // ShouldAbort compares invested work; the richer transaction wins.
 func (KarmaCM) ShouldAbort(attacker, owner *Tx) bool {
-	if attacker.work.Load() >= owner.work.Load() {
+	// The attacker is the caller's own transaction. It publishes its work
+	// before reading the owner's (whose copy dates from its last lock
+	// acquisition or its own last conflict): when two owners attack each
+	// other, at least one of them then compares against the other's current
+	// work, and every later poll of the waiting loop does, so the two sides
+	// cannot both keep winning a comparison against a stale number.
+	attacker.workPub.Store(attacker.work)
+	if attacker.work >= owner.workPub.Load() {
 		owner.status.CompareAndSwap(txActive, txDoomed)
 		return false
 	}

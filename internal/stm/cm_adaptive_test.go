@@ -236,3 +236,137 @@ func TestGreedyDoomsOwnerMidFlight(t *testing.T) {
 		t.Fatalf("no ConflictDoomed abort recorded: %+v", stats.Conflicts)
 	}
 }
+
+// TestKarmaSeesOwnersPublishedWork drives the Karma comparison end to end.
+// work is a plain field of the running transaction; competitors see only the
+// copy an owner published when it took its write lock. That copy must be
+// current at the moment of the conflict: an attacker that invested less than
+// the owner had when it locked x backs off (the owner is never doomed), and
+// one that invested more dooms the owner mid-flight.
+func TestKarmaSeesOwnersPublishedWork(t *testing.T) {
+	for _, cm := range []ContentionManager{KarmaCM{}, PolkaCM{}} {
+		for _, tc := range []struct {
+			name                      string
+			ownerReads, attackerReads int
+			wantOwnerDoomed           bool
+		}{
+			// The poorer side gains one unit of work per retry, so the richer
+			// one's lead is made far longer than the conflict can last.
+			{"richer owner survives", 100_000, 0, false},
+			{"richer attacker dooms owner", 0, 100_000, true},
+		} {
+			t.Run(cm.Name()+"/"+tc.name, func(t *testing.T) {
+				rt := New(Config{CM: cm})
+				var x Var[int]
+				pad := make([]Var[int], 200)
+				invest := func(tx *Tx, n int) {
+					for i := 0; i < n; i++ {
+						pad[i%len(pad)].Read(tx)
+					}
+				}
+				lockHeld := make(chan struct{})
+				var once sync.Once
+				deadline := time.Now().Add(10 * time.Second)
+
+				var wg sync.WaitGroup
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					err := rt.Atomic(func(tx *Tx) error {
+						invest(tx, tc.ownerReads)
+						x.Write(tx, x.Read(tx)+1) // publishes the work invested so far
+						if tx.Attempt() > 0 {
+							return nil
+						}
+						once.Do(func() { close(lockHeld) })
+						if tc.wantOwnerDoomed {
+							for time.Now().Before(deadline) {
+								_ = x.Read(tx) // checkAlive unwinds once doomed
+							}
+							t.Error("owner was never doomed")
+							return nil
+						}
+						// Hold the lock until the attacker has backed off once.
+						for rt.Stats().Aborts == 0 && time.Now().Before(deadline) {
+							time.Sleep(50 * time.Microsecond)
+						}
+						return nil
+					})
+					if err != nil {
+						t.Errorf("owner: %v", err)
+					}
+				}()
+
+				<-lockHeld
+				if err := rt.Atomic(func(tx *Tx) error {
+					invest(tx, tc.attackerReads)
+					x.Write(tx, x.Read(tx)+1)
+					return nil
+				}); err != nil {
+					t.Fatalf("attacker: %v", err)
+				}
+				wg.Wait()
+
+				if got := x.Peek(); got != 2 {
+					t.Fatalf("x = %d, want 2 (both transactions committed)", got)
+				}
+				s := rt.Stats()
+				if doomed := s.Conflicts[ConflictDoomed] > 0; doomed != tc.wantOwnerDoomed {
+					t.Fatalf("owner doomed = %v, want %v (conflicts %+v)", doomed, tc.wantOwnerDoomed, s.Conflicts)
+				}
+				if !tc.wantOwnerDoomed && s.Conflicts[ConflictLockedRead]+s.Conflicts[ConflictLockedWrite] == 0 {
+					t.Fatalf("poorer attacker never backed off: %+v", s.Conflicts)
+				}
+			})
+		}
+	}
+}
+
+// TestCrossedOwnersStayLive: two transactions each hold the lock the other
+// wants, and each has invested more since taking its lock than the other had
+// when it took its own. A contention manager that let both sides win that
+// comparison would have each doom the other and wait forever; whatever the
+// managers decide, waiting must not outlive being doomed, and both blocks
+// must commit.
+func TestCrossedOwnersStayLive(t *testing.T) {
+	for _, cm := range []ContentionManager{KarmaCM{}, PolkaCM{}, GreedyCM{}, TwoPhaseCM{}} {
+		t.Run(cm.Name(), func(t *testing.T) {
+			rt := New(Config{CM: cm})
+			var x, y Var[int]
+			pad := make([]Var[int], 64)
+			var locked sync.WaitGroup
+			locked.Add(2)
+			var once [2]sync.Once
+			cross := func(id int, mine, theirs *Var[int]) error {
+				return rt.Atomic(func(tx *Tx) error {
+					mine.Write(tx, mine.Read(tx)+1) // lock taken early, little invested
+					if tx.Attempt() == 0 {
+						once[id].Do(locked.Done)
+						locked.Wait() // both locks are now held
+					}
+					for i := range pad {
+						pad[i].Read(tx) // invest well past the other's published work
+					}
+					theirs.Write(tx, theirs.Read(tx)+1)
+					return nil
+				})
+			}
+			done := make(chan error, 2)
+			go func() { done <- cross(0, &x, &y) }()
+			go func() { done <- cross(1, &y, &x) }()
+			for i := 0; i < 2; i++ {
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-time.After(20 * time.Second):
+					t.Fatal("crossed lock owners never resolved: both are waiting")
+				}
+			}
+			if x.Peek() != 2 || y.Peek() != 2 {
+				t.Fatalf("x=%d y=%d, want 2 and 2", x.Peek(), y.Peek())
+			}
+		})
+	}
+}

@@ -18,14 +18,21 @@ func TestAllCMNames(t *testing.T) {
 	}
 }
 
+// setWork gives tx the karma w on both sides of a conflict: work is what it
+// compares as an attacker, workPub what competitors read of it as an owner.
+func setWork(tx *Tx, w int64) {
+	tx.work = w
+	tx.workPub.Store(w)
+}
+
 func TestKarmaRicherWins(t *testing.T) {
 	rt := New(Config{})
 	rich := &Tx{rt: rt}
 	rich.reset()
-	rich.work.Store(100)
+	setWork(rich, 100)
 	poor := &Tx{rt: rt}
 	poor.reset()
-	poor.work.Store(5)
+	setWork(poor, 5)
 
 	cm := KarmaCM{}
 	if cm.ShouldAbort(rich, poor) {
@@ -36,7 +43,7 @@ func TestKarmaRicherWins(t *testing.T) {
 	}
 	poor2 := &Tx{rt: rt}
 	poor2.reset()
-	poor2.work.Store(5)
+	setWork(poor2, 5)
 	if !cm.ShouldAbort(poor2, rich) {
 		t.Fatal("poorer attacker should abort")
 	}
@@ -59,7 +66,7 @@ func TestKarmaAccumulatesAcrossRetries(t *testing.T) {
 			_ = v.Read(tx)
 		}
 		x.Write(tx, 1)
-		observed = tx.work.Load()
+		observed = tx.work
 		return nil
 	})
 	if err != nil {

@@ -31,7 +31,15 @@ type mdata[V any] struct {
 // never the mnode itself, so pointers captured by concurrent readers stay
 // valid for the life of the map.
 type mnode[V any] struct {
-	d *stm.Var[*mdata[V]]
+	d stm.Var[*mdata[V]]
+}
+
+// newMnode returns a node holding d. It is private until the write that
+// links it commits, so a plain Set is safe. A node's snapshot is never nil.
+func newMnode[V any](d *mdata[V]) *mnode[V] {
+	nd := &mnode[V]{}
+	nd.d.Set(d)
+	return nd
 }
 
 // Map is the B-Link tree as a fully transactional container: every mutation
@@ -41,17 +49,14 @@ type mnode[V any] struct {
 // the hybrid fast path). Inside a transaction, use Get/Range: they record
 // reads and stay serializable with the transaction's other operations.
 type Map[V any] struct {
-	root *stm.Var[*mnode[V]]
-	size [sizeShards]*stm.Var[int]
+	root stm.Var[*mnode[V]]
+	size [sizeShards]stm.Var[int]
 }
 
 // NewMap returns an empty transactional B-Link map.
 func NewMap[V any]() *Map[V] {
-	leaf := &mnode[V]{d: stm.NewVar(&mdata[V]{leaf: true, high: infKey})}
-	m := &Map[V]{root: stm.NewVar(leaf)}
-	for i := range m.size {
-		m.size[i] = stm.NewVar(0)
-	}
+	m := &Map[V]{}
+	m.root.Set(newMnode(&mdata[V]{leaf: true, high: infKey}))
 	return m
 }
 
@@ -140,14 +145,14 @@ func (m *Map[V]) Put(tx *stm.Tx, key int64, val V) bool {
 		nd.d.Write(tx, &mdata[V]{leaf: true, high: d.high, next: d.next, keys: keys, vals: vals})
 	} else {
 		h := (order + 1) / 2
-		right := &mnode[V]{d: stm.NewVar(&mdata[V]{
+		right := newMnode(&mdata[V]{
 			leaf: true, high: d.high, next: d.next,
 			keys: keys[h:], vals: vals[h:],
-		})}
+		})
 		nd.d.Write(tx, &mdata[V]{leaf: true, high: keys[h], next: right, keys: keys[:h], vals: vals[:h]})
 		m.insertUp(tx, &path, depth, nd, keys[h], right, d.high)
 	}
-	sz := m.size[sizeShard(key)]
+	sz := &m.size[sizeShard(key)]
 	sz.Write(tx, sz.Read(tx)+1)
 	return true
 }
@@ -161,12 +166,11 @@ func (m *Map[V]) insertUp(tx *stm.Tx, path *[maxHeight]*mnode[V], depth int, chi
 	for {
 		if depth == 0 {
 			// child was the root: grow a level.
-			root := &mnode[V]{d: stm.NewVar(&mdata[V]{
+			m.root.Write(tx, newMnode(&mdata[V]{
 				high: infKey,
 				keys: []int64{childHigh, sibHigh},
 				kids: []*mnode[V]{child, sib},
-			})}
-			m.root.Write(tx, root)
+			}))
 			return
 		}
 		depth--
@@ -193,10 +197,10 @@ func (m *Map[V]) insertUp(tx *stm.Tx, path *[maxHeight]*mnode[V], depth int, chi
 			return
 		}
 		h := (order + 1) / 2
-		right := &mnode[V]{d: stm.NewVar(&mdata[V]{
+		right := newMnode(&mdata[V]{
 			high: d.high, next: d.next,
 			keys: keys[h:], kids: kids[h:],
-		})}
+		})
 		parent.d.Write(tx, &mdata[V]{high: keys[h-1], next: right, keys: keys[:h], kids: kids[:h]})
 		child, childHigh, sib, sibHigh = parent, keys[h-1], right, d.high
 	}
@@ -228,7 +232,7 @@ func (m *Map[V]) Delete(tx *stm.Tx, key int64) bool {
 			keys = append(append(keys, d.keys[:i]...), d.keys[i+1:]...)
 			vals = append(append(vals, d.vals[:i]...), d.vals[i+1:]...)
 			nd.d.Write(tx, &mdata[V]{leaf: true, high: d.high, next: d.next, keys: keys, vals: vals})
-			sz := m.size[sizeShard(key)]
+			sz := &m.size[sizeShard(key)]
 			sz.Write(tx, sz.Read(tx)-1)
 			return true
 		}
@@ -239,8 +243,8 @@ func (m *Map[V]) Delete(tx *stm.Tx, key int64) bool {
 // Len reports the number of keys as seen by tx.
 func (m *Map[V]) Len(tx *stm.Tx) int {
 	total := 0
-	for _, sv := range m.size {
-		total += sv.Read(tx)
+	for i := range m.size {
+		total += m.size[i].Read(tx)
 	}
 	return total
 }

@@ -5,11 +5,23 @@ import (
 )
 
 // hentry is a singly linked chain node of a HashMap bucket. Key is immutable;
-// value and next pointer are transactional.
+// value and next pointer are transactional and live inside the node, on the
+// lines a reader following the chain has already fetched.
 type hentry[V any] struct {
 	key  int64
-	val  *stm.Var[V]
-	next *stm.Var[*hentry[V]]
+	val  stm.Var[V]
+	next stm.Var[*hentry[V]]
+}
+
+// newEntry returns a node that is private until the bucket write linking it
+// commits, so plain Sets are safe; a nil next is the zero Var already.
+func newEntry[V any](key int64, val V, next *hentry[V]) *hentry[V] {
+	e := &hentry[V]{key: key}
+	e.val.Set(val)
+	if next != nil {
+		e.next.Set(next)
+	}
+	return e
 }
 
 // HashMap is a transactional fixed-capacity chained hash table from int64
@@ -17,8 +29,8 @@ type hentry[V any] struct {
 // likewise non-resizing), so transactions only conflict within a bucket
 // chain. It backs Intruder's fragment dictionary.
 type HashMap[V any] struct {
-	buckets []*stm.Var[*hentry[V]]
-	size    *stm.Var[int]
+	buckets []stm.Var[*hentry[V]] // zero Vars: empty chains
+	size    stm.Var[int]
 	mask    uint64
 }
 
@@ -29,15 +41,10 @@ func NewHashMap[V any](minBuckets int) *HashMap[V] {
 	for n < minBuckets {
 		n <<= 1
 	}
-	m := &HashMap[V]{
-		buckets: make([]*stm.Var[*hentry[V]], n),
-		size:    stm.NewVar(0),
+	return &HashMap[V]{
+		buckets: make([]stm.Var[*hentry[V]], n),
 		mask:    uint64(n - 1),
 	}
-	for i := range m.buckets {
-		m.buckets[i] = stm.NewVar[*hentry[V]](nil)
-	}
-	return m
 }
 
 // hash mixes the key (splitmix64 finalizer) so sequential keys spread.
@@ -75,7 +82,7 @@ func (m *HashMap[V]) Contains(tx *stm.Tx, key int64) bool {
 
 // Put inserts or updates key and reports whether a new entry was created.
 func (m *HashMap[V]) Put(tx *stm.Tx, key int64, val V) bool {
-	head := m.buckets[m.hash(key)]
+	head := &m.buckets[m.hash(key)]
 	e := head.Read(tx)
 	for n := e; n != nil; n = n.next.Read(tx) {
 		if n.key == key {
@@ -83,11 +90,7 @@ func (m *HashMap[V]) Put(tx *stm.Tx, key int64, val V) bool {
 			return false
 		}
 	}
-	head.Write(tx, &hentry[V]{
-		key:  key,
-		val:  stm.NewVar(val),
-		next: stm.NewVar(e),
-	})
+	head.Write(tx, newEntry(key, val, e))
 	m.size.Write(tx, m.size.Read(tx)+1)
 	return true
 }
@@ -95,18 +98,14 @@ func (m *HashMap[V]) Put(tx *stm.Tx, key int64, val V) bool {
 // PutIfAbsent inserts key only when missing; it returns the resident value
 // and whether an insertion happened.
 func (m *HashMap[V]) PutIfAbsent(tx *stm.Tx, key int64, val V) (V, bool) {
-	head := m.buckets[m.hash(key)]
+	head := &m.buckets[m.hash(key)]
 	e := head.Read(tx)
 	for n := e; n != nil; n = n.next.Read(tx) {
 		if n.key == key {
 			return n.val.Read(tx), false
 		}
 	}
-	head.Write(tx, &hentry[V]{
-		key:  key,
-		val:  stm.NewVar(val),
-		next: stm.NewVar(e),
-	})
+	head.Write(tx, newEntry(key, val, e))
 	m.size.Write(tx, m.size.Read(tx)+1)
 	return val, true
 }
@@ -120,7 +119,7 @@ func (m *HashMap[V]) EntryVar(tx *stm.Tx, key int64) *stm.Var[V] {
 	e := m.buckets[m.hash(key)].Read(tx)
 	for e != nil {
 		if e.key == key {
-			return e.val
+			return &e.val
 		}
 		e = e.next.Read(tx)
 	}
@@ -129,7 +128,7 @@ func (m *HashMap[V]) EntryVar(tx *stm.Tx, key int64) *stm.Var[V] {
 
 // Delete removes key and reports whether it was present.
 func (m *HashMap[V]) Delete(tx *stm.Tx, key int64) bool {
-	head := m.buckets[m.hash(key)]
+	head := &m.buckets[m.hash(key)]
 	prev := (*hentry[V])(nil)
 	e := head.Read(tx)
 	for e != nil {
@@ -151,8 +150,8 @@ func (m *HashMap[V]) Delete(tx *stm.Tx, key int64) bool {
 // Range calls fn for every entry (bucket order, chain order) until fn
 // returns false.
 func (m *HashMap[V]) Range(tx *stm.Tx, fn func(key int64, val V) bool) {
-	for _, b := range m.buckets {
-		for e := b.Read(tx); e != nil; e = e.next.Read(tx) {
+	for i := range m.buckets {
+		for e := m.buckets[i].Read(tx); e != nil; e = e.next.Read(tx) {
 			if !fn(e.key, e.val.Read(tx)) {
 				return
 			}

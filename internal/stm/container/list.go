@@ -7,24 +7,21 @@ import (
 // lnode is a sorted-list node; the key is immutable.
 type lnode[V any] struct {
 	key  int64
-	val  *stm.Var[V]
-	next *stm.Var[*lnode[V]]
+	val  stm.Var[V]
+	next stm.Var[*lnode[V]]
 }
 
 // SortedList is a transactional ascending singly linked list keyed by int64.
 // STAMP uses such lists for small per-object collections (e.g. a customer's
 // reservation list in Vacation).
 type SortedList[V any] struct {
-	head *stm.Var[*lnode[V]]
-	size *stm.Var[int]
+	head stm.Var[*lnode[V]]
+	size stm.Var[int]
 }
 
 // NewSortedList returns an empty list.
 func NewSortedList[V any]() *SortedList[V] {
-	return &SortedList[V]{
-		head: stm.NewVar[*lnode[V]](nil),
-		size: stm.NewVar(0),
-	}
+	return &SortedList[V]{}
 }
 
 // Len returns the number of elements.
@@ -61,7 +58,12 @@ func (l *SortedList[V]) Insert(tx *stm.Tx, key int64, val V) bool {
 	if cur != nil && cur.key == key {
 		return false
 	}
-	n := &lnode[V]{key: key, val: stm.NewVar(val), next: stm.NewVar(cur)}
+	// Private until the link below commits, so plain Sets are safe.
+	n := &lnode[V]{key: key}
+	n.val.Set(val)
+	if cur != nil {
+		n.next.Set(cur)
+	}
 	if prev == nil {
 		l.head.Write(tx, n)
 	} else {

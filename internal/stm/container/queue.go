@@ -7,24 +7,20 @@ import (
 // qnode is a FIFO queue node.
 type qnode[V any] struct {
 	val  V
-	next *stm.Var[*qnode[V]]
+	next stm.Var[*qnode[V]]
 }
 
 // Queue is a transactional unbounded FIFO queue. Intruder uses one to pass
 // reassembled flows from the decoder stage to the detector stage.
 type Queue[V any] struct {
-	head *stm.Var[*qnode[V]] // oldest element
-	tail *stm.Var[*qnode[V]] // newest element
-	size *stm.Var[int]
+	head stm.Var[*qnode[V]] // oldest element
+	tail stm.Var[*qnode[V]] // newest element
+	size stm.Var[int]
 }
 
 // NewQueue returns an empty queue.
 func NewQueue[V any]() *Queue[V] {
-	return &Queue[V]{
-		head: stm.NewVar[*qnode[V]](nil),
-		tail: stm.NewVar[*qnode[V]](nil),
-		size: stm.NewVar(0),
-	}
+	return &Queue[V]{}
 }
 
 // Len returns the number of queued elements.
@@ -35,7 +31,7 @@ func (q *Queue[V]) Empty(tx *stm.Tx) bool { return q.size.Read(tx) == 0 }
 
 // Push appends v at the tail.
 func (q *Queue[V]) Push(tx *stm.Tx, v V) {
-	n := &qnode[V]{val: v, next: stm.NewVar[*qnode[V]](nil)}
+	n := &qnode[V]{val: v}
 	t := q.tail.Read(tx)
 	if t == nil {
 		q.head.Write(tx, n)

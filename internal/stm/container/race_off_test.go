@@ -1,0 +1,9 @@
+//go:build !race
+
+package container
+
+// raceEnabled reports whether the race detector instruments this build.
+// Allocation-count assertions are skipped under -race: the detector adds
+// shadow allocations that testing.AllocsPerRun would attribute to the
+// containers.
+const raceEnabled = false

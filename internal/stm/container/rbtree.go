@@ -19,40 +19,39 @@ const (
 // rbnode is one tree node. The key is immutable after insertion; all links
 // and the color are transactional so concurrent transactions conflict
 // exactly on the paths they touch.
+//
+// The five Vars live inside the node, links first: a descent reads one of
+// left/right per node, and both start on the key's cache line, so a lookup
+// step no longer chases a separately allocated Var per link.
 type rbnode[V any] struct {
 	key    int64
-	val    *stm.Var[V]
-	left   *stm.Var[*rbnode[V]]
-	right  *stm.Var[*rbnode[V]]
-	parent *stm.Var[*rbnode[V]]
-	col    *stm.Var[color]
+	left   stm.Var[*rbnode[V]]
+	right  stm.Var[*rbnode[V]]
+	parent stm.Var[*rbnode[V]]
+	col    stm.Var[color]
+	val    stm.Var[V]
 }
 
-func newRBNode[V any](key int64, val V, c color) *rbnode[V] {
-	return &rbnode[V]{
-		key:    key,
-		val:    stm.NewVar(val),
-		left:   stm.NewVar[*rbnode[V]](nil),
-		right:  stm.NewVar[*rbnode[V]](nil),
-		parent: stm.NewVar[*rbnode[V]](nil),
-		col:    stm.NewVar(c),
-	}
+// newRBNode returns a red leaf: nil links are the zero Vars already, and the
+// node is private until Put links it, so plain Sets are safe.
+func newRBNode[V any](key int64, val V) *rbnode[V] {
+	n := &rbnode[V]{key: key}
+	n.col.Set(red)
+	n.val.Set(val)
+	return n
 }
 
 // RBTree is a transactional ordered map from int64 keys to values of type V,
 // implemented as a classic CLRS red-black tree. It matches the red-black
 // tree used by the paper's microbenchmark and by Vacation's manager tables.
 type RBTree[V any] struct {
-	root *stm.Var[*rbnode[V]]
-	size *stm.Var[int]
+	root stm.Var[*rbnode[V]]
+	size stm.Var[int]
 }
 
 // NewRBTree returns an empty tree.
 func NewRBTree[V any]() *RBTree[V] {
-	return &RBTree[V]{
-		root: stm.NewVar[*rbnode[V]](nil),
-		size: stm.NewVar(0),
-	}
+	return &RBTree[V]{}
 }
 
 // Len returns the number of keys in the tree.
@@ -104,7 +103,7 @@ func (t *RBTree[V]) Put(tx *stm.Tx, key int64, val V) bool {
 			return false
 		}
 	}
-	z := newRBNode(key, val, red)
+	z := newRBNode(key, val)
 	z.parent.Write(tx, parent)
 	switch {
 	case parent == nil:

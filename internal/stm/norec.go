@@ -56,7 +56,8 @@ type norecState struct {
 
 // valueRead is one value-log entry: the location and the boxed value pointer
 // observed. Write-back always publishes a fresh allocation, so pointer
-// equality certifies the value is unchanged.
+// equality certifies the value is unchanged — including the nil box of a
+// never-written location, which no write-back ever restores.
 type valueRead struct {
 	base *varBase
 	p    *any
@@ -83,7 +84,7 @@ func (n *norecState) waitEven() uint64 {
 //rubic:noalloc
 func (tx *Tx) readNorec(b *varBase) any {
 	tx.checkAlive()
-	tx.work.Add(1)
+	tx.work++
 	if i := tx.findWrite(b); i >= 0 {
 		return *tx.writes[i].valp
 	}
@@ -102,7 +103,7 @@ func (tx *Tx) readNorec(b *varBase) any {
 		}
 		//lint:ignore rubic/noalloc value-log capacity is retained across retries and pooled reuse; growth amortizes to zero
 		tx.vreads = append(tx.vreads, valueRead{base: b, p: p})
-		return *p
+		return unbox(p)
 	}
 }
 
@@ -139,7 +140,7 @@ func (tx *Tx) revalidateNorec() bool {
 //rubic:noalloc
 func (tx *Tx) writeNorec(b *varBase, v any) {
 	tx.checkAlive()
-	tx.work.Add(1)
+	tx.work++
 	if tx.readOnly {
 		panic("stm: write inside a read-only transaction")
 	}
@@ -154,8 +155,6 @@ func (tx *Tx) writeNorec(b *varBase, v any) {
 // log, publish the writes, release.
 func (tx *Tx) commitNorec() bool {
 	if len(tx.writes) == 0 {
-		tx.status.Store(txCommitted)
-		tx.rt.stats.readOnlyCommits.Add(tx.shard, 1)
 		return true
 	}
 	for {
@@ -168,6 +167,7 @@ func (tx *Tx) commitNorec() bool {
 		if !tx.rt.norec.seq.CompareAndSwap(s, s+1) {
 			continue // lost the lock race; re-check
 		}
+		tx.wv = s >> 1
 		// The CSN is drawn under the sequence lock: NOrec writer commits
 		// serialize here, so CSN order is exactly commit order (durable.go).
 		tx.beginDurable()

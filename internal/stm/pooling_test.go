@@ -29,8 +29,8 @@ func mustPoisonPanic(t *testing.T, what string, fn func()) {
 			t.Fatalf("%s on a leaked Tx did not panic", what)
 		}
 		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, "after its atomic block") {
-			t.Fatalf("%s panic = %v, want use-after-Atomic poison message", what, r)
+		if !ok || !strings.Contains(msg, "after its atomic block") || !strings.Contains(msg, "object generation ") {
+			t.Fatalf("%s panic = %v, want use-after-Atomic poison message naming the generation", what, r)
 		}
 	}()
 	fn()

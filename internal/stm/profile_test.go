@@ -156,12 +156,14 @@ func TestProfileKnownAbortRatio(t *testing.T) {
 func TestProfileConflictDegree(t *testing.T) {
 	for _, algo := range profileEngines {
 		t.Run(algo.String(), func(t *testing.T) {
-			// Small enough that the disjoint case cannot saturate the 64-bit
-			// aggregate (each commit sets one hashed bit; with 12 writers the
-			// expected cumulative overlap stays near zero even with a stray
-			// collision), and below the decay window so no reset intervenes.
-			const n = 12
-			degree := func(disjoint bool) float64 {
+			// The aggregate samples one writer commit in sigSampleEvery, so the
+			// run is that many times the 12 samples it wants: few enough that
+			// the disjoint case cannot saturate the 64-bit aggregate (each
+			// sample sets one hashed bit; the expected cumulative overlap stays
+			// near zero even with a stray collision), and below the decay
+			// window so no reset intervenes.
+			const n = 12 * sigSampleEvery
+			degree := func(disjoint bool) (deg float64, samples, overlap uint64) {
 				rt := New(Config{Algorithm: algo})
 				hot := NewVar(0)
 				vars := make([]*Var[int], n)
@@ -178,13 +180,21 @@ func TestProfileConflictDegree(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				return ProfileBetween(prev, rt.Stats()).ConflictDegree
+				cur := rt.Stats()
+				// One-var write sets: every sample contributes exactly one bit.
+				return ProfileBetween(prev, cur).ConflictDegree, cur.SigBits - prev.SigBits, cur.SigOverlap - prev.SigOverlap
 			}
-			same, spread := degree(false), degree(true)
-			// Same-var writers: every commit after the first overlaps the
-			// aggregate fully — degree (n-1)/n.
-			if want := float64(n-1) / float64(n); same != want {
-				t.Fatalf("same-var degree %v, want exactly %v", same, want)
+			same, samples, overlap := degree(false)
+			spread, _, _ := degree(true)
+			// Sequential commits draw consecutive timestamps, so the sample is
+			// exactly every sigSampleEvery-th of them.
+			if samples != n/sigSampleEvery {
+				t.Fatalf("%d commits fed %d samples, want %d", n, samples, n/sigSampleEvery)
+			}
+			// Same-var writers: every sample after the first overlaps the
+			// aggregate fully — degree (k-1)/k over k samples.
+			if overlap != samples-1 || same != float64(samples-1)/float64(samples) {
+				t.Fatalf("same-var: %d samples, overlap %d, degree %v; want overlap %d", samples, overlap, same, samples-1)
 			}
 			if spread > same/2 {
 				t.Fatalf("disjoint-var degree %v not well below same-var %v", spread, same)

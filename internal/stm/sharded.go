@@ -190,14 +190,9 @@ func (cx *CrossTx) On(i int) *Tx {
 	if tx := cx.txs[i]; tx != nil {
 		return tx
 	}
-	rt := cx.sr.shards[i]
-	tx := rt.txPool.Get().(*Tx)
 	// Cross-shard sub-transactions are never read-only: their read sets are
 	// the evidence the combined commit validates.
-	tx.readOnly = false
-	tx.work.Store(0)
-	tx.ts.Store(rt.tsc.Add(1))
-	rt.enter(tx.shard)
+	tx := cx.sr.shards[i].begin(false)
 	tx.attempt = cx.attempt
 	tx.reset()
 	cx.txs[i] = tx
@@ -294,22 +289,17 @@ func (cx *CrossTx) rollbackAll(kind ConflictKind, countAbort bool) {
 	}
 }
 
-// finishAttempt releases every sub-transaction back to its shard: exits the
-// switch gates and returns the Tx contexts to their pools. On committed
-// attempts the per-shard commit statistics are recorded first.
+// finishAttempt releases every sub-transaction back to its shard (finish:
+// exits the switch gate and returns the Tx context to its pool). On
+// committed attempts the per-shard commit statistics are recorded first.
 func (cx *CrossTx) finishAttempt(committed bool) {
 	for _, i := range cx.used {
 		tx := cx.txs[i]
 		rt := tx.rt
 		if committed {
-			rt.stats.commits.Add(tx.shard, 1)
-			if len(tx.writes) == 0 {
-				rt.stats.readOnlyCommits.Add(tx.shard, 1)
-			}
 			rt.noteCommit(tx)
 		}
-		rt.exit(tx.shard)
-		rt.release(tx)
+		rt.finish(tx)
 		cx.txs[i] = nil
 	}
 	cx.used = cx.used[:0]
@@ -366,6 +356,7 @@ func (cx *CrossTx) commitAll() bool {
 				}
 				if rt.norec.seq.CompareAndSwap(s, s+1) {
 					cx.holds = append(cx.holds, seqHold{rt: rt, s: s})
+					tx.wv = s >> 1
 					acquired = true
 				}
 			}
@@ -406,6 +397,7 @@ func (cx *CrossTx) commitAll() bool {
 				continue
 			}
 			tx.rt.clock.raiseTo(merged)
+			tx.wv = merged
 		}
 		// Phase 2b: commit point — flip every sub-transaction.
 		for _, i := range cx.order {

@@ -16,7 +16,8 @@ import (
 // different workers lands on different cache lines instead of bouncing one
 // shared line across every core, and snapshot() folds the shards.
 type runtimeStats struct {
-	commits         *metrics.ShardedCounter
+	// A commit lands in exactly one of these; Stats.Commits is their sum.
+	writerCommits   *metrics.ShardedCounter
 	readOnlyCommits *metrics.ShardedCounter
 	aborts          *metrics.ShardedCounter
 	userAborts      *metrics.ShardedCounter
@@ -25,8 +26,8 @@ type runtimeStats struct {
 	conflicts       [conflictKinds]*metrics.ShardedCounter
 
 	// Conflict-profile accumulators (see Runtime.noteCommit): set-size sums
-	// over committed attempts, and popcount sums of committed write
-	// signatures and of their overlap against the rolling aggregate.
+	// over committed attempts, and popcount sums of the sampled committed
+	// write signatures and of their overlap against the rolling aggregate.
 	readSetSum  *metrics.ShardedCounter
 	writeSetSum *metrics.ShardedCounter
 	sigBits     *metrics.ShardedCounter
@@ -39,7 +40,7 @@ type runtimeStats struct {
 func newRuntimeStats() runtimeStats {
 	shards := runtime.GOMAXPROCS(0)
 	rs := runtimeStats{
-		commits:         metrics.NewShardedCounter(shards),
+		writerCommits:   metrics.NewShardedCounter(shards),
 		readOnlyCommits: metrics.NewShardedCounter(shards),
 		aborts:          metrics.NewShardedCounter(shards),
 		userAborts:      metrics.NewShardedCounter(shards),
@@ -78,9 +79,11 @@ type Stats struct {
 
 	// ReadSetSum is the total read-set (TL2) plus value-log (NOrec) entries
 	// across committed attempts; WriteSetSum the total write-set entries
-	// across committed writers. SigBits/SigOverlap are popcount sums of
-	// committed write signatures and of their overlap with the rolling
-	// signature aggregate — the raw material of ConflictProfile.
+	// across committed writers; both are exact. SigBits/SigOverlap are
+	// popcount sums of committed write signatures and of their overlap with
+	// the rolling signature aggregate, taken over a sample of the writer
+	// commits (one in sigSampleEvery) — only their ratio means anything, and
+	// it is the raw material of ConflictProfile.
 	ReadSetSum  uint64
 	WriteSetSum uint64
 	SigBits     uint64
@@ -104,9 +107,10 @@ func (s Stats) String() string {
 }
 
 func (rs *runtimeStats) snapshot() Stats {
+	readOnly := rs.readOnlyCommits.Sum()
 	out := Stats{
-		Commits:         rs.commits.Sum(),
-		ReadOnlyCommits: rs.readOnlyCommits.Sum(),
+		Commits:         readOnly + rs.writerCommits.Sum(),
+		ReadOnlyCommits: readOnly,
 		Aborts:          rs.aborts.Sum(),
 		UserAborts:      rs.userAborts.Sum(),
 		Extensions:      rs.extensions.Sum(),
@@ -126,7 +130,7 @@ func (rs *runtimeStats) snapshot() Stats {
 }
 
 func (rs *runtimeStats) reset() {
-	rs.commits.Reset()
+	rs.writerCommits.Reset()
 	rs.readOnlyCommits.Reset()
 	rs.aborts.Reset()
 	rs.userAborts.Reset()

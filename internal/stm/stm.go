@@ -185,15 +185,30 @@ func (rt *Runtime) AtomicRO(fn func(tx *Tx) error) error {
 	return rt.run(fn, true)
 }
 
-func (rt *Runtime) run(fn func(tx *Tx) error, readOnly bool) error {
+// begin checks a pooled Tx out for one atomic block: a fresh birth
+// timestamp, zero karma, and a slot inside the engine-switch gate. Every
+// block — Runtime.run's and each CrossTx sub-transaction — starts here and
+// ends in finish, so the fixed cost of a block exists once.
+func (rt *Runtime) begin(readOnly bool) *Tx {
 	tx := rt.txPool.Get().(*Tx)
 	tx.readOnly = readOnly
-	tx.work.Store(0)
+	tx.work = 0
 	tx.ts.Store(rt.tsc.Add(1))
+	rt.enter(tx.shard)
+	return tx
+}
+
+// finish ends the block begin started: it leaves the gate and returns the
+// poisoned Tx to the pool.
+func (rt *Runtime) finish(tx *Tx) {
+	rt.exit(tx.shard)
+	rt.release(tx)
+}
+
+func (rt *Runtime) run(fn func(tx *Tx) error, readOnly bool) error {
+	tx := rt.begin(readOnly)
+	defer rt.finish(tx)
 	shard := tx.shard
-	rt.enter(shard)
-	defer rt.exit(shard)
-	defer rt.release(tx)
 	for attempt := 0; ; attempt++ {
 		if rt.cfg.MaxRetries > 0 && attempt >= rt.cfg.MaxRetries {
 			return fmt.Errorf("%w (after %d attempts)", ErrTooManyRetries, attempt)
@@ -229,7 +244,6 @@ func (rt *Runtime) run(fn func(tx *Tx) error, readOnly bool) error {
 			return userErr
 		}
 		if tx.commit() {
-			rt.stats.commits.Add(tx.shard, 1)
 			rt.noteCommit(tx)
 			tx.waitDurable()
 			return nil
@@ -247,30 +261,35 @@ func (rt *Runtime) run(fn func(tx *Tx) error, readOnly bool) error {
 func (rt *Runtime) release(tx *Tx) {
 	tx.gen.Add(1)
 	tx.status.Store(txPoisoned)
-	tx.reads = clearRetained(tx.reads)
-	tx.vreads = clearRetained(tx.vreads)
-	tx.writes = clearRetained(tx.writes)
-	tx.durOps = clearRetained(tx.durOps)
+	tx.noteUsed()
+	tx.reads = clearUsed(tx.reads, tx.usedReads)
+	tx.vreads = clearUsed(tx.vreads, tx.usedVreads)
+	tx.writes = clearUsed(tx.writes, tx.usedWrites)
+	tx.usedReads, tx.usedVreads, tx.usedWrites = 0, 0, 0
+	// Only a committing attempt fills durOps, so its length is its mark.
+	tx.durOps = clearUsed(tx.durOps, len(tx.durOps))
 	tx.sink = nil
 	tx.csn = 0
 	if len(tx.windex) > maxRetainedEntries {
 		tx.windex = nil // Go maps never shrink; drop outsized indexes
-	} else {
+	} else if len(tx.windex) > 0 {
 		clear(tx.windex)
 	}
 	rt.txPool.Put(tx)
 }
 
-// clearRetained zeroes s's full backing array (dropping references for the
-// GC) and returns it empty, or nil when its capacity exceeds the retention
-// cap.
-func clearRetained[E any](s []E) []E {
+// clearUsed zeroes s[:used] and returns s empty, or nil when its capacity
+// exceeds the retention cap. used is the longest s grew during the block:
+// everything beyond it has been zero since the backing array was allocated
+// or last released, so the references the GC must not see pinned are all
+// inside the prefix, and a pooled Tx that once hosted a huge transaction
+// does not pay for its capacity on every small one.
+func clearUsed[E any](s []E, used int) []E {
 	if cap(s) > maxRetainedEntries {
 		return nil
 	}
-	full := s[:cap(s)]
-	clear(full)
-	return full[:0]
+	clear(s[:used])
+	return s[:0]
 }
 
 // execute runs one attempt of fn, converting the internal conflict and

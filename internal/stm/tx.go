@@ -9,7 +9,8 @@ import (
 
 // Transaction status values. Transitions: active -> {doomed, committed,
 // aborted}, and any of those -> poisoned when Runtime.Atomic returns the
-// Tx to the pool. A greedy contention manager dooms a competitor by CASing
+// Tx to the pool (a read-only commit goes straight from active: it holds
+// nothing, so no doomer needs to see it committed). A greedy contention manager dooms a competitor by CASing
 // its status from active to doomed; the victim notices at its next
 // transactional operation or at commit and restarts. The poisoned state
 // turns use of a leaked handle (the pattern rubic-lint's stmescape flags)
@@ -85,7 +86,7 @@ type writeEntry struct {
 // stale: touching it after Atomic returns panics with generation context.
 //
 // Fields read by competing transactions through a varBase owner pointer
-// (status, ts, work) are atomic: a competitor may hold a stale owner
+// (status, ts, workPub) are atomic: a competitor may hold a stale owner
 // reference to a Tx that has since been recycled for an unrelated block.
 // The worst a stale doomer can then do is doom an innocent transaction,
 // which costs one spurious retry and never breaks consistency.
@@ -98,8 +99,13 @@ type Tx struct {
 
 	// work counts transactional operations performed since the atomic block
 	// started, accumulated across retries (it is the "karma" of Karma/Polka
-	// contention management). Atomic because competitors read it.
-	work atomic.Int64
+	// contention management). Only the running goroutine touches it;
+	// competitors read workPub, the copy published at each write-lock
+	// acquisition just before the owner pointer that leads them here (and by
+	// KarmaCM at each conflict) — a transaction that holds no lock is
+	// nobody's owner, so an uncontended block never pays for publishing.
+	work    int64
+	workPub atomic.Int64
 
 	// gen counts completed atomic blocks this Tx object has hosted; it is
 	// reported by the use-after-Atomic panic so leaks are attributable.
@@ -113,6 +119,17 @@ type Tx struct {
 	reads  []readEntry
 	vreads []valueRead // NOrec value log
 	writes []writeEntry
+
+	// usedReads/usedVreads/usedWrites are the longest each set grew in any
+	// attempt of the current block: the prefix release must clear. Everything
+	// beyond it is already zero, so a pooled Tx that once hosted a huge
+	// transaction does not pay for its capacity on every small one.
+	usedReads, usedVreads, usedWrites int
+
+	// wv is the timestamp the block's writer commit drew (the TL2 write
+	// version, or the NOrec sequence number): the runtime's count of writer
+	// commits, by which noteCommit samples them.
+	wv uint64
 
 	// wsig is a 64-bit signature (1-bit Bloom filter) of the bases in the
 	// write set. Read-after-write lookups test it first: a zero bit proves
@@ -223,11 +240,24 @@ func (tx *Tx) reset() {
 	} else {
 		tx.rv = tx.rt.clock.now()
 	}
+	tx.noteUsed()
 	tx.reads = tx.reads[:0]
 	tx.vreads = tx.vreads[:0]
 	tx.writes = tx.writes[:0]
 	tx.wsig = 0
-	clear(tx.windex) // keep the allocation: recycled across retries and pooled reuse
+	if len(tx.windex) > 0 {
+		clear(tx.windex) // keep the allocation: recycled across retries and pooled reuse
+	}
+}
+
+// noteUsed folds the finished attempt's set lengths into the block's
+// high-water marks, before reset truncates the sets or release clears them.
+//
+//rubic:noalloc
+func (tx *Tx) noteUsed() {
+	tx.usedReads = max(tx.usedReads, len(tx.reads))
+	tx.usedVreads = max(tx.usedVreads, len(tx.vreads))
+	tx.usedWrites = max(tx.usedWrites, len(tx.writes))
 }
 
 // conflict unwinds the attempt with the sentinel panic.
@@ -264,7 +294,7 @@ func (tx *Tx) read(b *varBase) any {
 		return tx.readNorec(b)
 	}
 	tx.checkAlive()
-	tx.work.Add(1)
+	tx.work++
 	if i := tx.findWrite(b); i >= 0 {
 		return *tx.writes[i].valp
 	}
@@ -282,6 +312,7 @@ func (tx *Tx) read(b *varBase) any {
 			if tx.rt.curCM().ShouldAbort(tx, owner) {
 				tx.conflict(ConflictLockedRead)
 			}
+			tx.checkAlive() // a waiter can be doomed too: waiting on must not outlive it
 			backoffSpin(spins)
 			continue
 		}
@@ -309,7 +340,7 @@ func (tx *Tx) read(b *varBase) any {
 			//lint:ignore rubic/noalloc read-set capacity is retained across retries and pooled reuse; growth amortizes to zero
 			tx.reads = append(tx.reads, readEntry{base: b, meta: m1})
 		}
-		return *p
+		return unbox(p)
 	}
 }
 
@@ -326,7 +357,7 @@ func (tx *Tx) write(b *varBase, v any) {
 		return
 	}
 	tx.checkAlive()
-	tx.work.Add(1)
+	tx.work++
 	if tx.readOnly {
 		panic("stm: write inside a read-only transaction")
 	}
@@ -350,6 +381,7 @@ func (tx *Tx) write(b *varBase, v any) {
 			if tx.rt.curCM().ShouldAbort(tx, owner) {
 				tx.conflict(ConflictLockedWrite)
 			}
+			tx.checkAlive()
 			backoffSpin(spins)
 			continue
 		}
@@ -359,6 +391,9 @@ func (tx *Tx) write(b *varBase, v any) {
 			}
 		}
 		if b.meta.CompareAndSwap(m, m|lockedBit) {
+			// Publish the karma before the owner pointer: whoever finds tx
+			// through b.owner sees at least the work invested up to here.
+			tx.workPub.Store(tx.work)
 			b.owner.Store(tx)
 			tx.appendWrite(writeEntry{base: b, prevMeta: m, valp: boxValue(v)})
 			return
@@ -446,9 +481,8 @@ func (tx *Tx) commit() bool {
 	}
 	if len(tx.writes) == 0 {
 		// Read-only commit: in-flight validation already guaranteed a
-		// consistent snapshot at version rv.
-		tx.status.Store(txCommitted)
-		tx.rt.stats.readOnlyCommits.Add(tx.shard, 1)
+		// consistent snapshot at version rv. Nothing is held, so there is no
+		// doomer to race and the status stays active until release poisons it.
 		return true
 	}
 	// quiet means no competitor committed between our snapshot and the
@@ -462,6 +496,7 @@ func (tx *Tx) commit() bool {
 		wv = tx.rt.clock.tick()
 		quiet = wv == tx.rv+1
 	}
+	tx.wv = wv
 	if !quiet && !tx.validateReads() {
 		tx.rollback()
 		tx.rt.stats.conflicts[ConflictValidation].Add(tx.shard, 1)

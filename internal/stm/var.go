@@ -23,6 +23,13 @@ const lockedBit uint64 = 1
 //   - val is written only by the lock holder during commit write-back, and
 //     is published with a fresh allocation so concurrent optimistic readers
 //     never observe a torn value.
+//   - The zero varBase is a valid, never-written location: version 0,
+//     unlocked, and a nil val that every reader takes for T's zero value.
+//     Containers rely on it to embed Vars by value in nodes and bucket
+//     arrays without a per-Var allocation or init loop (DESIGN.md §8).
+//
+// The struct is four words; var_test.go pins the size, because every
+// container node pays it per field.
 type varBase struct {
 	meta  atomic.Uint64
 	owner atomic.Pointer[Tx]
@@ -64,14 +71,30 @@ func (b *varBase) sampleConsistent() (any, uint64) {
 		p := b.val.Load()
 		m2 := b.meta.Load()
 		if m1 == m2 {
-			return *p, m1 >> 1
+			return unbox(p), m1 >> 1
 		}
 	}
+}
+
+// unbox returns the value a publication box holds; the nil box of a
+// never-written location holds nothing, which Var's typed accessors turn
+// into T's zero value.
+//
+//rubic:noalloc
+func unbox(p *any) (v any) {
+	if p != nil {
+		v = *p
+	}
+	return v
 }
 
 // Var is a typed transactional variable. All access from concurrent code
 // must go through a transaction (Read/Write); Peek and Set are provided for
 // quiescent phases such as initialization and post-run verification.
+//
+// The zero Var is ready to use and holds T's zero value, so a Var can be a
+// struct field or array element. A Var must not be copied after first use
+// (go vet's copylocks check and rubic-lint's atomicmix enforce it).
 type Var[T any] struct {
 	base varBase
 }
@@ -88,7 +111,8 @@ func NewVar[T any](init T) *Var[T] {
 // by Runtime.Atomic, which retries the transaction) when a consistent value
 // cannot be obtained.
 func (v *Var[T]) Read(tx *Tx) T {
-	return tx.read(&v.base).(T)
+	val, _ := tx.read(&v.base).(T) // a never-written Var reads as the zero T
+	return val
 }
 
 // Write buffers a new value for the variable in tx. The write lock is
@@ -103,7 +127,8 @@ func (v *Var[T]) Write(tx *Tx, val T) {
 // respect to other variables; use it only outside transactional phases.
 func (v *Var[T]) Peek() T {
 	val, _ := v.base.sampleConsistent()
-	return val.(T)
+	t, _ := val.(T)
+	return t
 }
 
 // Set stores a value without a transaction. It must only be used while no

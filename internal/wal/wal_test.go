@@ -430,3 +430,55 @@ func TestParseFsyncPolicy(t *testing.T) {
 		t.Error("bad policy accepted")
 	}
 }
+
+// TestApplyToZeroVar: containers embed their Vars by value and leave fresh
+// ones zero, so registration must accept a never-written Var (its probe
+// Peeks T's zero value) and recovery must be able to Set one: values logged
+// through zero Vars come back into zero Vars of a new incarnation.
+func TestApplyToZeroVar(t *testing.T) {
+	for _, algo := range []stm.Algorithm{stm.TL2, stm.NOrec} {
+		t.Run(algo.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			type state struct{ a, b stm.Var[int64] }
+			open := func() (*state, *stm.Runtime, *Log) {
+				l, err := Open(Options{Dir: dir, Policy: FsyncOS})
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, reg := &state{}, NewRegistry()
+				if err := RegisterVar(reg, 1, &st.a); err != nil {
+					t.Fatal(err)
+				}
+				if err := RegisterVar(reg, 2, &st.b); err != nil {
+					t.Fatal(err)
+				}
+				if err := l.ApplyTo(reg); err != nil {
+					t.Fatal(err)
+				}
+				rt := stm.New(stm.Config{Algorithm: algo})
+				rt.AttachCommitSink(l)
+				return st, rt, l
+			}
+			st, rt, l := open()
+			for i := 0; i < 5; i++ {
+				if err := rt.Atomic(func(tx *stm.Tx) error {
+					st.a.Write(tx, st.a.Read(tx)+3)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st2, _, l2 := open()
+			defer l2.Close()
+			if got := st2.a.Peek(); got != 15 {
+				t.Fatalf("recovered a = %d, want 15", got)
+			}
+			if got := st2.b.Peek(); got != 0 {
+				t.Fatalf("never-written b = %d after recovery, want 0", got)
+			}
+		})
+	}
+}
