@@ -5,7 +5,7 @@ GO ?= go
 # commit path).
 BENCH_PKGS = ./internal/stm ./internal/stm/container ./internal/stm/container/blink ./internal/pool ./internal/wal
 
-.PHONY: check build vet fmtcheck test race lint lint-fixtures bench-check bench benchgate benchscale benchscalegate bench-ab chaos serve-smoke adaptive-soak shard-soak crash-soak fuzz-wal
+.PHONY: check build vet fmtcheck test race lint lint-fixtures bench-check bench benchgate benchscale benchscalegate bench-ab chaos serve-smoke adaptive-soak shard-soak crash-soak fuzz-wal loc
 
 # check is the PR gate: vet, formatting, static analysis, the full test
 # suite, a race-detector pass over the whole module, and the nested
@@ -168,3 +168,19 @@ crash-soak:
 # internal/wal/testdata/fuzz/FuzzWALReplay/ — check it in with the fix.
 fuzz-wal:
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal
+
+# loc makes a size claim checkable: code-only lines (no blank lines, no lines
+# that are only a // comment) of the non-test Go of every package outside
+# bench/, their sum, and the top-level exported identifiers (lines of
+# `go doc -short`) of the three packages a stack is assembled from. To quote a
+# revision, run it in a `git archive` export of that revision.
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | \
+	while read -r pkg dir files; do \
+		n=0; \
+		for f in $$files; do n=$$((n + $$(grep -cvE '^[[:space:]]*(//.*)?$$' "$$dir/$$f"))); done; \
+		echo "$$n $$pkg"; \
+	done | awk '{ sum += $$1; printf "%6d  %s\n", $$1, $$2 } END { printf "%6d  total code-only non-test lines\n", sum }'
+	@for p in core load colocate; do \
+		printf '%6d  exported identifiers in internal/%s\n' "$$($(GO) doc -short ./internal/$$p | wc -l)" $$p; \
+	done

@@ -10,7 +10,7 @@
 // Usage:
 //
 //	go test -run '^$' -bench . -benchmem ./internal/stm/... |
-//	    rubic-benchgate -emit BENCH_2026-08-06.json -compare BENCH_baseline.json
+//	    rubic-benchgate -emit "BENCH_$(date +%F).json" -compare BENCH_baseline.json
 //
 // Flags:
 //

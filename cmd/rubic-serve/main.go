@@ -116,8 +116,8 @@ func run(cfg cliConfig, out io.Writer) error {
 	return err
 }
 
-// flagSpec assembles the single-stack spec from the flags, mirroring the
-// -stacks spec defaults (policy slo when a target is set, fixed otherwise).
+// flagSpec assembles the single-stack spec from the flags; the policy
+// defaults are the -stacks grammar's own (ServeSpec.Normalize).
 func flagSpec(cfg cliConfig) (colocate.ServeSpec, error) {
 	spec := colocate.ServeSpec{
 		Workload: cfg.workload,
@@ -128,17 +128,10 @@ func flagSpec(cfg cliConfig) (colocate.ServeSpec, error) {
 		Theta:    cfg.theta,
 		Adaptive: cfg.adaptive,
 	}
-	if spec.QPS <= 0 {
+	switch spec.Normalize() {
+	case "qps":
 		return spec, fmt.Errorf("need -qps > 0, got %v", spec.QPS)
-	}
-	if spec.Policy == "" {
-		if spec.SLO > 0 {
-			spec.Policy = "slo"
-		} else {
-			spec.Policy = "fixed"
-		}
-	}
-	if spec.Policy == "slo" && spec.SLO <= 0 {
+	case "slo":
 		return spec, fmt.Errorf("-policy slo needs -slo-p99")
 	}
 	return spec, nil

@@ -77,14 +77,15 @@ func ParseAdaptive(spec string) ([]adaptiveCandidate, error) {
 }
 
 // AdaptiveStack binds a core.AdaptivePolicy to a live stm.Runtime and
-// (optionally) the stack's parallelism controller. It implements
-// core.Adapter: each epoch it samples the runtime's conflict profile, feeds
-// the policy, and actuates any candidate change — the CM immediately, the
-// engine through the runtime's quiesce-and-switch barrier. On an engine
-// handoff it re-anchors the controller from a snapshot exported at the
-// handoff instant (so an SLOGuard cut earlier in the same epoch is already
-// reflected — never resurrected) with a zero growth epoch: the new engine
-// restarts the cubic round count, just as a process restore does.
+// (optionally) the stack's base parallelism controller — the one its Tuner
+// owns. It implements core.Adapter: each epoch it samples the runtime's
+// conflict profile, feeds the policy, and actuates any candidate change —
+// the CM immediately, the engine through the runtime's quiesce-and-switch
+// barrier. On an engine handoff it re-anchors the controller from its own
+// exported state (Tuner.Step drives the adapter last, so an SLO cut earlier
+// in the same epoch is already in it — never resurrected) with a zero growth
+// epoch: the new engine restarts the cubic round count, just as a process
+// restore does.
 type AdaptiveStack struct {
 	rt     *stm.Runtime
 	policy *core.AdaptivePolicy
@@ -97,16 +98,18 @@ type AdaptiveStack struct {
 	Faults         *fault.Injector
 	OnHandoffCrash func()
 
+	// ctrl is re-anchored at engine handoffs; nil or not Resumable: nothing
+	// to re-anchor.
+	ctrl core.Controller
+
 	mu       sync.Mutex
-	ctrl     core.Controller
 	prev     stm.Stats
 	handoffs uint64
 }
 
 // newAdaptiveStack parses spec, builds the policy and actuates the first
-// candidate on rt. ctrl may be nil (no controller to re-anchor; it can be
-// bound later with bindController). cfg.Candidates is overwritten with the
-// parsed candidate names.
+// candidate on rt. ctrl may be nil (no controller to re-anchor).
+// cfg.Candidates is overwritten with the parsed candidate names.
 func newAdaptiveStack(rt *stm.Runtime, ctrl core.Controller, spec string, cfg core.AdaptiveConfig) (*AdaptiveStack, error) {
 	cands, err := ParseAdaptive(spec)
 	if err != nil {
@@ -123,15 +126,6 @@ func newAdaptiveStack(rt *stm.Runtime, ctrl core.Controller, spec string, cfg co
 	a := &AdaptiveStack{rt: rt, policy: policy, cands: cands, ctrl: ctrl, prev: rt.Stats()}
 	a.actuate(0)
 	return a, nil
-}
-
-// bindController attaches (or replaces) the controller the stack re-anchors
-// at engine handoffs — for assemblies where the controller is built after
-// the runtime (the serve path wraps it in an SLOGuard inside load.NewServer).
-func (a *AdaptiveStack) bindController(ctrl core.Controller) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.ctrl = ctrl
 }
 
 // Handoffs reports completed engine handoffs.
@@ -155,16 +149,16 @@ func (a *AdaptiveStack) Restore(st core.AdaptiveState) bool {
 	return true
 }
 
-// Epoch implements core.Adapter: called by the tuning loop once per epoch,
+// Epoch implements core.Adapter: called by the decision step once per epoch,
 // after the level for the epoch is actuated.
-func (a *AdaptiveStack) Epoch(tput float64) {
+func (a *AdaptiveStack) Epoch(o core.Observation) {
 	a.mu.Lock()
 	cur := a.rt.Stats()
 	prof := stm.ProfileBetween(a.prev, cur)
 	a.prev = cur
 	a.mu.Unlock()
 	dec := a.policy.Observe(core.AdaptiveSignal{
-		Tput:           tput,
+		Tput:           o.Tput,
 		AbortRatio:     prof.AbortRatio,
 		MeanReadSet:    prof.MeanReadSet,
 		MeanWriteSet:   prof.MeanWriteSet,
@@ -183,25 +177,17 @@ func (a *AdaptiveStack) actuate(i int) {
 	if a.rt.Algorithm() == c.engine {
 		return
 	}
-	a.mu.Lock()
-	ctrl := a.ctrl
-	a.mu.Unlock()
-	// Export the controller at the handoff instant: the tuning loop runs
-	// the adapter after the epoch's decision, so a cut this epoch is in the
-	// snapshot and cannot be undone by the restore below.
-	var snap core.TuningState
-	restorable := false
-	if ctrl != nil {
-		snap, restorable = core.StateOf(ctrl)
-	}
 	if a.Faults.Fire(fault.HandoffCrash) && a.OnHandoffCrash != nil {
 		a.OnHandoffCrash()
 	}
 	a.rt.SwitchEngine(c.engine)
-	if restorable {
-		// Epoch left zero deliberately: a new engine restarts the cubic
+	if ctrl, ok := a.ctrl.(core.Resumable); ok {
+		// The decision step runs the adapter after the epoch's decision, so
+		// a cut this epoch is in the exported state and survives the restore.
+		// Epoch is left zero deliberately: a new engine restarts the cubic
 		// round count while keeping the learned level and anchor.
-		core.RestoreInto(ctrl, core.TuningState{Level: snap.Level, WMax: snap.WMax})
+		st := ctrl.ExportState()
+		ctrl.RestoreState(core.TuningState{Level: st.Level, WMax: st.WMax})
 	}
 	a.mu.Lock()
 	a.handoffs++

@@ -116,7 +116,7 @@ func TestAdaptiveStackEpochDrivesSwitches(t *testing.T) {
 	}
 	// Epoch 1 closes candidate 0's window and probes candidate 1: the stack
 	// must be on norec/greedy afterwards.
-	stack.Epoch(50)
+	stack.Epoch(core.Observation{Tput: 50})
 	if rt.Algorithm() != stm.NOrec || rt.ContentionManagerName() != (stm.GreedyCM{}).Name() {
 		t.Fatalf("after probe switch: %s/%s, want norec/greedy",
 			rt.Algorithm().String(), rt.ContentionManagerName())
@@ -126,7 +126,7 @@ func TestAdaptiveStackEpochDrivesSwitches(t *testing.T) {
 	}
 	// Epoch 2 closes candidate 1's window; the sweep settles on the higher
 	// score — candidate 1, already running, so no further handoff.
-	stack.Epoch(100)
+	stack.Epoch(core.Observation{Tput: 100})
 	if stack.policy.Current() != 1 {
 		t.Fatalf("settled on candidate %d, want 1", stack.policy.Current())
 	}
@@ -158,15 +158,12 @@ func TestAdaptiveStackReanchorsController(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		ctrl.Next(float64(100 + i))
 	}
-	before, ok := core.StateOf(ctrl)
-	if !ok {
-		t.Fatal("RUBIC not resumable")
-	}
-	stack.Epoch(50) // probe switch tl2 -> norec: handoff + re-anchor
+	before := ctrl.ExportState()
+	stack.Epoch(core.Observation{Tput: 50}) // probe switch tl2 -> norec: handoff + re-anchor
 	if stack.Handoffs() != 1 {
 		t.Fatalf("handoffs %d, want 1", stack.Handoffs())
 	}
-	after, _ := core.StateOf(ctrl)
+	after := ctrl.ExportState()
 	// Growth can leave the level above the anchor; the restore path then
 	// normalizes the anchor up to the level rather than aiming growth below it.
 	wantWMax := before.WMax
@@ -218,11 +215,14 @@ func TestServeSpecAdaptiveKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if proc.Adaptive == nil || proc.Config.Adapter == nil {
+	stack, ok := proc.Config.Adapter.(*AdaptiveStack)
+	if !ok {
 		t.Fatal("built serve proc has no adaptive stack wired")
 	}
-	if proc.Config.Adapter.(*AdaptiveStack) != proc.Adaptive {
-		t.Fatal("Config.Adapter and proc.Adaptive are different stacks")
+	// policy=slo: handoffs re-anchor the base controller the server's
+	// decision step drives, the one the SLO stage cuts.
+	if proc.Config.SLO == nil || proc.Config.Controller == nil || stack.ctrl != proc.Config.Controller {
+		t.Fatalf("adaptive stack bound to %v, want the stack's base controller %v", stack.ctrl, proc.Config.Controller)
 	}
 	// A bad candidate list inside a serve spec surfaces at Build.
 	spec.Adaptive = "tl2:nope"

@@ -41,10 +41,10 @@ type Proc struct {
 	// Faults, when non-nil, drives the stack's pool and controller injection
 	// points (see internal/fault); nil keeps them inert.
 	Faults *fault.Injector
-	// Health, when non-nil, wraps the controller in a telemetry health guard
+	// Health, when non-nil, gives the stack's tuner a telemetry health stage
 	// with this policy (hold on bad ticks, degrade to the fallback level).
 	Health *core.HealthPolicy
-	// Adapter, when non-nil, is driven once per tuner tick after actuation —
+	// Adapter, when non-nil, is driven once per tuner round after actuation —
 	// the hook an AdaptiveStack uses to hot-swap the stack's engine and
 	// contention manager at epoch boundaries. It requires a Controller (the
 	// tuner is what delivers epochs).

@@ -25,10 +25,6 @@ type ServeProc struct {
 	// stack owns its workload, arrival schedule and controller, so co-located
 	// stacks may hold different SLOs.
 	Config load.Config
-	// Adaptive, when non-nil, is the stack's engine/CM hot-swap driver. It is
-	// already installed as Config.Adapter; NewServeGroup binds it to the SLO
-	// guard once the server (which builds the guard) exists.
-	Adaptive *AdaptiveStack
 	// Durable, when non-nil, opens (or recovers) a write-ahead log in
 	// Durable.Dir once the server has populated the workload, attaches it to
 	// Runtime as the commit sink, and closes it after the run (see
@@ -48,8 +44,8 @@ type ServeResult struct {
 }
 
 // ServeGroup is a set of co-located open-loop serving stacks. As with Group,
-// the stacks share nothing but the CPU: each SLO guard observes only its own
-// stack's latency and decides unilaterally.
+// the stacks share nothing but the CPU: each decision step observes only its
+// own stack's latency and decides unilaterally.
 type ServeGroup struct {
 	names   []string
 	servers []*load.Server
@@ -90,14 +86,6 @@ func NewServeGroup(procs []ServeProc) (*ServeGroup, error) {
 		s, err := load.NewServer(p.Config)
 		if err != nil {
 			return nil, fmt.Errorf("colocate: stack %s: %w", p.Name, err)
-		}
-		if p.Adaptive != nil {
-			// The guard wrapping the controller is built inside NewServer;
-			// re-bind so engine handoffs re-anchor the guard's inner
-			// controller rather than a stale pre-wrap reference.
-			if guard := s.Guard(); guard != nil {
-				p.Adaptive.bindController(guard)
-			}
 		}
 		g.names = append(g.names, p.Name)
 		g.servers = append(g.servers, s)
@@ -203,20 +191,33 @@ func ParseServeSpec(s string) (ServeSpec, error) {
 			return spec, fmt.Errorf("colocate: serve spec %q: %s: %v", s, key, err)
 		}
 	}
-	if spec.QPS <= 0 {
+	switch spec.Normalize() {
+	case "qps":
 		return spec, fmt.Errorf("colocate: serve spec %q needs qps=<rate>", s)
-	}
-	if spec.Policy == "" {
-		if spec.SLO > 0 {
-			spec.Policy = "slo"
-		} else {
-			spec.Policy = "fixed"
-		}
-	}
-	if spec.Policy == "slo" && spec.SLO <= 0 {
+	case "slo":
 		return spec, fmt.Errorf("colocate: serve spec %q: policy=slo needs slo=<target>", s)
 	}
 	return spec, nil
+}
+
+// Normalize defaults the policy (slo when a target is set, fixed otherwise)
+// and names the key a runnable spec still lacks: "qps" without a positive
+// rate, "slo" for policy=slo without a target, "" when complete. The wording
+// is the caller's — spec keys here, flags in rubic-serve.
+func (s *ServeSpec) Normalize() (missing string) {
+	if s.QPS <= 0 {
+		return "qps"
+	}
+	if s.Policy == "" {
+		s.Policy = "fixed"
+		if s.SLO > 0 {
+			s.Policy = "slo"
+		}
+	}
+	if s.Policy == "slo" && s.SLO <= 0 {
+		return "slo"
+	}
+	return ""
 }
 
 // ParseServeSpecs parses a comma-separated list of serving-stack
@@ -287,6 +288,7 @@ func (s ServeSpec) Build(engine string, workers int, seed int64) (ServeProc, err
 	switch s.Policy {
 	case "slo":
 		cfg.SLO = &core.SLOPolicy{TargetP99: s.SLO}
+		fallthrough // the SLO stage cuts the same base controller policy=rubic tunes
 	case "rubic":
 		cfg.Controller = core.NewRUBIC(core.RUBICConfig{MaxLevel: workers, InitialLevel: workers})
 	case "fixed":
@@ -295,14 +297,11 @@ func (s ServeSpec) Build(engine string, workers int, seed int64) (ServeProc, err
 		return proc, fmt.Errorf("colocate: serve policy %q (want slo, rubic or fixed)", s.Policy)
 	}
 	if s.Adaptive != "" {
-		// policy=slo binds the guard later (NewServeGroup, once the server
-		// builds it); policy=rubic re-anchors the bare controller directly.
-		stack, err := newAdaptiveStack(rt, cfg.Controller, s.Adaptive, core.AdaptiveConfig{})
-		if err != nil {
+		// Engine handoffs re-anchor the base controller the server's decision
+		// step drives (nil under policy=fixed: nothing to re-anchor).
+		if cfg.Adapter, err = newAdaptiveStack(rt, cfg.Controller, s.Adaptive, core.AdaptiveConfig{}); err != nil {
 			return proc, err
 		}
-		cfg.Adapter = stack
-		proc.Adaptive = stack
 	}
 	proc.Name = s.Workload + "/" + s.Arrival
 	proc.Config = cfg

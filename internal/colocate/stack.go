@@ -60,23 +60,26 @@ func (s *stack) start() error {
 			Target:     pl,
 			Period:     s.period,
 			Levels:     s.levels,
-			Health:     p.Health,
 			Faults:     p.Faults,
 			Adapter:    p.Adapter,
+		}
+		if p.Health != nil {
+			health := core.NewHealthGuard(*p.Health)
+			s.tuner.Health = health
+			if s.log != nil {
+				// A stack that is silently non-durable should not also be
+				// running wide: straight to the fallback level. The pool
+				// keeps serving.
+				s.log.SetLostHook(func(error) { health.Escalate() })
+			}
 		}
 	} else {
 		pl.SetLevel(p.PoolSize)
 	}
 	s.began = time.Now()
 	pl.Start()
-	if s.tuner == nil {
-		return nil
-	}
-	s.tuner.Start()
-	if g := s.tuner.Guard(); g != nil && s.log != nil {
-		// A stack that is silently non-durable should not also be running
-		// wide: straight to the fallback level. The pool keeps serving.
-		s.log.SetLostHook(func(error) { g.Escalate() })
+	if s.tuner != nil {
+		s.tuner.Start()
 	}
 	return nil
 }

@@ -122,7 +122,7 @@ func TestStackSpecProcWiring(t *testing.T) {
 	// One warm-up epoch and a window of two close the first candidate's
 	// probe; the core default window of four would still be scoring it.
 	for i := 0; i < 3; i++ {
-		stack.Epoch(1000)
+		stack.Epoch(core.Observation{Tput: 1000})
 	}
 	if cur := stack.policy.Current(); cur != 1 {
 		t.Fatalf("after three epochs the policy is on candidate %d, want 1 (window of 2)", cur)

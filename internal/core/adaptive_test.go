@@ -218,7 +218,7 @@ type recordingAdapter struct {
 	beforeActuate atomic.Bool
 }
 
-func (a *recordingAdapter) Epoch(tput float64) {
+func (a *recordingAdapter) Epoch(Observation) {
 	// Every tick actuates before the adapter runs, so SetLevel calls must
 	// always be ahead of the epoch count.
 	if a.target.setCalls.Load() <= int32(a.epochs.Load()) {

@@ -9,6 +9,12 @@
 // last period to Next, which returns the parallelism level for the coming
 // period. The same controller instance therefore drives both the real
 // worker pool (package pool) and the co-location simulator (package sim).
+//
+// On the real runtime every round goes through Tuner.Step: one Observation
+// (throughput, window age, p99, missed tick) runs the fixed chain SLO stage
+// → health stage → Controller.Next, the level is actuated, the resumable
+// state published and the adaptive runtime's Adapter driven. The closed-loop
+// Tuner calls it from its own ticker, load.Server from its epoch loop.
 package core
 
 import "fmt"
@@ -53,44 +59,14 @@ type TuningState struct {
 }
 
 // Resumable is implemented by controllers whose tuning state survives a
-// process restart. Controllers without it simply restart from their initial
-// state.
+// process restart; controllers without it simply restart from their initial
+// state. It is also the one funnel through which a running controller is
+// moved from outside its own Next: the SLO stage's cut and the adaptive
+// stack's engine-handoff re-anchor both call RestoreState on the Tuner's
+// base controller.
 type Resumable interface {
 	ExportState() TuningState
 	RestoreState(TuningState)
-}
-
-// StateOf extracts a controller's preserved tuning state, unwrapping
-// health-guard wrappers; ok is false for controllers that are not Resumable.
-func StateOf(c Controller) (st TuningState, ok bool) {
-	for c != nil {
-		if r, isR := c.(Resumable); isR {
-			return r.ExportState(), true
-		}
-		u, isU := c.(interface{ Unwrap() Controller })
-		if !isU {
-			break
-		}
-		c = u.Unwrap()
-	}
-	return TuningState{}, false
-}
-
-// RestoreInto installs a preserved tuning state into a controller (through
-// any health-guard wrappers); it reports whether the controller accepted it.
-func RestoreInto(c Controller, st TuningState) bool {
-	for c != nil {
-		if r, isR := c.(Resumable); isR {
-			r.RestoreState(st)
-			return true
-		}
-		u, isU := c.(interface{ Unwrap() Controller })
-		if !isU {
-			break
-		}
-		c = u.Unwrap()
-	}
-	return false
 }
 
 // Factory builds a fresh controller for a process; harness experiments use

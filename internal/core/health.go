@@ -15,22 +15,20 @@ const (
 	// attributed to.
 	maxStaleTicks = 3
 
-	// DefaultMaxStaleness is that bound at the default period — what a guard
-	// outside a Tuner (which knows its own period) falls back to.
-	DefaultMaxStaleness = maxStaleTicks * DefaultPeriod
-
 	// DefaultDegradeAfter is K, the number of consecutive silent or garbage
-	// ticks after which a guarded controller stops holding and degrades to
-	// its fallback (equal-share) level.
+	// ticks after which the health stage stops holding and degrades to its
+	// fallback (equal-share) level.
 	DefaultDegradeAfter = 5
 )
 
-// HealthPolicy configures telemetry health tracking around a controller.
+// HealthPolicy configures the health stage of a Tuner's decision chain.
 type HealthPolicy struct {
 	// MaxStaleness is the oldest a sample may be and still count as a valid
-	// observation (default DefaultMaxStaleness).
+	// observation (default: three periods of the Tuner the stage runs in —
+	// ticks of that loop, not of the canonical one, or at a longer period
+	// every sample would count as stale).
 	MaxStaleness time.Duration
-	// DegradeAfter is K: consecutive bad ticks before the guard degrades
+	// DegradeAfter is K: consecutive bad ticks before the stage degrades
 	// from holding to the fallback level (default DefaultDegradeAfter).
 	DegradeAfter int
 	// FallbackLevel is the degraded posture, typically the equal-share
@@ -38,37 +36,17 @@ type HealthPolicy struct {
 	FallbackLevel int
 }
 
-func (p *HealthPolicy) defaults() {
-	if p.MaxStaleness <= 0 {
-		p.MaxStaleness = DefaultMaxStaleness
-	}
-	if p.DegradeAfter <= 0 {
-		p.DegradeAfter = DefaultDegradeAfter
-	}
-	if p.FallbackLevel < 1 {
-		p.FallbackLevel = 1
-	}
-}
-
-// Sample is one quality-tagged telemetry observation: the measured commit
-// rate and the age of the window it covers (how long since the previous
-// accepted observation).
-type Sample struct {
-	Tput float64
-	Age  time.Duration
-}
-
 // HealthState is the guard's position on its degradation ladder.
 type HealthState uint8
 
 const (
-	// Healthy: samples are flowing and valid; decisions delegate to the
-	// wrapped controller.
+	// Healthy: samples are flowing and valid; rounds pass through to the
+	// controller.
 	Healthy HealthState = iota
-	// Holding: 1..K-1 consecutive bad ticks; the guard repeats its last good
-	// decision and leaves the wrapped controller untouched.
+	// Holding: 1..K-1 consecutive bad ticks; the stage repeats the last
+	// level and leaves the controller untouched.
 	Holding
-	// Degraded: K or more consecutive bad ticks; the guard actuates the
+	// Degraded: K or more consecutive bad ticks; the stage answers with the
 	// fallback (equal-share) level until telemetry recovers.
 	Degraded
 )
@@ -96,44 +74,39 @@ type HealthStats struct {
 	Recoveries uint64
 }
 
-// HealthGuard wraps a Controller with the degradation ladder the tentpole
-// requires: a missed or garbage tick holds the last decision instead of
-// feeding the controller a lie; K consecutive bad ticks degrade to the
-// fallback level; a good sample re-enters normal tuning from the held state
-// — the wrapped controller is never advanced on bad input, so RUBIC's cubic
-// anchors (wMax, epoch) survive the outage intact.
+// HealthGuard is the health stage of a Tuner's decision chain — the
+// degradation ladder: a missed or garbage tick holds the last level instead
+// of feeding the controller a lie; K consecutive bad ticks degrade to the
+// fallback level; a good sample hands the round back to the controller,
+// which was never advanced on bad input, so RUBIC's cubic anchors (wMax,
+// epoch) survive the outage intact. The stage holds only its ladder
+// position: the level it holds is the Tuner's.
 //
-// One tuner loop drives the decision path (Next/NextSample/Missed), matching
-// the Controller contract, but the observability accessors (State, Stats,
-// Level) are safe to call from other goroutines — the agent's telemetry
-// ticker and tests poll them while the loop runs — so all mutable fields sit
-// behind a mutex. The decision path runs once per controller period; the
-// lock is uncontended noise there.
+// The Tuner's goroutine drives step, but State and Stats are polled from
+// others (the agent's telemetry ticker, tests) and Escalate arrives from the
+// log's goroutine, so all mutable fields sit behind a mutex. The decision
+// path runs once per controller period; the lock is uncontended noise there.
 type HealthGuard struct {
-	inner Controller
-	cfg   HealthPolicy
+	cfg HealthPolicy
 
 	mu    sync.Mutex
 	state HealthState
 	bad   int
-	held  int
 	stats HealthStats
 }
 
-// NewHealthGuard wraps inner in a health guard. It panics on a nil inner,
-// which is a programming error.
-func NewHealthGuard(inner Controller, cfg HealthPolicy) *HealthGuard {
-	if inner == nil {
-		panic("core: HealthGuard wrapping nil controller")
+// NewHealthGuard builds a health stage for Tuner.Health.
+func NewHealthGuard(cfg HealthPolicy) *HealthGuard {
+	if cfg.DegradeAfter <= 0 {
+		cfg.DegradeAfter = DefaultDegradeAfter
 	}
-	cfg.defaults()
-	return &HealthGuard{inner: inner, cfg: cfg, held: inner.Level()}
+	if cfg.FallbackLevel < 1 {
+		cfg.FallbackLevel = 1
+	}
+	return &HealthGuard{cfg: cfg}
 }
 
-// Unwrap exposes the guarded controller (see StateOf / RestoreInto).
-func (g *HealthGuard) Unwrap() Controller { return g.inner }
-
-// State reports the guard's ladder position.
+// State reports the stage's ladder position.
 func (g *HealthGuard) State() HealthState {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -147,101 +120,64 @@ func (g *HealthGuard) Stats() HealthStats {
 	return g.stats
 }
 
-// Name implements Controller, delegating to the guarded policy.
-func (g *HealthGuard) Name() string { return g.inner.Name() }
-
-// Level implements Controller: the level the guard last actuated.
-func (g *HealthGuard) Level() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.state == Degraded {
-		return g.cfg.FallbackLevel
-	}
-	return g.held
-}
-
-// Reset implements Controller.
-func (g *HealthGuard) Reset() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.inner.Reset()
-	g.state, g.bad = Healthy, 0
-	g.held = g.inner.Level()
-	g.stats = HealthStats{}
-}
-
-// Next implements Controller, treating the raw throughput as a fresh sample.
-func (g *HealthGuard) Next(tc float64) int {
-	return g.NextSample(Sample{Tput: tc})
-}
-
-// NextSample consumes one quality-tagged observation and returns the level
-// to actuate. Garbage (NaN, infinite, negative), silence (zero) and
-// staleness (age past the bound) all count as bad ticks.
-func (g *HealthGuard) NextSample(s Sample) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.sampleBad(s) {
-		return g.badTick()
-	}
-	if g.state != Healthy {
-		// Recovery: the inner controller was never advanced during the
-		// outage, so it resumes from its preserved state. Its reference
-		// throughput predates the outage; that is exactly the held state the
-		// tentpole asks growth to re-enter from.
-		g.state = Healthy
-		g.bad = 0
-		g.stats.Recoveries++
-	}
-	g.held = g.inner.Next(s.Tput)
-	return g.held
-}
-
-// Escalate forces the guard straight to Degraded, skipping the Holding
+// Escalate forces the stage straight to Degraded, skipping the Holding
 // rungs. It is the out-of-band entry point for faults that are not
 // telemetry-shaped — the durability layer calls it when the WAL loses its
 // persistence guarantee (fsync failure), because running wide while
 // silently non-durable compounds the damage. The ladder's normal recovery
-// still applies: the next good sample returns the guard to Healthy, while
+// still applies: the next good sample returns the stage to Healthy, while
 // the durability-lost flag stays with the Log that raised it.
 func (g *HealthGuard) Escalate() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.bad = g.cfg.DegradeAfter
+	g.degrade()
+}
+
+// step is the stage's round: it claims a bad tick, answering with the held
+// level or the fallback, and passes a good sample on to the controller.
+// period is the driving loop's.
+func (g *HealthGuard) step(o Observation, held int, period time.Duration) (level int, claimed bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	maxAge := g.cfg.MaxStaleness
+	if maxAge <= 0 {
+		maxAge = maxStaleTicks * period
+	}
+	if !badTick(o, maxAge) {
+		if g.state != Healthy {
+			// Recovery: the controller was never advanced during the
+			// outage, so it resumes from its preserved state. Its reference
+			// throughput predates the outage; that is exactly the held state
+			// growth re-enters from.
+			g.state = Healthy
+			g.bad = 0
+			g.stats.Recoveries++
+		}
+		return 0, false
+	}
+	g.bad++
+	if g.bad >= g.cfg.DegradeAfter {
+		g.degrade()
+		return g.cfg.FallbackLevel, true
+	}
+	g.state = Holding
+	g.stats.Held++
+	return held, true
+}
+
+// badTick: no sample, garbage (NaN, infinite, negative), silence (a zero
+// rate — no commits observed at all) or a window past the staleness bound.
+func badTick(o Observation, maxAge time.Duration) bool {
+	if o.Missed || math.IsNaN(o.Tput) || math.IsInf(o.Tput, 0) || o.Tput <= 0 {
+		return true
+	}
+	return o.Age > maxAge
+}
+
+func (g *HealthGuard) degrade() {
 	if g.state != Degraded {
 		g.state = Degraded
 		g.stats.Degradations++
 	}
-}
-
-// Missed records a tick that never produced a sample (a dropped tick) and
-// returns the level to keep actuating.
-func (g *HealthGuard) Missed() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.badTick()
-}
-
-func (g *HealthGuard) sampleBad(s Sample) bool {
-	if math.IsNaN(s.Tput) || math.IsInf(s.Tput, 0) || s.Tput < 0 {
-		return true
-	}
-	if s.Tput == 0 {
-		return true // a silent window: no commits observed at all
-	}
-	return s.Age > g.cfg.MaxStaleness
-}
-
-func (g *HealthGuard) badTick() int {
-	g.bad++
-	if g.bad >= g.cfg.DegradeAfter {
-		if g.state != Degraded {
-			g.state = Degraded
-			g.stats.Degradations++
-		}
-		return g.cfg.FallbackLevel
-	}
-	g.state = Holding
-	g.stats.Held++
-	return g.held
 }

@@ -8,14 +8,16 @@ import (
 	"rubic/internal/fault"
 )
 
-// growTo drives a controller with monotonically improving throughput until
-// it reaches at least the target level (or the round budget runs out).
-func growTo(t *testing.T, c Controller, target int) int {
+// growTo drives next — a controller's Next, or a Tuner's Step wrapped by
+// feed — with monotonically improving throughput until it reaches at least
+// the target level (or the round budget runs out). from is the level in
+// force: already at the target, no round is played.
+func growTo(t *testing.T, next func(float64) int, from, target int) int {
 	t.Helper()
-	tp, level := 100.0, c.Level()
+	tp, level := 100.0, from
 	for i := 0; i < 200 && level < target; i++ {
 		tp += 10
-		level = c.Next(tp)
+		level = next(tp)
 	}
 	if level < target {
 		t.Fatalf("controller stuck at level %d, wanted >= %d", level, target)
@@ -23,18 +25,28 @@ func growTo(t *testing.T, c Controller, target int) int {
 	return level
 }
 
+// stepTuner is a Tuner driven by Step alone: no ticker, a fake target whose
+// level field is the last level actuated.
+func stepTuner(ctrl Controller, health *HealthGuard, slo *SLOGuard) (*Tuner, *fakeTarget) {
+	target := &fakeTarget{}
+	return &Tuner{Controller: ctrl, Target: target, Health: health, SLO: slo}, target
+}
+
+// feed is one good observation of throughput tp (and, for SLO tests, p99).
+func feed(tuner *Tuner, p99 time.Duration) func(float64) int {
+	return func(tp float64) int { return tuner.Step(Observation{Tput: tp, P99: p99}) }
+}
+
 func TestHealthGuardDelegatesWhenHealthy(t *testing.T) {
 	inner := NewRUBIC(RUBICConfig{MaxLevel: 16})
-	g := NewHealthGuard(inner, HealthPolicy{FallbackLevel: 4})
-	level := growTo(t, g, 6)
+	g := NewHealthGuard(HealthPolicy{FallbackLevel: 4})
+	tuner, target := stepTuner(inner, g, nil)
+	level := growTo(t, feed(tuner, 0), inner.Level(), 6)
 	if g.State() != Healthy {
 		t.Fatalf("state %v after healthy samples", g.State())
 	}
-	if g.Level() != level || inner.Level() != level {
-		t.Fatalf("guard level %d / inner level %d, want %d", g.Level(), inner.Level(), level)
-	}
-	if g.Name() != "rubic" {
-		t.Fatalf("guard name %q, want the wrapped policy's", g.Name())
+	if got := int(target.level.Load()); got != level || inner.Level() != level {
+		t.Fatalf("actuated level %d / inner level %d, want %d", got, inner.Level(), level)
 	}
 }
 
@@ -45,25 +57,24 @@ func TestHealthGuardDelegatesWhenHealthy(t *testing.T) {
 func TestHealthGuardDegradationLadder(t *testing.T) {
 	const k, fallback = 5, 4
 	inner := NewRUBIC(RUBICConfig{MaxLevel: 32})
-	g := NewHealthGuard(inner, HealthPolicy{DegradeAfter: k, FallbackLevel: fallback})
-	held := growTo(t, g, 8)
+	g := NewHealthGuard(HealthPolicy{DegradeAfter: k, FallbackLevel: fallback})
+	tuner, _ := stepTuner(inner, g, nil)
+	good := feed(tuner, 0)
+	held := growTo(t, good, inner.Level(), 8)
 
 	// Provoke losses until the multiplicative cut records a genuine wMax
 	// anchor: linear -2 first, a forced growth round, then the escalation.
-	held = g.Next(5)   // linear -2 round, reference forgotten
-	held = g.Next(500) // forced growth round, new baseline
-	held = g.Next(4)   // persistent loss: multiplicative cut, wMax <- level
-	held = g.Next(450) // accepted as the new baseline; growth resumes
-	before, ok := StateOf(g)
-	if !ok {
-		t.Fatal("guarded RUBIC is not resumable")
-	}
+	held = good(5)   // linear -2 round, reference forgotten
+	held = good(500) // forced growth round, new baseline
+	held = good(4)   // persistent loss: multiplicative cut, wMax <- level
+	held = good(450) // accepted as the new baseline; growth resumes
+	before := inner.ExportState()
 	if before.WMax <= 1 {
 		t.Fatalf("wMax anchor not set before the outage: %+v", before)
 	}
 
 	// 2×K consecutive bad ticks: a mix of silence, garbage and staleness.
-	bad := []Sample{
+	bad := []Observation{
 		{Tput: 0},
 		{Tput: math.NaN()},
 		{Tput: math.Inf(1)},
@@ -73,9 +84,9 @@ func TestHealthGuardDegradationLadder(t *testing.T) {
 	for i := 0; i < 2*k; i++ {
 		var level int
 		if i%2 == 0 {
-			level = g.NextSample(bad[i%len(bad)])
+			level = tuner.Step(bad[i%len(bad)])
 		} else {
-			level = g.Missed() // dropped tick: no sample at all
+			level = tuner.Step(Observation{Missed: true}) // dropped tick: no sample at all
 		}
 		switch {
 		case i < k-1:
@@ -95,23 +106,19 @@ func TestHealthGuardDegradationLadder(t *testing.T) {
 
 	// Recovery: the inner controller never saw the outage, so its cubic
 	// anchors are intact and growth re-enters from the held state.
-	after, _ := StateOf(g)
-	if after != before {
+	if after := inner.ExportState(); after != before {
 		t.Fatalf("inner state advanced during the outage: %+v -> %+v", before, after)
 	}
-	level := g.NextSample(Sample{Tput: 600})
+	level := good(600)
 	if g.State() != Healthy || g.Stats().Recoveries != 1 {
 		t.Fatalf("state %v recoveries %d after a good sample", g.State(), g.Stats().Recoveries)
 	}
 	if level < held {
 		t.Fatalf("recovered at level %d, below the held level %d (reset to floor?)", level, held)
 	}
-	growTo(t, g, int(before.WMax)) // cubic growth reaches the preserved anchor again
+	growTo(t, good, level, int(before.WMax)) // cubic growth reaches the preserved anchor again
 }
 
-// TestHealthGuardAIADHolds runs the same outage against an AIAD baseline:
-// not resumable, but the guard still holds, degrades and recovers it, and
-// its level survives the outage unchanged.
 // TestHealthGuardEscalate is the durability layer's contract: an
 // out-of-band escalation jumps the ladder straight to the fallback level
 // without advancing the wrapped controller, and a good sample afterwards
@@ -119,15 +126,17 @@ func TestHealthGuardDegradationLadder(t *testing.T) {
 func TestHealthGuardEscalate(t *testing.T) {
 	const fallback = 3
 	inner := NewRUBIC(RUBICConfig{MaxLevel: 32})
-	g := NewHealthGuard(inner, HealthPolicy{FallbackLevel: fallback})
-	held := growTo(t, g, 8)
+	g := NewHealthGuard(HealthPolicy{FallbackLevel: fallback})
+	tuner, _ := stepTuner(inner, g, nil)
+	held := growTo(t, feed(tuner, 0), inner.Level(), 8)
 
 	g.Escalate()
 	if g.State() != Degraded {
 		t.Fatalf("state %v after Escalate, want degraded", g.State())
 	}
-	if g.Level() != fallback {
-		t.Fatalf("level %d after Escalate, want fallback %d", g.Level(), fallback)
+	// The next tick — even one that carries no sample — actuates the fallback.
+	if level := tuner.Step(Observation{Missed: true}); level != fallback {
+		t.Fatalf("level %d after Escalate, want fallback %d", level, fallback)
 	}
 	if inner.Level() != held {
 		t.Fatalf("inner advanced to %d during escalation, want untouched %d", inner.Level(), held)
@@ -141,7 +150,7 @@ func TestHealthGuardEscalate(t *testing.T) {
 		t.Fatalf("degradations %d after repeat Escalate, want 1", g.Stats().Degradations)
 	}
 	// A good sample recovers into normal tuning.
-	level := g.NextSample(Sample{Tput: 5000})
+	level := tuner.Step(Observation{Tput: 5000})
 	if g.State() != Healthy {
 		t.Fatalf("state %v after good sample, want healthy", g.State())
 	}
@@ -153,16 +162,23 @@ func TestHealthGuardEscalate(t *testing.T) {
 	}
 }
 
+// TestHealthGuardAIADHolds runs the same outage against an AIAD baseline:
+// not resumable, but the stage still holds, degrades and recovers it, and
+// its level survives the outage unchanged.
 func TestHealthGuardAIADHolds(t *testing.T) {
 	const k, fallback = 4, 3
 	inner := NewAIAD(16, 1)
-	g := NewHealthGuard(inner, HealthPolicy{DegradeAfter: k, FallbackLevel: fallback})
-	held := growTo(t, g, 6)
-	if _, ok := StateOf(g); ok {
+	g := NewHealthGuard(HealthPolicy{DegradeAfter: k, FallbackLevel: fallback})
+	tuner, _ := stepTuner(inner, g, nil)
+	held := growTo(t, feed(tuner, 0), inner.Level(), 6)
+	if _, ok := Controller(inner).(Resumable); ok {
 		t.Fatal("AIAD unexpectedly resumable")
 	}
+	if _, ok := tuner.TuningState(); ok {
+		t.Fatal("a non-resumable controller published tuning state")
+	}
 	for i := 0; i < 2*k; i++ {
-		level := g.NextSample(Sample{Tput: math.NaN()})
+		level := tuner.Step(Observation{Tput: math.NaN()})
 		if i < k-1 && level != held {
 			t.Fatalf("bad tick %d: level %d, want held %d", i, level, held)
 		}
@@ -173,29 +189,14 @@ func TestHealthGuardAIADHolds(t *testing.T) {
 	if inner.Level() != held {
 		t.Fatalf("inner AIAD level %d changed during outage, want %d", inner.Level(), held)
 	}
-	if got := g.NextSample(Sample{Tput: 1000}); got < held {
+	if got := tuner.Step(Observation{Tput: 1000}); got < held {
 		t.Fatalf("recovered at %d, below held %d", got, held)
-	}
-}
-
-func TestHealthGuardReset(t *testing.T) {
-	g := NewHealthGuard(NewRUBIC(RUBICConfig{MaxLevel: 8}), HealthPolicy{})
-	growTo(t, g, 4)
-	for i := 0; i < DefaultDegradeAfter; i++ {
-		g.Missed()
-	}
-	if g.State() != Degraded {
-		t.Fatalf("state %v, want degraded", g.State())
-	}
-	g.Reset()
-	if g.State() != Healthy || g.Level() != 1 || g.Stats() != (HealthStats{}) {
-		t.Fatalf("reset left state %v level %d stats %+v", g.State(), g.Level(), g.Stats())
 	}
 }
 
 func TestRUBICStateRoundTrip(t *testing.T) {
 	a := NewRUBIC(RUBICConfig{MaxLevel: 32})
-	growTo(t, a, 10)
+	growTo(t, a.Next, a.Level(), 10)
 	a.Next(5)   // linear cut
 	a.Next(500) // forced growth round
 	a.Next(4)   // multiplicative cut records wMax
@@ -205,9 +206,7 @@ func TestRUBICStateRoundTrip(t *testing.T) {
 	}
 
 	b := NewRUBIC(RUBICConfig{MaxLevel: 32})
-	if !RestoreInto(b, st) {
-		t.Fatal("RUBIC rejected its own state")
-	}
+	b.RestoreState(st)
 	got := b.ExportState()
 	if got.Level != st.Level || got.WMax != st.WMax {
 		t.Fatalf("restored %+v, want %+v", got, st)
@@ -220,7 +219,7 @@ func TestRUBICStateRoundTrip(t *testing.T) {
 
 	// Restore clamps to the new controller's feasible range.
 	small := NewRUBIC(RUBICConfig{MaxLevel: 4})
-	RestoreInto(small, TuningState{Level: 99, WMax: 50, Epoch: 3})
+	small.RestoreState(TuningState{Level: 99, WMax: 50, Epoch: 3})
 	if got := small.ExportState(); got.Level > 4 || got.WMax > 4 {
 		t.Fatalf("restore did not clamp: %+v", got)
 	}
@@ -233,6 +232,7 @@ func TestRUBICStateRoundTrip(t *testing.T) {
 func TestChaosTunerDegradesUnderSeededPlan(t *testing.T) {
 	const k = 3
 	run := func() ([]fault.Firing, HealthStats) {
+		g := NewHealthGuard(HealthPolicy{DegradeAfter: k, FallbackLevel: 2})
 		plan := &fault.Plan{Seed: 11, Events: []fault.Event{
 			{Point: fault.TickDrop, From: 6, Count: 2 * k},
 			{Point: fault.SampleNaN, From: 8, Count: 2},
@@ -245,19 +245,19 @@ func TestChaosTunerDegradesUnderSeededPlan(t *testing.T) {
 			Controller: NewRUBIC(RUBICConfig{MaxLevel: 16}),
 			Target:     target,
 			Period:     2 * time.Millisecond,
-			Health:     &HealthPolicy{DegradeAfter: k, FallbackLevel: 2},
+			Health:     g,
 			Faults:     inj,
 		}
 		tuner.Start()
 		deadline := time.Now().Add(10 * time.Second)
 		for time.Now().Before(deadline) {
-			if g := tuner.Guard(); g != nil && g.Stats().Recoveries > 0 && target.setCalls.Load() > 30 {
+			if g.Stats().Recoveries > 0 && target.setCalls.Load() > 30 {
 				break
 			}
 			time.Sleep(time.Millisecond)
 		}
 		tuner.Stop()
-		return inj.Schedule(), tuner.Guard().Stats()
+		return inj.Schedule(), g.Stats()
 	}
 	schedA, statsA := run()
 	schedB, _ := run()
@@ -280,11 +280,12 @@ func TestChaosTunerDegradesUnderSeededPlan(t *testing.T) {
 func TestTunerStalenessFollowsPeriod(t *testing.T) {
 	target := &fakeTarget{}
 	target.level.Store(1)
+	g := NewHealthGuard(HealthPolicy{FallbackLevel: 1})
 	tuner := &Tuner{
 		Controller: NewRUBIC(RUBICConfig{MaxLevel: 16}),
 		Target:     target,
-		Period:     2 * DefaultMaxStaleness,
-		Health:     &HealthPolicy{FallbackLevel: 1},
+		Period:     2 * maxStaleTicks * DefaultPeriod,
+		Health:     g,
 	}
 	tuner.Start()
 	deadline := time.Now().Add(5 * time.Second)
@@ -295,7 +296,7 @@ func TestTunerStalenessFollowsPeriod(t *testing.T) {
 	if calls := target.setCalls.Load(); calls < 4 {
 		t.Fatalf("only %d ticks", calls)
 	}
-	if st := tuner.Guard().Stats(); st.Held != 0 || st.Degradations != 0 {
+	if st := g.Stats(); st.Held != 0 || st.Degradations != 0 {
 		t.Fatalf("healthy samples at a %v period counted as bad: %+v", tuner.Period, st)
 	}
 }

@@ -22,12 +22,31 @@ const (
 	injectedStaleAge = 1000 * DefaultPeriod
 )
 
+// Observation is what one measurement window tells the decision step. Both
+// clocks build it — the closed-loop ticker from the target's completion
+// counter, the open-loop server from its interval histogram — and every
+// consumer (SLO stage, health stage, controller, adapter) reads the fields it
+// needs from the same value.
+type Observation struct {
+	// Tput is the window's completion rate per second.
+	Tput float64
+	// Age is the measured length of the window. The health stage reads a
+	// window longer than its staleness bound as lost ticks.
+	Age time.Duration
+	// P99 is the window's 99th-percentile latency; zero means no latency
+	// signal (a closed-loop stack, an idle epoch) and never breaches an SLO.
+	P99 time.Duration
+	// Missed marks a tick that produced no sample at all; the other fields
+	// are not read.
+	Missed bool
+}
+
 // Adapter is the per-epoch hook of an adaptive runtime stack (see
-// colocate.AdaptiveStack): each tick it receives the epoch's throughput
-// sample and may hot-swap the stack's engine or contention manager before
-// the next epoch runs.
+// colocate.AdaptiveStack): each round it receives the observation the level
+// was decided from and may hot-swap the stack's engine or contention manager
+// before the next epoch runs.
 type Adapter interface {
-	Epoch(tput float64)
+	Epoch(Observation)
 }
 
 // Target is the malleable process a Tuner steers: the real worker pool and
@@ -40,39 +59,49 @@ type Target interface {
 	Completed() uint64
 }
 
-// Tuner is the monitoring loop of the paper's section 3.1: every Period it
-// computes the throughput of the period that just ended from the target's
-// completion counters, feeds it to the controller, and actuates the decided
-// level.
+// Tuner is the monitoring loop of the paper's section 3.1: sample the commit
+// rate, ask the controller, actuate. Step is that round; Start runs it on the
+// Tuner's own ticker (the closed loop), and a driver with a clock of its own
+// (load.Server's epoch loop) calls Step directly.
 //
 // The paper runs this loop in a thread of elevated priority so it keeps
 // running under oversubscription; goroutine priorities are not exposed in
 // Go, so the loop relies on the runtime's preemptive scheduler instead —
 // with a 10 ms period the sampling jitter is negligible in practice.
 type Tuner struct {
+	// Controller is the base policy. It is the only holder of tuning state:
+	// an SLO cut and an engine-handoff re-anchor both restore into it.
 	Controller Controller
 	Target     Target
-	// Period is the measurement interval; defaults to the paper's 10 ms.
+	// Period is the measurement interval; Start defaults it to the paper's
+	// 10 ms, a driver calling Step itself sets its own clock's interval (the
+	// health stage's staleness bound is counted in it).
 	Period time.Duration
-	// Levels and Throughputs, when non-nil, receive one sample per round
-	// (time measured in seconds since Run started).
+	// Levels and Throughputs, when non-nil, receive one sample per round of
+	// the Tuner's own ticker (time measured in seconds since Start).
 	Levels      *trace.Series
 	Throughputs *trace.Series
-	// Health, when non-nil, wraps Controller in a HealthGuard at Start:
-	// samples are quality-tagged with their age, missed ticks hold the last
-	// decision, and sustained outages degrade to the policy's fallback level.
-	Health *HealthPolicy
+	// SLO, when non-nil, is the first stage of the decision chain: an epoch
+	// whose p99 breaches the target is held or cut before the throughput is
+	// looked at.
+	SLO *SLOGuard
+	// Health, when non-nil, is the second stage: a missed, garbage or stale
+	// sample holds the last level, a sustained outage degrades to the
+	// fallback, and the controller never sees either.
+	Health *HealthGuard
 	// Faults is the controller-layer fault injector (nil: no injection, the
 	// production state — the injection points below cost one nil test each).
 	Faults *fault.Injector
-	// Adapter, when non-nil, is driven once per tick after the level is
-	// actuated — the adaptive runtime's epoch boundary. Running it after
-	// actuation orders any engine handoff behind the controller's decision
-	// for the epoch (SLO cuts included), so the adapter's fresh StateOf
-	// snapshot at the handoff never resurrects pre-cut state.
+	// Adapter, when non-nil, is driven once per round after the level is
+	// actuated — the adaptive runtime's epoch boundary. Running it last
+	// orders any engine handoff behind the round's decision, so the state
+	// the handoff exports from Controller already contains an SLO cut made
+	// this round and cannot resurrect the level the cut replaced.
 	Adapter Adapter
 
-	guard     *HealthGuard
+	// last is the level last actuated (0 before the first); only the
+	// goroutine calling Step and Hold touches it.
+	last      int
 	published atomic.Pointer[TuningState]
 	stop      chan struct{}
 	done      chan struct{}
@@ -83,15 +112,6 @@ type Tuner struct {
 func (t *Tuner) Start() {
 	if t.Period <= 0 {
 		t.Period = DefaultPeriod
-	}
-	if t.Health != nil && t.guard == nil {
-		policy := *t.Health
-		if policy.MaxStaleness <= 0 {
-			// Ticks of this loop, not of the canonical one: at a longer
-			// period every sample would otherwise count as stale.
-			policy.MaxStaleness = maxStaleTicks * t.Period
-		}
-		t.guard = NewHealthGuard(t.Controller, policy)
 	}
 	t.stop = make(chan struct{})
 	t.done = make(chan struct{})
@@ -109,12 +129,8 @@ func (t *Tuner) Stop() {
 	<-t.done
 }
 
-// Guard exposes the health guard installed at Start (nil without a Health
-// policy), for telemetry and tests.
-func (t *Tuner) Guard() *HealthGuard { return t.guard }
-
 // TuningState returns the most recent resumable controller state the loop
-// published (ok is false before the first decision or for controllers that
+// published (ok is false before the first actuation or for controllers that
 // are not Resumable). It is safe to call concurrently with the loop — the
 // supervisor protocol streams this so a restarted process can resume tuning
 // where its predecessor stopped.
@@ -125,15 +141,71 @@ func (t *Tuner) TuningState() (TuningState, bool) {
 	return TuningState{}, false
 }
 
-// active is the controller the loop actually drives: the guard when a health
-// policy is installed, the raw controller otherwise.
-func (t *Tuner) active() Controller {
-	if t.guard != nil {
-		return t.guard
+// Step is the one place a level is decided. The observation runs the fixed
+// chain SLO stage → health stage → Controller.Next: the objective is checked
+// before the signal (a breaching epoch must not grow the level however good
+// its throughput looks), and the signal's quality before the policy consumes
+// it (the controller is never advanced on a lie). The first stage that
+// claims the round decides it. The level is then actuated, the controller's
+// resumable state published, and the Adapter driven. A missed tick without a
+// health stage skips the round: nothing is advanced, actuated or published.
+func (t *Tuner) Step(o Observation) int {
+	if o.Missed && t.Health == nil {
+		return t.held()
 	}
-	return t.Controller
+	level := t.decide(o)
+	t.actuate(level)
+	if t.Adapter != nil && !o.Missed {
+		t.Adapter.Epoch(o)
+	}
+	return level
 }
 
+// Hold actuates the level in force without consuming an observation — the
+// controller's own before the first Step. A driver that must size its pool
+// before the first window closes (load.Server) calls it once.
+func (t *Tuner) Hold() int {
+	level := t.held()
+	t.actuate(level)
+	return level
+}
+
+// decide runs the chain: the first stage to claim the round answers it.
+func (t *Tuner) decide(o Observation) int {
+	held := t.held()
+	if t.SLO != nil && !o.Missed {
+		if level, claimed := t.SLO.step(o.P99, held, t.Controller); claimed {
+			return level
+		}
+	}
+	if t.Health != nil {
+		if level, claimed := t.Health.step(o, held, t.Period); claimed {
+			return level
+		}
+	}
+	return t.Controller.Next(o.Tput)
+}
+
+func (t *Tuner) held() int {
+	if t.last == 0 {
+		t.last = t.Controller.Level()
+	}
+	return t.last
+}
+
+// actuate applies a decision and publishes the controller's resumable state.
+func (t *Tuner) actuate(level int) {
+	t.last = level
+	t.Target.SetLevel(level)
+	if r, ok := t.Controller.(Resumable); ok {
+		st := r.ExportState()
+		t.published.Store(&st)
+	}
+}
+
+// run is the closed-loop clock: every Period it turns the target's
+// completion counter and the measured elapsed time into an observation (the
+// ctl.* fault points corrupt it on the way) and calls Step.
 func (t *Tuner) run() {
 	defer close(t.done)
 	ticker := time.NewTicker(t.Period)
@@ -147,13 +219,10 @@ func (t *Tuner) run() {
 			return
 		case now := <-ticker.C:
 			if t.Faults.Fire(fault.TickDrop) {
-				// The tick is lost before any sample is taken. A guarded
-				// controller holds its last decision; an unguarded one just
-				// misses the round. The sample window is left open, so the
-				// next tick's observation covers it.
-				if t.guard != nil {
-					t.actuate(t.guard.Missed())
-				}
+				// The tick is lost before any sample is taken. The sample
+				// window is left open, so the next tick's observation
+				// covers it.
+				t.Step(Observation{Missed: true})
 				continue
 			}
 			count := t.Target.Completed()
@@ -164,42 +233,24 @@ func (t *Tuner) run() {
 			if elapsed <= 0 {
 				continue
 			}
-			tc := float64(count-prevCount) / elapsed.Seconds()
+			o := Observation{Tput: float64(count-prevCount) / elapsed.Seconds(), Age: elapsed}
 			prevCount, prevTime = count, now
 			if t.Faults.Fire(fault.SampleZero) {
-				tc = 0
+				o.Tput = 0
 			}
 			if t.Faults.Fire(fault.SampleNaN) {
-				tc = math.NaN()
+				o.Tput = math.NaN()
 			}
-			age := elapsed
 			if t.Faults.Fire(fault.SampleStale) {
-				age = injectedStaleAge
+				o.Age = injectedStaleAge
 			}
-			var level int
-			if t.guard != nil {
-				level = t.guard.NextSample(Sample{Tput: tc, Age: age})
-			} else {
-				level = t.Controller.Next(tc)
-			}
-			t.actuate(level)
-			if t.Adapter != nil {
-				t.Adapter.Epoch(tc)
-			}
+			level := t.Step(o)
 			if t.Levels != nil {
 				t.Levels.Add(now.Sub(start).Seconds(), float64(level))
 			}
 			if t.Throughputs != nil {
-				t.Throughputs.Add(now.Sub(start).Seconds(), tc)
+				t.Throughputs.Add(now.Sub(start).Seconds(), o.Tput)
 			}
 		}
-	}
-}
-
-// actuate applies a decision and publishes the controller's resumable state.
-func (t *Tuner) actuate(level int) {
-	t.Target.SetLevel(level)
-	if st, ok := StateOf(t.active()); ok {
-		t.published.Store(&st)
 	}
 }

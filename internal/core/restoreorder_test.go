@@ -6,14 +6,14 @@ import (
 )
 
 // Restore-ordering semantics: RUBIC.RestoreState is the funnel through which
-// BOTH the SLO guard's cuts and the adaptive stack's engine-handoff
-// re-anchoring pass (each via RestoreInto), and in an adaptive serve stack
-// both can fire in the same epoch. These tests pin the contract that makes
-// the double restore safe: an un-epoched restore restarts the cubic round
-// count, ceilings clamp, an inverted anchor normalizes to the level, and —
-// because the tuning loop drives the adapter after the epoch's decision is
-// actuated — the handoff's snapshot already contains the guard's cut, so
-// replaying it through the restore path cannot resurrect the pre-cut level.
+// BOTH the SLO stage's cuts and the adaptive stack's engine-handoff
+// re-anchoring pass, and in an adaptive serve stack both can fire in the same
+// epoch. These tests pin the contract that makes the double restore safe: an
+// un-epoched restore restarts the cubic round count, ceilings clamp, an
+// inverted anchor normalizes to the level, and — because Step drives the
+// adapter after the epoch's decision is actuated — the handoff's snapshot
+// already contains the cut, so replaying it through the restore path cannot
+// resurrect the pre-cut level.
 
 func TestRestoreStateTable(t *testing.T) {
 	cases := []struct {
@@ -86,56 +86,57 @@ func TestRestoreStateTable(t *testing.T) {
 	})
 }
 
+// handoffAdapter is an engine handoff in the shape colocate.AdaptiveStack
+// gives it: export the base controller's state, restore it un-epoched.
+type handoffAdapter struct {
+	ctrl *RUBIC
+	snap TuningState
+}
+
+func (h *handoffAdapter) Epoch(Observation) {
+	h.snap = h.ctrl.ExportState()
+	h.ctrl.RestoreState(TuningState{Level: h.snap.Level, WMax: h.snap.WMax})
+}
+
 // TestGuardCutThenHandoffSameEpoch replays the exact double-restore sequence
-// of an adaptive serve stack: the SLO guard confirms a breach and cuts (first
-// RestoreInto), then — same epoch, because the tuner drives the adapter after
-// actuation — an engine handoff exports StateOf and restores it un-epoched
-// (second RestoreInto). The cut must survive the round trip exactly.
+// of an adaptive serve stack inside one Step: the SLO stage confirms a breach
+// and cuts (first RestoreState), then — same epoch, because Step drives the
+// adapter after actuation — an engine handoff exports the controller and
+// restores it un-epoched (second RestoreState). The cut must survive the
+// round trip exactly.
 func TestGuardCutThenHandoffSameEpoch(t *testing.T) {
 	inner := NewRUBIC(RUBICConfig{MaxLevel: 16, InitialLevel: 10})
-	guard, err := NewSLOGuard(inner, SLOPolicy{
+	tuner, guard := sloTuner(t, inner, SLOPolicy{
 		TargetP99:   time.Millisecond,
 		BreachAfter: 1,
 		Alpha:       0.5,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Some growth history so the handoff's Epoch-zeroing is observable.
+	handoff := &handoffAdapter{ctrl: inner}
+	tuner.Adapter = handoff
+	// Some growth history so the cut's Epoch-zeroing is observable.
 	inner.dtmax = 3
 
 	// Epoch decision: confirmed breach, multiplicative cut 10 -> 5 anchored
 	// at 10.
-	if level := guard.NextEpoch(2*time.Millisecond, 100); level != 5 {
+	if level := epoch(tuner, 2*time.Millisecond, 100); level != 5 {
 		t.Fatalf("cut actuated level %d, want 5", level)
 	}
-	if inner.level != 5 || inner.lmax != 10 {
-		t.Fatalf("after cut: level=%v lmax=%v, want 5/10", inner.level, inner.lmax)
-	}
-	if inner.dtmax != 0 {
-		t.Fatalf("the cut's restore left dtmax=%v, want 0", inner.dtmax)
-	}
-
-	// Engine handoff later the same epoch: snapshot through the guard (the
-	// adapter binds the outermost controller), restore un-epoched.
-	snap, ok := StateOf(guard)
-	if !ok {
-		t.Fatal("guard chain not resumable")
-	}
-	if snap.Level != 5 || snap.WMax != 10 {
-		t.Fatalf("handoff snapshot %+v taken after the cut must reflect it", snap)
-	}
-	if !RestoreInto(guard, TuningState{Level: snap.Level, WMax: snap.WMax}) {
-		t.Fatal("handoff restore rejected")
+	// Engine handoff later the same epoch: its snapshot is the controller
+	// after the cut, round count already restarted by the cut's restore.
+	if handoff.snap != (TuningState{Level: 5, WMax: 10, Epoch: 0}) {
+		t.Fatalf("handoff snapshot %+v taken after the cut must reflect it (want 5/10/0)", handoff.snap)
 	}
 	if inner.level != 5 || inner.lmax != 10 || inner.dtmax != 0 {
 		t.Fatalf("after handoff restore: level=%v lmax=%v dtmax=%v, want 5/10/0 (cut resurrected?)",
 			inner.level, inner.lmax, inner.dtmax)
 	}
 
-	// The guard's own posture is untouched by the handoff: the next meeting
+	// The stage's own posture is untouched by the handoff: the next meeting
 	// epoch resumes cubic growth toward the breach anchor.
-	if got := guard.NextEpoch(time.Microsecond, 100); got <= 5 || got > 10 {
+	if guard.State() != Breaching {
+		t.Fatalf("posture %v after the cut, want breaching", guard.State())
+	}
+	if got := epoch(tuner, time.Microsecond, 100); got <= 5 || got > 10 {
 		t.Fatalf("post-handoff growth actuated %d, want within (5, 10]", got)
 	}
 }

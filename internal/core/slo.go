@@ -9,7 +9,7 @@ import (
 // SLO-tuning defaults.
 const (
 	// DefaultBreachAfter is K: consecutive SLO-breaching epochs before the
-	// guard cuts the level. 2 tolerates a single noisy epoch without
+	// stage cuts the level. 2 tolerates a single noisy epoch without
 	// reacting, while still bounding the reaction time to 2 epochs.
 	DefaultBreachAfter = 2
 
@@ -19,7 +19,7 @@ const (
 	DefaultSLOAlpha = 0.8
 )
 
-// SLOPolicy configures latency-target tuning around a controller.
+// SLOPolicy configures the SLO stage of a Tuner's decision chain.
 type SLOPolicy struct {
 	// TargetP99 is the per-epoch p99 latency objective. Required.
 	TargetP99 time.Duration
@@ -52,15 +52,15 @@ func (p *SLOPolicy) defaults() error {
 	return nil
 }
 
-// SLOState is the guard's posture against its latency objective.
+// SLOState is the stage's posture against its latency objective.
 type SLOState uint8
 
 const (
-	// Meeting: the measured p99 is within the target; level decisions
-	// delegate to the wrapped (throughput-driven) controller.
+	// Meeting: the measured p99 is within the target; rounds pass through
+	// to the (throughput-driven) controller.
 	Meeting SLOState = iota
-	// Breaching: 1..K-1 consecutive epochs over target; the guard holds its
-	// last decision and arms the cut.
+	// Breaching: 1..K-1 consecutive epochs over target; the stage holds the
+	// last level and arms the cut.
 	Breaching
 )
 
@@ -75,7 +75,7 @@ func (s SLOState) String() string {
 	return "unknown"
 }
 
-// SLOStats counts the guard's transitions for observability.
+// SLOStats counts the stage's transitions for observability.
 type SLOStats struct {
 	// Breaches counts epochs whose p99 exceeded the target.
 	Breaches uint64
@@ -85,56 +85,44 @@ type SLOStats struct {
 	Recoveries uint64
 }
 
-// SLOGuard makes a throughput-driven controller latency-aware: each epoch
-// it consumes the measured p99 alongside the throughput. While the SLO is
-// met, decisions delegate to the wrapped controller unchanged — under open
-// loop the throughput signal saturates at the arrival rate, so the wrapped
-// RUBIC drifts upward, probing for capacity headroom. K consecutive
-// breaching epochs trigger a multiplicative cut, installed through the
-// controller's own restore path (RestoreInto) with wMax anchored at the
-// pre-cut level: when the SLO recovers, growth re-enters RUBIC's cubic
-// curve — fast while far below the last known breach level, cautious as it
-// approaches it — instead of blindly re-probing the level that just blew
-// the tail. Sustained breaches keep cutting every K epochs down to the
-// floor.
+// SLOGuard is the SLO stage of a Tuner's decision chain: each epoch it
+// reads the measured p99 before the throughput is looked at. While the SLO
+// is met the round passes on unchanged — under open loop the throughput
+// signal saturates at the arrival rate, so RUBIC drifts upward, probing for
+// capacity headroom. K consecutive breaching epochs trigger a multiplicative
+// cut, installed through the controller's own restore path with wMax
+// anchored at the pre-cut level: when the SLO recovers, growth re-enters
+// RUBIC's cubic curve — fast while far below the last known breach level,
+// cautious as it approaches it — instead of blindly re-probing the level
+// that just blew the tail. Sustained breaches keep cutting every K epochs
+// down to the floor. The stage holds only its breach count: the level it
+// holds and cuts is the Tuner's.
 //
-// The guard composes with HealthGuard (both expose Unwrap), but sits
-// outside it in the serve stack: telemetry health describes the signal,
+// It runs ahead of the health stage: telemetry health describes the signal,
 // the SLO describes the objective.
 //
-// Like HealthGuard, one epoch loop drives the decision path while
-// observability accessors may be polled from other goroutines, so mutable
-// state sits behind a mutex that is uncontended on the decision path.
+// Like HealthGuard, the Tuner's goroutine drives step while State and Stats
+// may be polled from others, so mutable state sits behind a mutex that is
+// uncontended on the decision path.
 type SLOGuard struct {
-	inner Controller
-	cfg   SLOPolicy
+	cfg SLOPolicy
 
 	mu     sync.Mutex
 	state  SLOState
 	breach int
-	held   int
 	stats  SLOStats
 }
 
-// NewSLOGuard wraps inner in an SLO guard. It panics on a nil inner (a
-// programming error) and returns an error on an invalid policy.
-func NewSLOGuard(inner Controller, cfg SLOPolicy) (*SLOGuard, error) {
-	if inner == nil {
-		panic("core: SLOGuard wrapping nil controller")
-	}
+// NewSLOGuard builds an SLO stage for Tuner.SLO; an invalid policy is an
+// error.
+func NewSLOGuard(cfg SLOPolicy) (*SLOGuard, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	return &SLOGuard{inner: inner, cfg: cfg, held: inner.Level()}, nil
+	return &SLOGuard{cfg: cfg}, nil
 }
 
-// Unwrap exposes the guarded controller (see StateOf / RestoreInto).
-func (g *SLOGuard) Unwrap() Controller { return g.inner }
-
-// Target returns the policy's p99 objective.
-func (g *SLOGuard) Target() time.Duration { return g.cfg.TargetP99 }
-
-// State reports the guard's posture.
+// State reports the stage's posture.
 func (g *SLOGuard) State() SLOState {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -148,73 +136,45 @@ func (g *SLOGuard) Stats() SLOStats {
 	return g.stats
 }
 
-// Name implements Controller.
-func (g *SLOGuard) Name() string { return g.inner.Name() + "+slo" }
-
-// Level implements Controller: the level the guard last actuated.
-func (g *SLOGuard) Level() int {
+// step is the stage's round: it claims a breaching epoch — holding the level
+// while the cut is armed, cutting base on the K-th — and passes a meeting
+// one on. p99 <= 0 means "no latency signal this epoch" (an idle epoch with
+// no completed requests) and counts as meeting: an idle service is not
+// breaching its SLO.
+func (g *SLOGuard) step(p99 time.Duration, held int, base Controller) (level int, claimed bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.held
-}
-
-// Reset implements Controller.
-func (g *SLOGuard) Reset() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.inner.Reset()
-	g.state, g.breach = Meeting, 0
-	g.held = g.inner.Level()
-	g.stats = SLOStats{}
-}
-
-// Next implements Controller. Without a latency observation the guard has
-// no objective signal, so it delegates — a plain Tuner can drive an
-// SLOGuard and get the wrapped policy's behavior.
-func (g *SLOGuard) Next(tput float64) int {
-	return g.NextEpoch(0, tput)
-}
-
-// NextEpoch consumes one epoch's p99 and throughput and returns the level
-// to actuate. p99 <= 0 means "no latency signal this epoch" (an idle epoch
-// with no completed requests) and counts as meeting: an idle service is
-// not breaching its SLO.
-func (g *SLOGuard) NextEpoch(p99 time.Duration, tput float64) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if p99 > g.cfg.TargetP99 {
-		g.stats.Breaches++
-		g.breach++
-		if g.breach < g.cfg.BreachAfter {
-			g.state = Breaching
-			return g.held // hold: the cut is armed, not yet confirmed
+	if p99 <= g.cfg.TargetP99 {
+		if g.state == Breaching {
+			g.state = Meeting
+			g.breach = 0
+			g.stats.Recoveries++
 		}
-		// Confirmed breach: multiplicative cut, anchored so recovery
-		// re-enters cubic growth from the level that breached.
-		g.breach = 0
-		g.state = Breaching
-		g.stats.Cuts++
-		anchor := g.held
-		cut := int(g.cfg.Alpha * float64(anchor))
-		if cut >= anchor {
-			cut = anchor - 1
-		}
-		if cut < g.cfg.MinLevel {
-			cut = g.cfg.MinLevel
-		}
-		// Resumable controllers (RUBIC) take the cut through their restore
-		// path: level drops to the cut, wMax anchors at the breach level,
-		// and the next meeting epoch resumes cubic growth toward it. Others
-		// simply have the cut actuated over them.
-		RestoreInto(g.inner, TuningState{Level: float64(cut), WMax: float64(anchor)})
-		g.held = cut
-		return g.held
+		return 0, false
 	}
-	if g.state == Breaching {
-		g.state = Meeting
-		g.breach = 0
-		g.stats.Recoveries++
+	g.stats.Breaches++
+	g.breach++
+	g.state = Breaching
+	if g.breach < g.cfg.BreachAfter {
+		return held, true // hold: the cut is armed, not yet confirmed
 	}
-	g.held = g.inner.Next(tput)
-	return g.held
+	// Confirmed breach: multiplicative cut, anchored so recovery re-enters
+	// cubic growth from the level that breached.
+	g.breach = 0
+	g.stats.Cuts++
+	cut := int(g.cfg.Alpha * float64(held))
+	if cut >= held {
+		cut = held - 1
+	}
+	if cut < g.cfg.MinLevel {
+		cut = g.cfg.MinLevel
+	}
+	// A resumable controller (RUBIC) takes the cut through its restore path:
+	// level drops to the cut, wMax anchors at the breach level, and the next
+	// meeting epoch resumes cubic growth toward it. Others simply have the
+	// cut actuated over them.
+	if r, ok := base.(Resumable); ok {
+		r.RestoreState(TuningState{Level: float64(cut), WMax: float64(held)})
+	}
+	return cut, true
 }

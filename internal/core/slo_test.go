@@ -5,19 +5,27 @@ import (
 	"time"
 )
 
-// growToSLO drives a guard with meeting epochs (p99 well under target,
-// monotonically improving throughput) until it reaches the target level.
-func growToSLO(t *testing.T, g *SLOGuard, target int) int {
+// sloTuner is a Step-driven Tuner whose chain is the SLO stage over inner.
+func sloTuner(t *testing.T, inner Controller, cfg SLOPolicy) (*Tuner, *SLOGuard) {
 	t.Helper()
-	tp, level := 100.0, g.Level()
-	for i := 0; i < 200 && level < target; i++ {
-		tp += 10
-		level = g.NextEpoch(g.Target()/10, tp)
+	g, err := NewSLOGuard(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if level < target {
-		t.Fatalf("SLO guard stuck at level %d, wanted >= %d", level, target)
-	}
-	return level
+	tuner, _ := stepTuner(inner, nil, g)
+	return tuner, g
+}
+
+// growToSLO drives the chain with meeting epochs (p99 well under target,
+// monotonically improving throughput) until it reaches the target level.
+func growToSLO(t *testing.T, tuner *Tuner, target int) int {
+	t.Helper()
+	return growTo(t, feed(tuner, tuner.SLO.cfg.TargetP99/10), tuner.held(), target)
+}
+
+// epoch is one observation of an open-loop epoch.
+func epoch(tuner *Tuner, p99 time.Duration, tput float64) int {
+	return feed(tuner, p99)(tput)
 }
 
 // TestSLOGuardBreachCutsWithinK is the satellite's contract, table-driven
@@ -38,11 +46,8 @@ func TestSLOGuardBreachCutsWithinK(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			inner := NewRUBIC(RUBICConfig{MaxLevel: 32})
-			g, err := NewSLOGuard(inner, SLOPolicy{TargetP99: slo, BreachAfter: tc.k, Alpha: tc.alpha})
-			if err != nil {
-				t.Fatal(err)
-			}
-			held := growToSLO(t, g, 10)
+			tuner, g := sloTuner(t, inner, SLOPolicy{TargetP99: slo, BreachAfter: tc.k, Alpha: tc.alpha})
+			held := growToSLO(t, tuner, 10)
 			if g.State() != Meeting {
 				t.Fatalf("state %v after meeting epochs", g.State())
 			}
@@ -50,12 +55,12 @@ func TestSLOGuardBreachCutsWithinK(t *testing.T) {
 			// Breach: p99 2x over target. The first K-1 epochs hold the
 			// level; epoch K cuts it multiplicatively.
 			for i := 1; i < tc.k; i++ {
-				level := g.NextEpoch(2*slo, 50)
+				level := epoch(tuner, 2*slo, 50)
 				if g.State() != Breaching || level != held {
 					t.Fatalf("breach epoch %d: state %v level %d, want breaching hold at %d", i, g.State(), level, held)
 				}
 			}
-			cut := g.NextEpoch(2*slo, 50)
+			cut := epoch(tuner, 2*slo, 50)
 			if cut >= held {
 				t.Fatalf("confirmed breach did not cut: level %d, was %d", cut, held)
 			}
@@ -76,9 +81,9 @@ func TestSLOGuardBreachCutsWithinK(t *testing.T) {
 
 			// The cut is installed through the restore path: wMax anchors at
 			// the breach level so recovery re-enters cubic growth toward it.
-			inSt, ok := StateOf(g)
-			if !ok {
-				t.Fatal("guarded RUBIC is not resumable")
+			inSt := inner.ExportState()
+			if pub, ok := tuner.TuningState(); !ok || pub != inSt {
+				t.Fatalf("published state %+v (ok=%v) is not the cut controller's %+v", pub, ok, inSt)
 			}
 			if int(inSt.WMax) != held || int(inSt.Level) != cut {
 				t.Fatalf("restored state %+v, want level %d anchored at wMax %d", inSt, cut, held)
@@ -87,14 +92,14 @@ func TestSLOGuardBreachCutsWithinK(t *testing.T) {
 			// Recovery: one meeting epoch flips the posture and growth
 			// resumes from the cut level, climbing back toward wMax on the
 			// cubic curve rather than jumping past it.
-			level := g.NextEpoch(slo/10, 500)
+			level := epoch(tuner, slo/10, 500)
 			if g.State() != Meeting || g.Stats().Recoveries != 1 {
 				t.Fatalf("state %v recoveries %d after a meeting epoch", g.State(), g.Stats().Recoveries)
 			}
 			if level < cut || level > held {
 				t.Fatalf("first recovery level %d outside [%d, %d]", level, cut, held)
 			}
-			growToSLO(t, g, held) // cubic growth reaches the anchor again
+			growToSLO(t, tuner, held) // cubic growth reaches the anchor again
 		})
 	}
 }
@@ -103,14 +108,10 @@ func TestSLOGuardBreachCutsWithinK(t *testing.T) {
 // keeps cutting every K epochs down to MinLevel and stays there.
 func TestSLOGuardSustainedBreachReachesFloor(t *testing.T) {
 	const slo = time.Millisecond
-	g, err := NewSLOGuard(NewRUBIC(RUBICConfig{MaxLevel: 32}), SLOPolicy{TargetP99: slo, BreachAfter: 2, MinLevel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	growToSLO(t, g, 16)
-	level := g.Level()
+	tuner, g := sloTuner(t, NewRUBIC(RUBICConfig{MaxLevel: 32}), SLOPolicy{TargetP99: slo, BreachAfter: 2, MinLevel: 2})
+	level := growToSLO(t, tuner, 16)
 	for i := 0; i < 40; i++ {
-		next := g.NextEpoch(10*slo, 10)
+		next := epoch(tuner, 10*slo, 10)
 		if next > level {
 			t.Fatalf("level rose from %d to %d during a sustained breach", level, next)
 		}
@@ -128,16 +129,13 @@ func TestSLOGuardSustainedBreachReachesFloor(t *testing.T) {
 // cut; the guard holds and a meeting epoch re-arms.
 func TestSLOGuardSingleEpochNoiseHolds(t *testing.T) {
 	const slo = time.Millisecond
-	g, err := NewSLOGuard(NewRUBIC(RUBICConfig{MaxLevel: 16}), SLOPolicy{TargetP99: slo, BreachAfter: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	held := growToSLO(t, g, 8)
+	tuner, g := sloTuner(t, NewRUBIC(RUBICConfig{MaxLevel: 16}), SLOPolicy{TargetP99: slo, BreachAfter: 2})
+	held := growToSLO(t, tuner, 8)
 	for round := 0; round < 5; round++ {
-		if level := g.NextEpoch(5*slo, 100); level != held {
+		if level := epoch(tuner, 5*slo, 100); level != held {
 			t.Fatalf("round %d: single breach epoch moved the level to %d", round, level)
 		}
-		held = g.NextEpoch(slo/10, 1000) // meeting epoch re-arms the breach count
+		held = epoch(tuner, slo/10, 1000) // meeting epoch re-arms the breach count
 	}
 	if st := g.Stats(); st.Cuts != 0 || st.Recoveries != 5 {
 		t.Fatalf("stats %+v, want 0 cuts and 5 recoveries", st)
@@ -148,71 +146,38 @@ func TestSLOGuardSingleEpochNoiseHolds(t *testing.T) {
 // without a restore path.
 func TestSLOGuardNonResumableInner(t *testing.T) {
 	const slo = time.Millisecond
-	g, err := NewSLOGuard(NewAIAD(16, 1), SLOPolicy{TargetP99: slo, BreachAfter: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	held := growToSLO(t, g, 8)
-	cut := g.NextEpoch(2*slo, 10)
+	tuner, _ := sloTuner(t, NewAIAD(16, 1), SLOPolicy{TargetP99: slo, BreachAfter: 1})
+	held := growToSLO(t, tuner, 8)
+	cut := epoch(tuner, 2*slo, 10)
 	if cut >= held {
 		t.Fatalf("cut %d not below held %d", cut, held)
 	}
-	if g.Level() != cut {
-		t.Fatalf("guard level %d, want the cut %d", g.Level(), cut)
+	if got := int(tuner.Target.(*fakeTarget).level.Load()); got != cut {
+		t.Fatalf("actuated level %d, want the cut %d", got, cut)
 	}
 }
 
 // TestSLOGuardIdleEpochIsNotABreach: an epoch with no completions (p99 0)
 // counts as meeting — an idle service is not missing its SLO.
 func TestSLOGuardIdleEpochIsNotABreach(t *testing.T) {
-	g, err := NewSLOGuard(NewRUBIC(RUBICConfig{MaxLevel: 8}), SLOPolicy{TargetP99: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	growToSLO(t, g, 4)
-	g.NextEpoch(5*time.Millisecond, 10) // arm a breach
+	tuner, g := sloTuner(t, NewRUBIC(RUBICConfig{MaxLevel: 8}), SLOPolicy{TargetP99: time.Millisecond})
+	growToSLO(t, tuner, 4)
+	epoch(tuner, 5*time.Millisecond, 10) // arm a breach
 	if g.State() != Breaching {
 		t.Fatal("breach epoch did not arm")
 	}
-	g.NextEpoch(0, 0) // idle epoch
+	epoch(tuner, 0, 0) // idle epoch
 	if g.State() != Meeting || g.Stats().Cuts != 0 {
 		t.Fatalf("idle epoch: state %v cuts %d, want meeting with no cut", g.State(), g.Stats().Cuts)
 	}
 }
 
-// TestSLOGuardAsPlainController: driven through the Controller interface
-// (no latency signal), the guard is transparent.
-func TestSLOGuardAsPlainController(t *testing.T) {
-	inner := NewRUBIC(RUBICConfig{MaxLevel: 16})
-	ref := NewRUBIC(RUBICConfig{MaxLevel: 16})
-	g, err := NewSLOGuard(inner, SLOPolicy{TargetP99: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c Controller = g
-	tp := 100.0
-	for i := 0; i < 50; i++ {
-		tp += 5
-		if got, want := c.Next(tp), ref.Next(tp); got != want {
-			t.Fatalf("round %d: guarded %d != bare %d", i, got, want)
-		}
-	}
-	if g.Name() != "rubic+slo" {
-		t.Fatalf("name %q", g.Name())
-	}
-	c.Reset()
-	if c.Level() != 1 || g.State() != Meeting {
-		t.Fatalf("reset left level %d state %v", c.Level(), g.State())
-	}
-}
-
 // TestSLOGuardBadPolicy pins constructor validation.
 func TestSLOGuardBadPolicy(t *testing.T) {
-	inner := NewRUBIC(RUBICConfig{MaxLevel: 4})
-	if _, err := NewSLOGuard(inner, SLOPolicy{}); err == nil {
+	if _, err := NewSLOGuard(SLOPolicy{}); err == nil {
 		t.Fatal("missing target accepted")
 	}
-	if _, err := NewSLOGuard(inner, SLOPolicy{TargetP99: time.Second, Alpha: 1.5}); err == nil {
+	if _, err := NewSLOGuard(SLOPolicy{TargetP99: time.Second, Alpha: 1.5}); err == nil {
 		t.Fatal("alpha >= 1 accepted")
 	}
 }

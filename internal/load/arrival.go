@@ -13,6 +13,10 @@
 // here produce those arrival schedules deterministically: like the chaos
 // layer's fault plans, a schedule is a pure function of (spec, seed), so
 // the same scenario@seed replays the same arrivals.
+//
+// The Server decides nothing itself: its epoch loop is a clock for a
+// core.Tuner, handing each epoch's measured rate, window and p99 to
+// Tuner.Step — the decision step the closed-loop ticker calls too.
 package load
 
 import (

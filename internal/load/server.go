@@ -30,10 +30,10 @@ type Config struct {
 	// Workers is the pool size — the maximum parallelism level. Required.
 	Workers int
 	// Controller steers the level from per-epoch signals; nil pins the
-	// level at Workers.
+	// level at Workers (a core.Static).
 	Controller core.Controller
-	// SLO, when non-nil, wraps Controller (default: a RUBIC starting at
-	// full level) in a core.SLOGuard so the level is tuned against the p99
+	// SLO, when non-nil, puts a core.SLOGuard ahead of Controller (default:
+	// a RUBIC starting at full level) so the level is tuned against the p99
 	// target instead of raw throughput.
 	SLO *core.SLOPolicy
 	// Epoch is the reporting/tuning interval (default 250 ms).
@@ -46,11 +46,9 @@ type Config struct {
 	// progresses (the serve CLI's live report).
 	OnEpoch func(EpochStat)
 	// Adapter, when non-nil, is driven once per epoch after the level is
-	// actuated — the hook an adaptive stack uses to hot-swap the serving
-	// runtime's engine and contention manager at epoch boundaries. Running
-	// it after actuation means a guard cut this epoch is already in force
-	// (and in any controller snapshot the adapter exports) before a handoff
-	// can begin.
+	// actuated (see core.Tuner.Adapter) — the hook an adaptive stack uses to
+	// hot-swap the serving runtime's engine and contention manager at epoch
+	// boundaries.
 	Adapter core.Adapter
 	// AfterSetup, when non-nil, runs once the workload has populated and
 	// before any traffic is generated — the window in which a durability
@@ -74,13 +72,15 @@ type EpochStat struct {
 	Index int
 	// Level is the parallelism level actuated for the next epoch.
 	Level int
-	// State is the SLO guard's posture after the epoch ("" without an SLO).
+	// State is the SLO stage's posture after the epoch ("" without an SLO).
 	State string
 	// Arrived, Completed and Shed are this epoch's deltas.
 	Arrived   uint64
 	Completed uint64
 	Shed      uint64
-	// QPS is Completed over the epoch duration.
+	// QPS is Completed over the epoch's measured window — the time since the
+	// previous epoch was sampled, not the nominal Epoch: a ticker delivers
+	// late and drops ticks exactly when the host is oversubscribed.
 	QPS float64
 	// QueueDepth is the admission-queue depth at the epoch boundary.
 	QueueDepth int
@@ -114,17 +114,18 @@ type Result struct {
 // Server runs one workload under open-loop load: a generator thread emits
 // the arrival schedule into the bounded admission queue, pool workers pop
 // requests and execute them against the workload, and an epoch loop reports
-// interval latency quantiles and (optionally) tunes the parallelism level —
-// against throughput like the closed-loop Tuner, or against a p99 target
-// through a core.SLOGuard.
+// interval latency quantiles and hands each epoch's observation to a
+// core.Tuner's decision step — the same step the closed-loop ticker calls,
+// here with the p99 filled in so an SLO stage can tune against it.
 type Server struct {
-	cfg   Config
-	guard *core.SLOGuard
+	cfg Config
+	// tuner decides and actuates every level; the epoch loop is its clock.
+	tuner *core.Tuner
 }
 
 // NewServer validates the configuration. The SLO default controller is a
 // RUBIC starting at full level: a service entering traffic wants capacity
-// first and efficiency second, so the guard cuts down from the top rather
+// first and efficiency second, so the SLO stage cuts down from the top rather
 // than growing from the floor while requests queue.
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Workload == nil {
@@ -145,24 +146,21 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Epoch <= 0 {
 		cfg.Epoch = DefaultEpoch
 	}
-	s := &Server{cfg: cfg}
+	t := &core.Tuner{Controller: cfg.Controller, Period: cfg.Epoch, Adapter: cfg.Adapter}
 	if cfg.SLO != nil {
-		inner := cfg.Controller
-		if inner == nil {
-			inner = core.NewRUBIC(core.RUBICConfig{MaxLevel: cfg.Workers, InitialLevel: cfg.Workers})
-		}
-		g, err := core.NewSLOGuard(inner, *cfg.SLO)
-		if err != nil {
+		var err error
+		if t.SLO, err = core.NewSLOGuard(*cfg.SLO); err != nil {
 			return nil, err
 		}
-		s.guard = g
-		s.cfg.Controller = g
+		if t.Controller == nil {
+			t.Controller = core.NewRUBIC(core.RUBICConfig{MaxLevel: cfg.Workers, InitialLevel: cfg.Workers})
+		}
 	}
-	return s, nil
+	if t.Controller == nil {
+		t.Controller = core.NewStatic("fixed", cfg.Workers, cfg.Workers)
+	}
+	return &Server{cfg: cfg, tuner: t}, nil
 }
-
-// Guard exposes the SLO guard (nil without an SLO policy).
-func (s *Server) Guard() *core.SLOGuard { return s.guard }
 
 // Run executes the open-loop run for the given duration, then verifies the
 // workload's invariants. The returned Result is valid even when err is a
@@ -213,11 +211,8 @@ func (s *Server) Run(duration time.Duration) (Result, error) {
 		return res, err
 	}
 
-	level := cfg.Workers
-	if cfg.Controller != nil {
-		level = cfg.Controller.Level()
-	}
-	pl.SetLevel(level)
+	s.tuner.Target = pl
+	level := s.tuner.Hold()
 
 	// Generator: walks the arrival schedule in absolute time, so a slow
 	// consumer cannot stretch the schedule (that would close the loop). A
@@ -265,6 +260,8 @@ func (s *Server) Run(duration time.Duration) (Result, error) {
 
 	// Epoch loop: merge the workers' cumulative histograms, difference
 	// against the previous merge for the interval view, decide the level.
+	// Each epoch is measured from the instant the previous one was sampled,
+	// so a late or dropped tick stretches the window, not the rate.
 	ticker := time.NewTicker(cfg.Epoch)
 	defer ticker.Stop()
 	deadline := time.NewTimer(duration)
@@ -273,7 +270,7 @@ func (s *Server) Run(duration time.Duration) (Result, error) {
 	var prevCompleted, prevArrived, prevShed uint64
 	var levelSum float64
 	epochs := 0
-	epochSecs := cfg.Epoch.Seconds()
+	sampled := start
 loop:
 	for {
 		select {
@@ -288,6 +285,9 @@ loop:
 			interval.Sub(prevCum)
 			prevCum = cum
 
+			now := time.Now()
+			window := now.Sub(sampled)
+			sampled = now
 			completed := pl.Completed()
 			arr := arrived.Load()
 			shed := queue.Shed()
@@ -296,7 +296,7 @@ loop:
 				Arrived:    arr - prevArrived,
 				Completed:  completed - prevCompleted,
 				Shed:       shed - prevShed,
-				QPS:        float64(completed-prevCompleted) / epochSecs,
+				QPS:        float64(completed-prevCompleted) / window.Seconds(),
 				QueueDepth: queue.Len(),
 				P50:        interval.P50(),
 				P99:        interval.P99(),
@@ -305,19 +305,8 @@ loop:
 			}
 			prevCompleted, prevArrived, prevShed = completed, arr, shed
 
-			switch {
-			case s.guard != nil:
-				level = s.guard.NextEpoch(st.P99, st.QPS)
-				st.State = s.guard.State().String()
-			case cfg.Controller != nil:
-				level = cfg.Controller.Next(st.QPS)
-			}
-			pl.SetLevel(level)
-			if cfg.Adapter != nil {
-				cfg.Adapter.Epoch(st.QPS)
-			}
-			st.Level = level
-			levelSum += float64(level)
+			s.decide(&st, window)
+			levelSum += float64(st.Level)
 			epochs++
 			res.Epochs = append(res.Epochs, st)
 			if cfg.OnEpoch != nil {
@@ -356,12 +345,22 @@ loop:
 	} else {
 		res.MeanLevel = float64(level)
 	}
-	if s.guard != nil {
-		res.SLO = s.guard.Stats()
-		res.SLOState = s.guard.State().String()
+	if slo := s.tuner.SLO; slo != nil {
+		res.SLO = slo.Stats()
+		res.SLOState = slo.State().String()
 	}
 	if err := cfg.Workload.Verify(); err != nil {
 		return res, fmt.Errorf("load: %s verification: %w", cfg.Workload.Name(), err)
 	}
 	return res, nil
+}
+
+// decide is the epoch loop's call into the decision step: the epoch's
+// measured rate, window and p99 are the observation; the step's answer and
+// the SLO stage's posture after it complete the report.
+func (s *Server) decide(st *EpochStat, window time.Duration) {
+	st.Level = s.tuner.Step(core.Observation{Tput: st.QPS, Age: window, P99: st.P99})
+	if s.tuner.SLO != nil {
+		st.State = s.tuner.SLO.State().String()
+	}
 }

@@ -1,13 +1,16 @@
 package load
 
 import (
+	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rubic/internal/core"
 	"rubic/internal/pool"
 	"rubic/internal/stm"
+	"rubic/internal/trace"
 )
 
 func newKVServer(t *testing.T, cfg Config) *Server {
@@ -160,6 +163,115 @@ func TestServerSLOCutsUnderOverload(t *testing.T) {
 	}
 	if min != 1 {
 		t.Fatalf("sustained breach never cut to the floor (min level %d)", min)
+	}
+}
+
+// TestServerEpochRateIsOverMeasuredWindow: a ticker delivers late and drops
+// ticks when its receiver stalls — which on an oversubscribed host is the
+// co-location case itself — so the rate an epoch reports, and feeds the
+// controller, must be its completions over the time actually covered. One
+// epoch's report handler blocks for several periods; every epoch's
+// QPS x window must still be its Completed, where dividing by the nominal
+// epoch inflates the stalled epoch's rate by the length of the stall.
+func TestServerEpochRateIsOverMeasuredWindow(t *testing.T) {
+	const epoch = 50 * time.Millisecond
+	a, err := NewConstant(2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reported []time.Time
+	s := newKVServer(t, Config{
+		Arrival: a,
+		Workers: 2,
+		Epoch:   epoch,
+		Seed:    11,
+		OnEpoch: func(e EpochStat) {
+			reported = append(reported, time.Now())
+			if e.Index == 2 {
+				time.Sleep(4 * epoch)
+			}
+		},
+	})
+	res, err := s.Run(12 * epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled := false
+	for i := 1; i < len(res.Epochs); i++ {
+		e := res.Epochs[i]
+		// Reports follow their samples by the same few microseconds, so the
+		// gap between two reports is the later epoch's window.
+		window := reported[i].Sub(reported[i-1])
+		stalled = stalled || window > 3*epoch
+		covered := e.QPS * window.Seconds()
+		if math.Abs(covered-float64(e.Completed)) > 0.3*float64(e.Completed)+10 {
+			t.Errorf("epoch %d: qps %.0f over its %v window is %.0f requests, but %d completed",
+				e.Index, e.QPS, window, covered, e.Completed)
+		}
+	}
+	if !stalled {
+		t.Fatalf("no epoch covered the stall: %d epochs", len(res.Epochs))
+	}
+}
+
+// scriptedTarget is a core.Target whose completion counter follows a script
+// of per-sample deltas (cycled), and which remembers the levels actuated.
+type scriptedTarget struct {
+	deltas  []uint64
+	samples atomic.Int64
+	count   uint64
+	levels  []int
+}
+
+func (s *scriptedTarget) SetLevel(n int) { s.levels = append(s.levels, n) }
+
+func (s *scriptedTarget) Completed() uint64 {
+	s.count += s.deltas[int(s.samples.Add(1))%len(s.deltas)]
+	return s.count
+}
+
+// TestServerAndTickerShareTheDecisionStep is the differential test of the two
+// clocks: the closed-loop Tuner runs on its own ticker over a scripted
+// counter, recording each observation's rate and the level decided from it;
+// the same rates are then played through the server's call site (decide, on
+// a Server that never runs) into a controller of the same configuration. The
+// level sequences must be identical — there is one decision step, and neither
+// clock adds to it.
+func TestServerAndTickerShareTheDecisionStep(t *testing.T) {
+	const rounds = 60
+	cfg := core.RUBICConfig{MaxLevel: 16}
+	// Gains, plateaus and collapses, so RUBIC grows, cuts and recovers.
+	ticked := &scriptedTarget{deltas: []uint64{10, 40, 90, 160, 250, 360, 20, 5, 300, 400, 500, 30, 600, 700, 1}}
+	rates, levels := trace.NewSeries("rate"), trace.NewSeries("level")
+	tuner := &core.Tuner{
+		Controller:  core.NewRUBIC(cfg),
+		Target:      ticked,
+		Period:      time.Millisecond,
+		Levels:      levels,
+		Throughputs: rates,
+	}
+	tuner.Start()
+	for deadline := time.Now().Add(10 * time.Second); ticked.samples.Load() <= rounds && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	tuner.Stop()
+	if levels.Len() < rounds || levels.Len() != rates.Len() || levels.Len() != len(ticked.levels) {
+		t.Fatalf("ticker path recorded %d levels, %d rates, %d actuations", levels.Len(), rates.Len(), len(ticked.levels))
+	}
+	if lo, hi := levels.MinMax(); hi-lo < 3 {
+		t.Fatalf("script moved the level only within [%v, %v]: the comparison would be vacuous", lo, hi)
+	}
+
+	s := newKVServer(t, Config{Workers: cfg.MaxLevel, Controller: core.NewRUBIC(cfg)})
+	served := &scriptedTarget{}
+	s.tuner.Target = served
+	for i, rate := range rates.V {
+		st := EpochStat{Index: i, QPS: rate}
+		s.decide(&st, tuner.Period)
+		if st.Level != int(levels.V[i]) || served.levels[i] != ticked.levels[i] {
+			t.Fatalf("round %d (rate %.0f): server's call site decided %d (actuated %d), ticker path %v (actuated %d)\nticker levels %v",
+				i, rate, st.Level, served.levels[i], levels.V[i], ticked.levels[i], levels.V[:i+1])
+		}
 	}
 }
 

@@ -265,7 +265,7 @@ func streamTelemetry(enc *Encoder, period time.Duration, p colocate.Proc, live f
 			if adaptive != nil && p.Controller == nil {
 				// No tuning loop to drive the adapter (greedy policy): the
 				// telemetry tick is the epoch boundary instead.
-				adaptive.Epoch(tput)
+				adaptive.Epoch(core.Observation{Tput: tput})
 			}
 			stats := p.Runtime.Stats()
 			tele := Telemetry{
@@ -320,7 +320,9 @@ func (cfg AgentConfig) Proc() (colocate.Proc, error) {
 			return p, err
 		}
 		// Non-resumable policies (the baselines) simply start fresh.
-		core.RestoreInto(p.Controller, st)
+		if r, ok := p.Controller.(core.Resumable); ok {
+			r.RestoreState(st)
+		}
 	}
 	if cfg.AdaptRestore != "" && p.Adapter != nil {
 		var st core.AdaptiveState
