@@ -94,13 +94,10 @@ benchscale:
 
 # benchscalegate is the parallel regression gate: a 2-proc run compared
 # against the checked-in parallel baseline (recorded at GOMAXPROCS=2, the
-# smallest level where commit-path contention exists on any host). The
-# allocation slack is wider than the serial gate's: under contention every
-# retried write allocates a fresh publication box, so parallel allocs/op is
-# hardware-dependent where serial allocs/op is exact.
+# smallest level where commit-path contention exists on any host).
 benchscalegate:
 	GOMAXPROCS=2 $(GO) test -run '^$$' -bench . -benchmem -benchtime 0.3s $(BENCH_PKGS) \
-		| $(GO) run ./cmd/rubic-benchgate -compare BENCH_baseline_parallel.json -alloc-slack 3
+		| $(GO) run ./cmd/rubic-benchgate -compare BENCH_baseline_parallel.json
 
 # bench-ab is the end-to-end A/B a performance PR reports: the working tree
 # against PARENT (any revision), PAIRS alternating parent/change runs of

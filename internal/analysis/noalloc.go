@@ -24,10 +24,11 @@ import (
 //   - boxing a non-constant, non-pointer value into an interface argument
 //     or result.
 //
-// Known false negatives: allocations inside callees (annotate the callee or
-// keep its budget documented — boxValue's one publication box per written
-// location is the deliberate example), escape-analysis promotions of plain
-// local variables, and allocations behind interface method calls.
+// Known false negatives: allocations inside callees (annotate the callee),
+// escape-analysis promotions of plain local variables, and allocations behind
+// interface method calls. The only budgeted allocation under the annotated
+// transaction paths is stm.newBox: the box of a value too wide for a Var's
+// own words, one per written location of such a type.
 var NoAlloc = &Analyzer{
 	Name: "noalloc",
 	Doc: "reports allocation sites (make/new, escaping composites, capturing " +

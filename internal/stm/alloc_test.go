@@ -6,10 +6,11 @@ import (
 )
 
 // These tests pin the zero-allocation contract of the hot path (DESIGN.md
-// §8): a steady-state read-only block allocates nothing, and a small update
-// block allocates only its publication box. They are regression gates — a
-// change that reintroduces a per-transaction allocation fails them
-// deterministically, unlike the benchmark gate which tolerates noise.
+// §8): a steady-state read-only block allocates nothing, and an update block
+// allocates exactly one box per written location whose type needs one. They
+// are regression gates — a change that reintroduces a per-transaction
+// allocation fails them deterministically, unlike the benchmark gate which
+// tolerates noise.
 
 // allocEngines mirrors the benchmark matrix: both engines share the Tx
 // recycling machinery but exercise different read/commit protocols.
@@ -56,35 +57,69 @@ func TestAtomicROAllocFree(t *testing.T) {
 	}
 }
 
+// rmwAllocs is the exact allocation count of one committed read-modify-write
+// of x, after warm-up.
+func rmwAllocs[T any](t *testing.T, algo Algorithm, x *Var[T], next func(T) T) float64 {
+	t.Helper()
+	rt := New(Config{Algorithm: algo})
+	fn := func(tx *Tx) error {
+		x.Write(tx, next(x.Read(tx)))
+		return nil
+	}
+	run := func() {
+		if err := rt.Atomic(fn); err != nil {
+			t.Error(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		run()
+	}
+	return testing.AllocsPerRun(1000, run)
+}
+
+// accum is the shape of kmeans' cluster accumulator: wider than a word and
+// not a single pointer, so it is the kind of T that still needs a box.
+type accum struct {
+	Sum   []float64
+	Count int
+}
+
+// TestAtomicSmallWriteSingleAlloc pins the cost of a committed write exactly:
+// nothing for a T that lives in the Var's own words, one box for any other.
 func TestAtomicSmallWriteSingleAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector adds shadow allocations")
 	}
+	nodes := [2]struct{ n int }{}
 	for _, algo := range allocEngines {
 		t.Run(algo.String(), func(t *testing.T) {
-			rt := New(Config{Algorithm: algo})
-			x := NewVar(0)
-			warmPool(t, rt, x)
-			// Values below 256 box for free (Go interns small integers), so
-			// the only allocation left is the publication box.
-			fn := func(tx *Tx) error {
-				x.Write(tx, (x.Read(tx)+1)&0x7f)
-				return nil
-			}
-			allocs := testing.AllocsPerRun(1000, func() {
-				if err := rt.Atomic(fn); err != nil {
-					t.Error(err)
+			for name, tc := range map[string]struct{ got, want float64 }{
+				// Values past 255, which Go no longer interns when boxing.
+				"int64": {rmwAllocs(t, algo, NewVar(int64(1000)), func(v int64) int64 { return v + 1 }), 0},
+				"*T": {rmwAllocs(t, algo, NewVar(&nodes[0]), func(p *struct{ n int }) *struct{ n int } {
+					if p == &nodes[0] {
+						return &nodes[1]
+					}
+					return &nodes[0]
+				}), 0},
+				"bool":   {rmwAllocs(t, algo, NewVar(false), func(v bool) bool { return !v }), 0},
+				"string": {rmwAllocs(t, algo, NewVar("a"), func(v string) string { return v[:1] }), 1},
+				"accum": {rmwAllocs(t, algo, NewVar(accum{}), func(v accum) accum {
+					v.Count++
+					return v
+				}), 1},
+			} {
+				if tc.got != tc.want {
+					t.Errorf("committed RMW on Var[%s] allocates %.3f objects, want exactly %.0f", name, tc.got, tc.want)
 				}
-			})
-			if allocs > 1.001 {
-				t.Errorf("small-write Atomic allocates %.3f objects/op, want <= 1", allocs)
 			}
 		})
 	}
 }
 
-// TestAllocScalesWithWriteSet documents that the per-write cost is exactly
-// one publication box: w writes cost w allocations, independent of engine.
+// TestAllocScalesWithWriteSet: the per-write cost does not depend on the
+// write-set size or the engine — w scalar writes cost nothing, w wide ones w
+// boxes.
 func TestAllocScalesWithWriteSet(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector adds shadow allocations")
@@ -93,31 +128,32 @@ func TestAllocScalesWithWriteSet(t *testing.T) {
 		for _, writes := range []int{2, 8} {
 			t.Run(fmt.Sprintf("%s/w=%d", algo.String(), writes), func(t *testing.T) {
 				rt := New(Config{Algorithm: algo})
-				vars := make([]*Var[int], writes)
-				for i := range vars {
-					vars[i] = NewVar(i & 0x7f)
-				}
-				warmPool(t, rt, vars[0])
-				fn := func(tx *Tx) error {
-					for _, v := range vars {
-						v.Write(tx, (v.Read(tx)+1)&0x7f)
+				nums := make([]Var[int], writes)
+				strs := make([]Var[string], writes)
+				scalars := func(tx *Tx) error {
+					for i := range nums {
+						nums[i].Write(tx, nums[i].Read(tx)+1000)
 					}
 					return nil
 				}
-				// Warm the write set to the target capacity.
-				for i := 0; i < 8; i++ {
-					if err := rt.Atomic(fn); err != nil {
-						t.Fatal(err)
+				wide := func(tx *Tx) error {
+					for i := range strs {
+						strs[i].Write(tx, "x"+strs[i].Read(tx)[:0])
 					}
+					return nil
 				}
-				allocs := testing.AllocsPerRun(500, func() {
-					if err := rt.Atomic(fn); err != nil {
-						t.Error(err)
+				for fn, want := range map[*func(*Tx) error]float64{&scalars: 0, &wide: float64(writes)} {
+					run := func() {
+						if err := rt.Atomic(*fn); err != nil {
+							t.Error(err)
+						}
 					}
-				})
-				if allocs > float64(writes)+0.001 {
-					t.Errorf("%d-write Atomic allocates %.3f objects/op, want <= %d",
-						writes, allocs, writes)
+					for i := 0; i < 64; i++ { // warm the pool and the write set's capacity
+						run()
+					}
+					if got := testing.AllocsPerRun(500, run); got != want {
+						t.Errorf("%d-write Atomic allocates %.3f objects/op, want exactly %.0f", writes, got, want)
+					}
 				}
 			})
 		}

@@ -1,5 +1,10 @@
 package stm
 
+import (
+	"reflect"
+	"unsafe"
+)
+
 // This file is the runtime's durability hook (DESIGN.md §13): an attached
 // CommitSink observes every committed writer transaction that touched at
 // least one durable location. The runtime itself knows nothing about disks,
@@ -16,10 +21,9 @@ package stm
 //     overwrite dependency. Replaying records in CSN order therefore
 //     reconstructs a state every prefix of which is consistent.
 //   - Publish is called after the critical section (locks released), handing
-//     over the publication boxes. Boxes are immutable once published and
-//     never recycled, so the sink may encode them at leisure on another
-//     goroutine. The ops slice itself is only valid for the duration of the
-//     call (it is pooled with the Tx).
+//     over the committed values themselves: scalars by copy, wide values by
+//     the address of their box, which is never written again. The ops slice
+//     is only valid for the duration of the call (it is pooled with the Tx).
 //   - WaitDurable is called last, outside all locks, and may block (group
 //     commit with a synchronous fsync policy) or return immediately
 //     (asynchronous policies).
@@ -29,12 +33,17 @@ package stm
 // non-durable writer commit is one atomic pointer load.
 
 // DurableOp is one durable write within a committed transaction: the
-// location's stable durable identity (assigned via Var.MarkDurable) and its
-// publication box. The box is immutable after publication, so holding the
-// pointer is safe indefinitely; the containing slice is not.
+// location's stable durable identity (assigned via Var.MarkDurable), the
+// kind of its element type T, and the committed value where the location
+// itself keeps it. For Bool through Complex64, Word holds the value's bytes:
+// read it as *(*T)(unsafe.Pointer(&op.Word)). For Chan, Func, Map, Pointer
+// and UnsafePointer, Ptr is the value. For every other kind Ptr is a *T to
+// an immutable copy, safe to hold indefinitely; the containing slice is not.
 type DurableOp struct {
-	ID  uint64
-	Box *any
+	ID   uint64
+	Kind reflect.Kind
+	Word uint64
+	Ptr  unsafe.Pointer
 }
 
 // CommitSink receives the durable write-sets of committed transactions in
@@ -48,7 +57,7 @@ type CommitSink interface {
 	BeginCommit() uint64
 
 	// Publish hands over the committed durable writes for csn. ops is valid
-	// only for the duration of the call; the boxes it references are
+	// only for the duration of the call; what its Ptr fields reference is
 	// immutable and may be retained.
 	Publish(csn uint64, ops []DurableOp)
 
@@ -83,9 +92,9 @@ func (tx *Tx) beginDurable() {
 	}
 	tx.durOps = tx.durOps[:0]
 	for i := range tx.writes {
-		if id := tx.writes[i].base.durID; id != 0 {
+		if w := &tx.writes[i]; w.base.durID != 0 {
 			//lint:ignore rubic/noalloc durable-op capacity is retained across pooled reuse; growth amortizes to zero
-			tx.durOps = append(tx.durOps, DurableOp{ID: id, Box: tx.writes[i].valp})
+			tx.durOps = append(tx.durOps, DurableOp{ID: w.base.durID, Kind: reflect.Kind(w.k), Word: w.val.w, Ptr: w.val.p})
 		}
 	}
 	if len(tx.durOps) == 0 {

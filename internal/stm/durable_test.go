@@ -97,7 +97,7 @@ func TestDurableCSNReplayEquivalence(t *testing.T) {
 					t.Fatalf("CSN %d missing from publish stream (got %d records)", csn, n)
 				}
 				for _, op := range ops {
-					replayed[op.ID] = (*op.Box).(int)
+					replayed[op.ID] = opValue[int](op)
 				}
 			}
 			for i, v := range vs {
@@ -153,7 +153,7 @@ func TestDurableOnlyMarkedLocationsPublish(t *testing.T) {
 				t.Fatal(err)
 			}
 			ops := sink.recs[1]
-			if len(ops) != 1 || ops[0].ID != 7 || (*ops[0].Box).(int) != 42 {
+			if len(ops) != 1 || ops[0].ID != 7 || opValue[int](ops[0]) != 42 {
 				t.Fatalf("mixed commit published %+v, want single op id=7 val=42", ops)
 			}
 		})

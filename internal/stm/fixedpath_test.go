@@ -12,9 +12,13 @@ import (
 
 // hostBigBlock runs one block of n reads and n/10 writes and returns the Tx
 // object that hosted it (a deliberate leak: rubic-lint does not load tests).
+// The Vars hold pointers, so both sets carry values the collector can see.
 func hostBigBlock(t *testing.T, rt *Runtime, n int) *Tx {
 	t.Helper()
-	vars := make([]Var[int], n)
+	vars := make([]Var[*int], n)
+	for i := range vars {
+		vars[i].Set(new(int))
+	}
 	var host *Tx
 	if err := rt.Atomic(func(tx *Tx) error {
 		host = tx
@@ -22,7 +26,7 @@ func hostBigBlock(t *testing.T, rt *Runtime, n int) *Tx {
 			vars[i].Read(tx)
 		}
 		for i := 0; i < n; i += 10 {
-			vars[i].Write(tx, i)
+			vars[i].Write(tx, new(int))
 		}
 		return nil
 	}); err != nil {
@@ -33,7 +37,7 @@ func hostBigBlock(t *testing.T, rt *Runtime, n int) *Tx {
 
 // TestReleaseLeavesNoStalePointers: release clears only the prefix a block
 // used, so the whole backing array — not just the prefix — must be free of
-// location and box pointers afterwards, or a pooled Tx would pin user values.
+// location and value pointers afterwards, or a pooled Tx would pin user values.
 func TestReleaseLeavesNoStalePointers(t *testing.T) {
 	for _, algo := range []Algorithm{TL2, NOrec} {
 		t.Run(algo.String(), func(t *testing.T) {
@@ -53,12 +57,12 @@ func TestReleaseLeavesNoStalePointers(t *testing.T) {
 				}
 			}
 			for i, e := range tx.vreads[:cap(tx.vreads)] {
-				if e.base != nil || e.p != nil {
-					t.Fatalf("vreads[%d] still references a location or box after release", i)
+				if e.base != nil || e.val != (raw{}) {
+					t.Fatalf("vreads[%d] still references a location or value after release", i)
 				}
 			}
 			for i, e := range tx.writes[:cap(tx.writes)] {
-				if e.base != nil || e.valp != nil {
+				if e.base != nil || e.val != (raw{}) {
 					t.Fatalf("writes[%d] still references a location or box after release", i)
 				}
 			}

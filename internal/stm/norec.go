@@ -54,13 +54,29 @@ type norecState struct {
 	seq metrics.PaddedUint64
 }
 
-// valueRead is one value-log entry: the location and the boxed value pointer
-// observed. Write-back always publishes a fresh allocation, so pointer
-// equality certifies the value is unchanged — including the nil box of a
-// never-written location, which no write-back ever restores.
+// valueRead is one value-log entry: the location and the value observed.
+// Validation is NOrec's, by value: a scalar or pointer that went A→B→A since
+// the read validates, as the algorithm intends. A box validates by address;
+// every write publishes a fresh one and the log keeps the observed one
+// alive, so an equal address is an unchanged value.
 type valueRead struct {
 	base *varBase
-	p    *any
+	val  raw
+}
+
+// changed reports whether the location no longer holds the logged value.
+//
+//rubic:noalloc
+func (r *valueRead) changed() bool { return r.base.load() != r.val }
+
+// publishNorec is the NOrec write-back of one entry, under the sequence lock.
+//
+//rubic:noalloc
+func (w *writeEntry) publishNorec() {
+	w.base.store(w.val, w.k)
+	// Keep the location's version moving so Var.Version and the TL2-style
+	// consistent sampling remain meaningful.
+	w.base.meta.Add(1 << 1)
 }
 
 // waitEven spins until the sequence lock is even (no write-back in
@@ -82,11 +98,11 @@ func (n *norecState) waitEven() uint64 {
 // concurrent commit moved the clock.
 //
 //rubic:noalloc
-func (tx *Tx) readNorec(b *varBase) any {
+func (tx *Tx) readNorec(b *varBase) raw {
 	tx.checkAlive()
 	tx.work++
 	if i := tx.findWrite(b); i >= 0 {
-		return *tx.writes[i].valp
+		return tx.writes[i].val
 	}
 	for {
 		s1 := tx.rt.norec.waitEven()
@@ -96,33 +112,37 @@ func (tx *Tx) readNorec(b *varBase) any {
 			}
 			continue
 		}
-		p := b.val.Load()
+		v := b.load()
 		s2 := tx.rt.norec.seq.Load()
 		if s1 != s2 {
 			continue
 		}
 		//lint:ignore rubic/noalloc value-log capacity is retained across retries and pooled reuse; growth amortizes to zero
-		tx.vreads = append(tx.vreads, valueRead{base: b, p: p})
-		return unbox(p)
+		tx.vreads = append(tx.vreads, valueRead{base: b, val: v})
+		return v
 	}
 }
 
-// revalidateNorec re-reads every logged location and compares the boxed
-// pointers, adopting the new snapshot on success.
+// vreadsChanged reports whether any logged location changed value.
+//
+//rubic:noalloc
+func (tx *Tx) vreadsChanged() bool {
+	for i := range tx.vreads {
+		if tx.vreads[i].changed() {
+			return true
+		}
+	}
+	return false
+}
+
+// revalidateNorec re-reads every logged location, adopting the new snapshot
+// when none changed.
 //
 //rubic:noalloc
 func (tx *Tx) revalidateNorec() bool {
 	for {
 		s := tx.rt.norec.waitEven()
-		ok := true
-		for i := range tx.vreads {
-			r := &tx.vreads[i]
-			if r.base.val.Load() != r.p {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if tx.vreadsChanged() {
 			return false
 		}
 		if tx.rt.norec.seq.Load() == s {
@@ -133,22 +153,20 @@ func (tx *Tx) revalidateNorec() bool {
 	}
 }
 
-// writeNorec buffers the write; NOrec acquires nothing before commit. As
-// with write, the publication box built by boxValue is the one budgeted
-// allocation, outside this body.
+// writeNorec buffers the write; NOrec acquires nothing before commit.
 //
 //rubic:noalloc
-func (tx *Tx) writeNorec(b *varBase, v any) {
+func (tx *Tx) writeNorec(b *varBase, v raw, k kind) {
 	tx.checkAlive()
 	tx.work++
 	if tx.readOnly {
 		panic("stm: write inside a read-only transaction")
 	}
 	if i := tx.findWrite(b); i >= 0 {
-		*tx.writes[i].valp = v
+		tx.writes[i].val = v
 		return
 	}
-	tx.appendWrite(writeEntry{base: b, valp: boxValue(v)})
+	tx.appendWrite(writeEntry{base: b, val: v, k: k})
 }
 
 // commitNorec serializes on the global sequence lock: validate the value
@@ -172,14 +190,7 @@ func (tx *Tx) commitNorec() bool {
 		// serialize here, so CSN order is exactly commit order (durable.go).
 		tx.beginDurable()
 		for i := range tx.writes {
-			w := &tx.writes[i]
-			// Publish the box built at write time: it was private until this
-			// store, and it is never recycled, so readers' pointer-equality
-			// validation stays sound.
-			w.base.val.Store(w.valp)
-			// Keep the location's version moving so Var.Version and the
-			// TL2-style consistent sampling remain meaningful.
-			w.base.meta.Add(1 << 1)
+			tx.writes[i].publishNorec()
 		}
 		tx.rt.norec.seq.Store(s + 2)
 		tx.status.Store(txCommitted)
@@ -191,11 +202,8 @@ func (tx *Tx) commitNorec() bool {
 // revalidateNorecAt validates the value log at a specific even sequence
 // value (pre-commit validation holds no lock; the CAS re-checks s).
 func (tx *Tx) revalidateNorecAt(s uint64) bool {
-	for i := range tx.vreads {
-		r := &tx.vreads[i]
-		if r.base.val.Load() != r.p {
-			return false
-		}
+	if tx.vreadsChanged() {
+		return false
 	}
 	tx.rv = s
 	return true

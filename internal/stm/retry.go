@@ -63,8 +63,7 @@ func (tx *Tx) waitForChange() error {
 			}
 		}
 		for i := range watchNOrec {
-			r := &watchNOrec[i]
-			if r.base.val.Load() != r.p {
+			if watchNOrec[i].changed() {
 				return nil
 			}
 		}

@@ -434,19 +434,13 @@ func (cx *CrossTx) commitAll() bool {
 	// NOrec shards publish under their held sequence locks.
 	for _, i := range cx.order {
 		tx := cx.txs[i]
-		if tx.rt.engine() == NOrec {
-			for w := range tx.writes {
-				e := &tx.writes[w]
-				e.base.val.Store(e.valp)
-				e.base.meta.Add(1 << 1)
-			}
-			continue
-		}
+		norec := tx.rt.engine() == NOrec
 		for w := range tx.writes {
-			e := &tx.writes[w]
-			e.base.val.Store(e.valp)
-			e.base.owner.Store(nil)
-			e.base.meta.Store(merged << 1)
+			if norec {
+				tx.writes[w].publishNorec()
+			} else {
+				tx.writes[w].publish(merged)
+			}
 		}
 	}
 	for h := len(cx.holds) - 1; h >= 0; h-- {

@@ -24,11 +24,11 @@
 // The hot path is engineered to be allocation-free and contention-resilient
 // (DESIGN.md §8): Tx contexts are recycled through a per-runtime sync.Pool
 // with capped reuse of their read/write sets, so a steady-state AtomicRO
-// block performs zero heap allocations and a small update transaction only
-// allocates its publication boxes; commit/abort statistics land on
-// cache-line padded shards instead of one shared line; and commit
-// timestamps come from a lazy GV4-style clock protocol unless
-// Config.DisableLazyClock asks for the eager fetch-and-add.
+// block performs zero heap allocations and an update transaction allocates
+// only a box per written value too wide for a Var's own words (kind.go);
+// commit/abort statistics land on cache-line padded shards instead of one
+// shared line; and commit timestamps come from a lazy GV4-style clock
+// protocol unless Config.DisableLazyClock asks for the eager fetch-and-add.
 package stm
 
 import (

@@ -195,7 +195,7 @@ func TestMaxRetries(t *testing.T) {
 	// Hold a lock from another "transaction" by doctoring a competitor Tx.
 	blocker := &Tx{rt: rt}
 	blocker.reset()
-	blocker.write(&x.base, 99)
+	x.Write(blocker, 99)
 
 	err := rt.Atomic(func(tx *Tx) error {
 		x.Write(tx, 1)
@@ -220,7 +220,7 @@ func TestGreedyOlderWins(t *testing.T) {
 	younger := &Tx{rt: rt}
 	younger.ts.Store(2)
 	younger.reset()
-	younger.write(&x.base, 5)
+	x.Write(younger, 5)
 
 	cm := GreedyCM{}
 	if cm.ShouldAbort(older, younger) {

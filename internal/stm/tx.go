@@ -65,17 +65,24 @@ type readEntry struct {
 	meta uint64 // unlocked meta word observed at read time
 }
 
-// writeEntry buffers one write. valp is the publication box: the single
-// heap allocation a committed write costs. It is created when the write is
-// first buffered, mutated in place while the transaction remains active
-// (the box is still private), and published wholesale by commit write-back.
-// Publishing a fresh box per commit is what lets optimistic readers detect
-// concurrent change by pointer comparison (NOrec's value log relies on it),
-// so boxes are never recycled.
+// writeEntry buffers one write: the value in engine form and the kind that
+// says which slot of base commit write-back stores it to. A later write to
+// the same location in the same attempt replaces val.
 type writeEntry struct {
 	base     *varBase
 	prevMeta uint64 // meta word before our acquisition, restored on abort
-	valp     *any
+	val      raw
+	k        kind
+}
+
+// publish is the TL2 write-back of one entry: store the value, then release
+// the write lock at commit version wv.
+//
+//rubic:noalloc
+func (w *writeEntry) publish(wv uint64) {
+	w.base.store(w.val, w.k)
+	w.base.owner.Store(nil)
+	w.base.meta.Store(wv << 1)
 }
 
 // Tx is one transaction attempt context. A Tx is created by Runtime.Atomic
@@ -289,14 +296,14 @@ func (tx *Tx) checkAlive() {
 // with timestamp extension, or NOrec's value-validated sampling.
 //
 //rubic:noalloc
-func (tx *Tx) read(b *varBase) any {
+func (tx *Tx) read(b *varBase) raw {
 	if tx.rt.engine() == NOrec {
 		return tx.readNorec(b)
 	}
 	tx.checkAlive()
 	tx.work++
 	if i := tx.findWrite(b); i >= 0 {
-		return *tx.writes[i].valp
+		return tx.writes[i].val
 	}
 	for spins := 0; ; spins++ {
 		m1 := b.meta.Load()
@@ -316,7 +323,7 @@ func (tx *Tx) read(b *varBase) any {
 			backoffSpin(spins)
 			continue
 		}
-		p := b.val.Load()
+		v := b.load()
 		m2 := b.meta.Load()
 		if m1 != m2 {
 			continue
@@ -340,20 +347,17 @@ func (tx *Tx) read(b *varBase) any {
 			//lint:ignore rubic/noalloc read-set capacity is retained across retries and pooled reuse; growth amortizes to zero
 			tx.reads = append(tx.reads, readEntry{base: b, meta: m1})
 		}
-		return unbox(p)
+		return v
 	}
 }
 
 // write dispatches to the engine: TL2 acquires the location's write lock
-// eagerly and buffers the value; NOrec only buffers. The one allocation a
-// first write to a location costs — the publication box — lives in
-// boxValue, deliberately outside the annotated bodies (a rubic/noalloc
-// known false negative, documented in DESIGN.md).
+// eagerly and buffers the value; NOrec only buffers.
 //
 //rubic:noalloc
-func (tx *Tx) write(b *varBase, v any) {
+func (tx *Tx) write(b *varBase, v raw, k kind) {
 	if tx.rt.engine() == NOrec {
-		tx.writeNorec(b, v)
+		tx.writeNorec(b, v, k)
 		return
 	}
 	tx.checkAlive()
@@ -362,7 +366,7 @@ func (tx *Tx) write(b *varBase, v any) {
 		panic("stm: write inside a read-only transaction")
 	}
 	if i := tx.findWrite(b); i >= 0 {
-		*tx.writes[i].valp = v
+		tx.writes[i].val = v
 		return
 	}
 	for spins := 0; ; spins++ {
@@ -395,19 +399,10 @@ func (tx *Tx) write(b *varBase, v any) {
 			// through b.owner sees at least the work invested up to here.
 			tx.workPub.Store(tx.work)
 			b.owner.Store(tx)
-			tx.appendWrite(writeEntry{base: b, prevMeta: m, valp: boxValue(v)})
+			tx.appendWrite(writeEntry{base: b, prevMeta: m, val: v, k: k})
 			return
 		}
 	}
-}
-
-// boxValue wraps v in its publication box — the one allocation a committed
-// write costs (plus Go's ordinary boxing of large non-pointer values into
-// the `any` argument itself).
-func boxValue(v any) *any {
-	p := new(any)
-	*p = v
-	return p
 }
 
 // appendWrite records a new write-set entry, folds the base into the
@@ -514,10 +509,7 @@ func (tx *Tx) commit() bool {
 	// read-from and overwrite dependency (durable.go).
 	tx.beginDurable()
 	for i := range tx.writes {
-		w := &tx.writes[i]
-		w.base.val.Store(w.valp)
-		w.base.owner.Store(nil)
-		w.base.meta.Store(wv << 1)
+		tx.writes[i].publish(wv)
 	}
 	tx.publishDurable()
 	return true

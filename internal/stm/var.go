@@ -3,6 +3,7 @@ package stm
 import (
 	"runtime"
 	"sync/atomic"
+	"unsafe"
 )
 
 // lockedBit marks a varBase metadata word as write-locked. The remaining
@@ -10,9 +11,9 @@ import (
 const lockedBit uint64 = 1
 
 // varBase is the runtime representation of one transactional location: a
-// versioned write-lock (meta), the owning transaction while locked, and the
-// current value. It is the Go analogue of a SwissTM ownership record fused
-// with its data word.
+// versioned write-lock (meta), the value's own words, and the owning
+// transaction while locked. It is the Go analogue of a SwissTM ownership
+// record fused with its data word.
 //
 // Invariants:
 //   - meta is either version<<1 (unlocked) or version<<1|lockedBit (locked,
@@ -20,20 +21,26 @@ const lockedBit uint64 = 1
 //   - While the locked bit is set, owner is nil only transiently (between
 //     the acquiring CAS and the owner store, or between the owner clear and
 //     the releasing store); readers observing nil simply retry.
-//   - val is written only by the lock holder during commit write-back, and
-//     is published with a fresh allocation so concurrent optimistic readers
-//     never observe a torn value.
+//   - The value lives in exactly one of the two slots, chosen by T's kind
+//     (kind.go): a scalar's bits in word, a pointer in ptr, and for any
+//     other T the address of an immutable box in ptr. The other slot stays
+//     zero for the life of the location. Only the lock holder stores to a
+//     slot, during commit write-back; one atomic store publishes the whole
+//     value, so concurrent optimistic readers never observe a torn one.
 //   - The zero varBase is a valid, never-written location: version 0,
-//     unlocked, and a nil val that every reader takes for T's zero value.
-//     Containers rely on it to embed Vars by value in nodes and bucket
-//     arrays without a per-Var allocation or init loop (DESIGN.md §8).
+//     unlocked, and zero slots that every accessor turns into T's zero
+//     value. Containers rely on it to embed Vars by value in nodes and
+//     bucket arrays without a per-Var allocation or init loop (DESIGN.md §8).
 //
-// The struct is four words; var_test.go pins the size, because every
-// container node pays it per field.
+// The struct is five words, the three a reader chooses from first;
+// var_test.go pins the size, because every container node pays it per field.
 type varBase struct {
-	meta  atomic.Uint64
+	meta atomic.Uint64
+	// ptr is accessed only through load and store below (sync/atomic has no
+	// type-erased pointer type; rubic/atomicmix checks the discipline).
+	ptr   unsafe.Pointer
+	word  atomic.Uint64
 	owner atomic.Pointer[Tx]
-	val   atomic.Pointer[any]
 
 	// durID is the location's stable durable identity (0 = not durable).
 	// Written only during quiescent registration (Var.MarkDurable) before
@@ -42,10 +49,33 @@ type varBase struct {
 	durID uint64
 }
 
-func (b *varBase) init(v any) {
-	p := new(any)
-	*p = v
-	b.val.Store(p)
+// raw is a value in the engines' form: the contents of a location's two
+// slots. Values of one location always differ in the same slot, so comparing
+// two raws compares scalars and pointers by value and boxes by identity.
+type raw struct {
+	p unsafe.Pointer
+	w uint64
+}
+
+// load returns the location's current slots. Each is read atomically; the
+// caller's protocol (meta sandwich, sequence lock) orders the pair.
+//
+//rubic:noalloc
+func (b *varBase) load() raw {
+	return raw{p: atomic.LoadPointer(&b.ptr), w: b.word.Load()}
+}
+
+// store publishes v into the slot k selects — the one place that maps a kind
+// to a slot. The caller owns the location: its write lock, the NOrec
+// sequence lock, or quiescence.
+//
+//rubic:noalloc
+func (b *varBase) store(v raw, k kind) {
+	if k.scalar() {
+		b.word.Store(v.w)
+	} else {
+		atomic.StorePointer(&b.ptr, v.p)
+	}
 }
 
 // sampleSpinBudget is how many times sampleConsistent re-polls a locked
@@ -59,7 +89,7 @@ const sampleSpinBudget = 64
 // outside any transaction, retrying across concurrent commits. A locked
 // location is re-polled up to sampleSpinBudget times, then each further
 // probe yields the processor so the lock owner can run and release.
-func (b *varBase) sampleConsistent() (any, uint64) {
+func (b *varBase) sampleConsistent() (raw, uint64) {
 	for spins := 0; ; spins++ {
 		m1 := b.meta.Load()
 		if m1&lockedBit != 0 {
@@ -68,24 +98,12 @@ func (b *varBase) sampleConsistent() (any, uint64) {
 			}
 			continue
 		}
-		p := b.val.Load()
+		v := b.load()
 		m2 := b.meta.Load()
 		if m1 == m2 {
-			return unbox(p), m1 >> 1
+			return v, m1 >> 1
 		}
 	}
-}
-
-// unbox returns the value a publication box holds; the nil box of a
-// never-written location holds nothing, which Var's typed accessors turn
-// into T's zero value.
-//
-//rubic:noalloc
-func unbox(p *any) (v any) {
-	if p != nil {
-		v = *p
-	}
-	return v
 }
 
 // Var is a typed transactional variable. All access from concurrent code
@@ -102,7 +120,7 @@ type Var[T any] struct {
 // NewVar returns a transactional variable holding init.
 func NewVar[T any](init T) *Var[T] {
 	v := &Var[T]{}
-	v.base.init(init)
+	v.Set(init)
 	return v
 }
 
@@ -111,31 +129,35 @@ func NewVar[T any](init T) *Var[T] {
 // by Runtime.Atomic, which retries the transaction) when a consistent value
 // cannot be obtained.
 func (v *Var[T]) Read(tx *Tx) T {
-	val, _ := tx.read(&v.base).(T) // a never-written Var reads as the zero T
-	return val
+	var zero T
+	return fromRaw[T](tx.read(&v.base), kindOf(zero))
 }
 
 // Write buffers a new value for the variable in tx. The write lock is
 // acquired eagerly (SwissTM style); the value itself is published only if
 // the transaction commits.
 func (v *Var[T]) Write(tx *Tx, val T) {
-	tx.write(&v.base, val)
+	var zero T
+	k := kindOf(zero)
+	tx.write(&v.base, toRaw(val, k), k)
 }
 
 // Peek returns the variable's current committed value without a transaction.
 // The read is individually consistent but carries no ordering guarantee with
 // respect to other variables; use it only outside transactional phases.
 func (v *Var[T]) Peek() T {
-	val, _ := v.base.sampleConsistent()
-	t, _ := val.(T)
-	return t
+	var zero T
+	r, _ := v.base.sampleConsistent()
+	return fromRaw[T](r, kindOf(zero))
 }
 
 // Set stores a value without a transaction. It must only be used while no
 // transaction can access the variable (e.g. single-threaded initialization);
 // concurrent transactional use would bypass conflict detection.
 func (v *Var[T]) Set(val T) {
-	v.base.init(val)
+	var zero T
+	k := kindOf(zero)
+	v.base.store(toRaw(val, k), k)
 }
 
 // Version returns the variable's current commit version, mainly for tests

@@ -10,8 +10,25 @@ import (
 // (DESIGN.md §8, Memory layout): every node field and every hash bucket pays
 // this size, so growing varBase is a decision to take here, not an accident.
 func TestVarSize(t *testing.T) {
-	if got := unsafe.Sizeof(Var[int64]{}); got != 32 {
-		t.Fatalf("Sizeof(Var[int64]) = %d, want 32 (meta, owner, val, durID)", got)
+	// Five words. Four would need the scalar word and the pointer slot to be
+	// one field — an integer the collector would scan as a pointer, or a
+	// pointer it would not scan at all.
+	if got := unsafe.Sizeof(Var[int64]{}); got != 40 {
+		t.Fatalf("Sizeof(Var[int64]) = %d, want 40 (meta, ptr, word, owner, durID)", got)
+	}
+	// A reader needs meta and one value slot: all three share the first 24
+	// bytes, so a Var in an array of them straddles a cache line for a
+	// pointer read only at one offset in eight.
+	var b varBase
+	if unsafe.Offsetof(b.meta) != 0 || unsafe.Offsetof(b.ptr) != 8 || unsafe.Offsetof(b.word) != 16 {
+		t.Fatalf("varBase hot fields at %d/%d/%d, want 0/8/16",
+			unsafe.Offsetof(b.meta), unsafe.Offsetof(b.ptr), unsafe.Offsetof(b.word))
+	}
+	if got := unsafe.Sizeof(writeEntry{}); got > 40 {
+		t.Fatalf("Sizeof(writeEntry) = %d, want <= 40", got)
+	}
+	if got := unsafe.Sizeof(valueRead{}); got > 32 {
+		t.Fatalf("Sizeof(valueRead) = %d, want <= 32", got)
 	}
 	if a, b := unsafe.Sizeof(Var[int64]{}), unsafe.Sizeof(Var[[4]string]{}); a != b {
 		t.Fatalf("Var size depends on T: %d vs %d", a, b)
@@ -22,7 +39,7 @@ type zeroHolder struct {
 	n   Var[int64]
 	p   Var[*int]
 	s   Var[string]
-	err Var[error] // interface-typed T: the nil box and a stored nil both read as nil
+	err Var[error] // interface-typed T: a never-written Var and a stored nil both read as nil
 }
 
 // TestZeroVar drives a never-initialized Var through the whole surface on
@@ -105,12 +122,15 @@ func TestZeroVar(t *testing.T) {
 				t.Fatal(err)
 			}
 			rt.AttachCommitSink(nil)
-			if len(sink.ops) != 1 || sink.ops[0].ID != 42 || (*sink.ops[0].Box).(int64) != 1 {
+			if len(sink.ops) != 1 || sink.ops[0].ID != 42 || opValue[int64](sink.ops[0]) != 1 {
 				t.Fatalf("sink saw %+v, want one op on ID 42 holding 1", sink.ops)
 			}
 		})
 	}
 }
+
+// opValue reads a DurableOp's value back as T, the way a sink would.
+func opValue[T any](op DurableOp) T { return fromRaw[T](raw{p: op.Ptr, w: op.Word}, kind(op.Kind)) }
 
 type recordingSink struct {
 	csn uint64
@@ -123,11 +143,11 @@ func (s *recordingSink) Publish(_ uint64, ops []DurableOp) {
 }
 func (s *recordingSink) WaitDurable(uint64) {}
 
-// TestNOrecValidatesNeverWrittenVar: NOrec's value log records the nil box
-// of a never-written Var, and validation by pointer equality must treat it
-// like any other box — unchanged while nobody writes the Var (a commit
-// elsewhere forces revalidation, which must pass), changed by its first
-// write (the reader must abort and see the new value).
+// TestNOrecValidatesNeverWrittenVar: NOrec's value log records the zero
+// slots of a never-written Var, and validation must treat them like any
+// other value — unchanged while nobody writes the Var (a commit elsewhere
+// forces revalidation, which must pass), changed by its first write (the
+// reader must abort and see the new value).
 func TestNOrecValidatesNeverWrittenVar(t *testing.T) {
 	rt := New(Config{Algorithm: NOrec})
 	var zero, other Var[int64]
@@ -141,7 +161,7 @@ func TestNOrecValidatesNeverWrittenVar(t *testing.T) {
 	}
 
 	// Unrelated commit between the read and the next read: revalidation of
-	// the nil box succeeds, no abort.
+	// the zero value succeeds, no abort.
 	before := rt.Stats()
 	if err := rt.Atomic(func(tx *Tx) error {
 		got := zero.Read(tx)
@@ -160,8 +180,8 @@ func TestNOrecValidatesNeverWrittenVar(t *testing.T) {
 		t.Fatalf("out = %d, want 1", out.Peek())
 	}
 
-	// First write to the zero Var between read and commit: the logged nil
-	// box no longer matches, the attempt aborts, the retry reads 5.
+	// First write to the zero Var between read and commit: the logged zero
+	// no longer matches, the attempt aborts, the retry reads 5.
 	before = after
 	if err := rt.Atomic(func(tx *Tx) error {
 		got := zero.Read(tx)

@@ -125,8 +125,7 @@ func BenchmarkDurableRO(b *testing.B) {
 // BenchmarkWALEncodeRecord isolates the producer-side encode: one op into a
 // retained buffer.
 func BenchmarkWALEncodeRecord(b *testing.B) {
-	box := any(int(123))
-	ops := []stm.DurableOp{{ID: 7, Box: &box}}
+	ops := []stm.DurableOp{opOf(7, 123)}
 	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -37,14 +37,16 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"reflect"
+	"unsafe"
 
 	"rubic/internal/stm"
 )
 
 // Value type tags. The codec covers the scalar types the workloads keep in
 // durable Vars; a durable Var of any other type is rejected at registration
-// (RegisterVar probes the codec), and a value that still sneaks through is
-// encoded as tagNull, which recovery reports as loss instead of guessing.
+// (RegisterVar), and a value that still sneaks through is encoded as
+// tagNull, which recovery reports as loss instead of guessing.
 const (
 	tagNull byte = iota
 	tagInt
@@ -86,53 +88,65 @@ func appendUvarint(b []byte, v uint64) []byte {
 	return append(b, byte(v))
 }
 
-// appendValue appends one tagged value. It reports false for types outside
-// the codec (the caller then raises the durability-lost flag; registration
-// probing makes that path unreachable in practice).
+// wordAs reads a scalar op's value the way stm stored it: T's bytes at the
+// word's address. With the *T conversions of op.Ptr in appendOp it is all the
+// unsafe on the encode path.
 //
 //rubic:noalloc
-func appendValue(b []byte, v any) ([]byte, bool) {
-	switch x := v.(type) {
-	case int:
-		//lint:ignore rubic/noalloc encode buffers are ring-slot-retained; growth amortizes to zero
-		b = append(b, tagInt)
-		b = binary.LittleEndian.AppendUint64(b, uint64(int64(x)))
-	case int64:
-		//lint:ignore rubic/noalloc encode buffers are ring-slot-retained; growth amortizes to zero
-		b = append(b, tagInt64)
-		b = binary.LittleEndian.AppendUint64(b, uint64(x))
-	case uint64:
-		//lint:ignore rubic/noalloc encode buffers are ring-slot-retained; growth amortizes to zero
-		b = append(b, tagUint64)
-		b = binary.LittleEndian.AppendUint64(b, x)
-	case float64:
-		//lint:ignore rubic/noalloc encode buffers are ring-slot-retained; growth amortizes to zero
-		b = append(b, tagFloat64)
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-	case bool:
+func wordAs[T int | bool](op *stm.DurableOp) T {
+	return *(*T)(unsafe.Pointer(&op.Word))
+}
+
+// appendWord appends a tagged eight-byte value.
+//
+//rubic:noalloc
+func appendWord(b []byte, tag byte, w uint64) []byte {
+	//lint:ignore rubic/noalloc encode buffers are ring-slot-retained; growth amortizes to zero
+	return binary.LittleEndian.AppendUint64(append(b, tag), w)
+}
+
+// appendBytes appends a tagged, length-prefixed string or byte slice.
+//
+//rubic:noalloc
+func appendBytes[S string | []byte](b []byte, tag byte, x S) []byte {
+	//lint:ignore rubic/noalloc encode buffers are ring-slot-retained; growth amortizes to zero
+	b = appendUvarint(append(b, tag), uint64(len(x)))
+	//lint:ignore rubic/noalloc encode buffers are ring-slot-retained; growth amortizes to zero
+	return append(b, x...)
+}
+
+// appendOp appends one op's tagged value, straight from where the committed
+// value lives; for the eight-byte kinds the word is the value's bits. The
+// tags are those of the element types codecFor admits; RegisterVar lets no
+// other type become durable, and an op of another kind that still arrives (a
+// Var marked durable by hand) encodes as tagNull and reports false, which
+// raises the durability-lost flag.
+//
+//rubic:noalloc
+func appendOp(b []byte, op *stm.DurableOp) ([]byte, bool) {
+	switch op.Kind {
+	case reflect.Int:
+		return appendWord(b, tagInt, uint64(int64(wordAs[int](op)))), true
+	case reflect.Int64:
+		return appendWord(b, tagInt64, op.Word), true
+	case reflect.Uint64:
+		return appendWord(b, tagUint64, op.Word), true
+	case reflect.Float64:
+		return appendWord(b, tagFloat64, op.Word), true
+	case reflect.Bool:
 		bit := byte(0)
-		if x {
+		if wordAs[bool](op) {
 			bit = 1
 		}
 		//lint:ignore rubic/noalloc encode buffers are ring-slot-retained; growth amortizes to zero
-		b = append(b, tagBool, bit)
-	case string:
-		//lint:ignore rubic/noalloc encode buffers are ring-slot-retained; growth amortizes to zero
-		b = append(b, tagString)
-		b = appendUvarint(b, uint64(len(x)))
-		//lint:ignore rubic/noalloc encode buffers are ring-slot-retained; growth amortizes to zero
-		b = append(b, x...)
-	case []byte:
-		//lint:ignore rubic/noalloc encode buffers are ring-slot-retained; growth amortizes to zero
-		b = append(b, tagBytes)
-		b = appendUvarint(b, uint64(len(x)))
-		//lint:ignore rubic/noalloc encode buffers are ring-slot-retained; growth amortizes to zero
-		b = append(b, x...)
-	default:
-		//lint:ignore rubic/noalloc encode buffers are ring-slot-retained; growth amortizes to zero
-		return append(b, tagNull), false
+		return append(b, tagBool, bit), true
+	case reflect.String:
+		return appendBytes(b, tagString, *(*string)(op.Ptr)), true
+	case reflect.Slice: // []byte, the one slice type codecFor admits
+		return appendBytes(b, tagBytes, *(*[]byte)(op.Ptr)), true
 	}
-	return b, true
+	//lint:ignore rubic/noalloc encode buffers are ring-slot-retained; growth amortizes to zero
+	return append(b, tagNull), false
 }
 
 // appendRecord encodes one committed durable write-set as a record payload.
@@ -147,7 +161,7 @@ func appendRecord(b []byte, csn uint64, ops []stm.DurableOp) ([]byte, bool) {
 	for i := range ops {
 		b = appendUvarint(b, ops[i].ID)
 		var vok bool
-		b, vok = appendValue(b, *ops[i].Box)
+		b, vok = appendOp(b, &ops[i])
 		ok = ok && vok
 	}
 	return b, ok

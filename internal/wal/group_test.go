@@ -147,8 +147,7 @@ func TestParkedCommitterReleasedWithoutDrain(t *testing.T) {
 			}
 			l.cond, l.space = sync.NewCond(&l.mu), sync.NewCond(&l.mu)
 			close(l.done) // there is no log goroutine for Close to wait for
-			box := any(1)
-			ops := []stm.DurableOp{{ID: 1, Box: &box}}
+			ops := []stm.DurableOp{opOf(1, 1)}
 			l.Publish(l.BeginCommit(), ops)
 			l.Publish(l.BeginCommit(), ops)
 			returned := make(chan struct{})
@@ -255,7 +254,7 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 	recovered := map[uint64][]byte{}
 	want := map[uint64][]byte{}
 	for _, id := range []uint64{900, 3, 41} {
-		enc, _ := appendValue(nil, int(id))
+		enc := encOf(int(id))
 		recovered[id], want[id] = enc, enc
 	}
 	l := &Log{opts: Options{Policy: FsyncOS}, dir: dir, state: recovered, next: 1}
@@ -268,12 +267,12 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 	}
 	for round, ids := range rounds {
 		for _, id := range ids {
-			box := any(int(l.next)*31 + round)
-			payload, ok := appendRecord(nil, l.next, []stm.DurableOp{{ID: id, Box: &box}})
+			val := int(l.next)*31 + round
+			payload, ok := appendRecord(nil, l.next, []stm.DurableOp{opOf(id, val)})
 			if !ok {
 				t.Fatal("codec rejected an int")
 			}
-			want[id], _ = appendValue(nil, box)
+			want[id] = encOf(val)
 			l.frame(payload)
 		}
 		at := l.next - 1
@@ -472,7 +471,7 @@ func TestRecoversParentWrittenDirectory(t *testing.T) {
 	}
 	want := map[uint64][]byte{}
 	for id, val := range oracle(canonicalRecords) {
-		want[id], _ = appendValue(nil, val)
+		want[id] = encOf(val)
 	}
 	if !bytes.Equal(got, referenceSnapshot(canonicalRecords, want)) {
 		t.Error("snapshot bytes differ from the reference encoding")

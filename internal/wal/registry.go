@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 
@@ -49,15 +50,29 @@ func (r *Registry) Len() int {
 	return len(r.setters)
 }
 
+// codecFor reports whether T is one of the codec's element types — exactly
+// the types decodeValue produces, so exactly those whose recovered value the
+// typed setter's x.(T) accepts. A named type with a codec type underneath
+// would encode, and then fail that assertion after a crash; an interface
+// type has no encoding of its own.
+func codecFor[T any]() bool {
+	var zero T
+	switch any(zero).(type) {
+	case int, int64, uint64, float64, bool, string, []byte:
+		return true
+	}
+	return false
+}
+
 // RegisterVar marks v durable under id and registers its typed setter. The
-// current value is probed against the codec so unsupported element types
-// fail here, at registration, rather than silently degrading the log later.
+// decision is made from T, not from the value v happens to hold: an element
+// type recovery cannot restore fails here, at registration, never later.
 func RegisterVar[T any](r *Registry, id uint64, v *stm.Var[T]) error {
 	if v == nil {
 		return fmt.Errorf("wal: nil Var for durable ID %d", id)
 	}
-	if _, ok := appendValue(nil, any(v.Peek())); !ok {
-		return fmt.Errorf("wal: durable ID %d: %w (%T)", id, errUnsupportedType, v.Peek())
+	if !codecFor[T]() {
+		return fmt.Errorf("wal: durable ID %d: %w (%v)", id, errUnsupportedType, reflect.TypeFor[T]())
 	}
 	if err := r.Register(id, func(x any) error {
 		t, ok := x.(T)

@@ -28,8 +28,7 @@ func buildCanonicalSegment(n int) (data []byte, bounds []int) {
 	for csn := uint64(1); csn <= uint64(n); csn++ {
 		bounds = append(bounds, len(data))
 		id, val := canonicalOp(csn)
-		box := any(val)
-		payload, ok := appendRecord(nil, csn, []stm.DurableOp{{ID: id, Box: &box}})
+		payload, ok := appendRecord(nil, csn, []stm.DurableOp{opOf(id, val)})
 		if !ok {
 			panic("canonical record rejected by codec")
 		}
@@ -123,8 +122,7 @@ func TestReplaySkipsCompactionDuplicates(t *testing.T) {
 	// Fake a snapshot at CSN 5 whose state is the oracle at 5.
 	l := &Log{dir: dir, state: make(map[uint64][]byte)}
 	for id, val := range oracle(5) {
-		enc, _ := appendValue(nil, val)
-		l.state[id] = enc
+		l.state[id] = encOf(val)
 	}
 	if err := l.writeSnapshotAt(5); err != nil {
 		t.Fatal(err)
@@ -225,9 +223,8 @@ func TestOpenDropsSegmentsBeyondThePrefix(t *testing.T) {
 	if rec := l.Recovered(); rec.LastCSN != 7 || !rec.Torn {
 		t.Fatalf("recovered %+v, want the 7 whole records and a torn tail", rec)
 	}
-	box := any(0)
 	for csn := uint64(8); csn <= 10; csn++ {
-		l.Publish(l.BeginCommit(), []stm.DurableOp{{ID: 1, Box: &box}})
+		l.Publish(l.BeginCommit(), []stm.DurableOp{opOf(1, 0)})
 	}
 	quiesce(t, l)
 	// A kill here: the directory as it is, without Close's snapshot.

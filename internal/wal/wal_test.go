@@ -11,45 +11,6 @@ import (
 	"rubic/internal/stm"
 )
 
-func TestValueCodecRoundtrip(t *testing.T) {
-	cases := []any{
-		int(0), int(-7), int(1 << 40),
-		int64(-1), int64(1) << 62,
-		uint64(0), ^uint64(0),
-		float64(3.5), float64(-0.0),
-		true, false,
-		"", "hello", string(make([]byte, 300)),
-		[]byte{}, []byte{1, 2, 3},
-	}
-	for _, want := range cases {
-		b, ok := appendValue(nil, want)
-		if !ok {
-			t.Fatalf("appendValue(%#v) rejected", want)
-		}
-		if n := valueLen(b); n != len(b) {
-			t.Fatalf("valueLen(%#v) = %d, want %d", want, n, len(b))
-		}
-		got, err := decodeValue(b)
-		if err != nil {
-			t.Fatalf("decodeValue(%#v): %v", want, err)
-		}
-		switch w := want.(type) {
-		case []byte:
-			g := got.([]byte)
-			if string(g) != string(w) {
-				t.Fatalf("roundtrip []byte: got %v want %v", g, w)
-			}
-		default:
-			if got != want {
-				t.Fatalf("roundtrip: got %#v want %#v", got, want)
-			}
-		}
-	}
-	if _, ok := appendValue(nil, struct{ X int }{1}); ok {
-		t.Fatal("appendValue accepted an unsupported type")
-	}
-}
-
 // storm is the shared integration harness: a runtime with durable counters
 // 1..vars, hammered by workers doing read-modify-write transactions whose
 // global sum is conserved-plus-increments, logged to dir.
