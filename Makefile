@@ -1,11 +1,11 @@
 GO ?= go
 
 # Packages carrying go test -bench micro-benchmarks (STM hot path, the
-# transactional containers, the malleable worker pool, and the durable
-# commit path).
-BENCH_PKGS = ./internal/stm ./internal/stm/container ./internal/stm/container/blink ./internal/pool ./internal/wal
+# transactional containers, the malleable worker pool, the durable commit
+# path, and the load generator's key draw).
+BENCH_PKGS = ./internal/stm ./internal/stm/container ./internal/stm/container/blink ./internal/pool ./internal/wal ./internal/load
 
-.PHONY: check build vet fmtcheck test race lint lint-fixtures bench-check bench benchgate benchscale benchscalegate bench-ab chaos serve-smoke adaptive-soak shard-soak crash-soak fuzz-wal loc
+.PHONY: check build vet fmtcheck test race lint lint-fixtures bench-check bench benchgate benchscale benchscalegate bench-ab chaos serve-smoke adaptive-soak shard-soak crash-soak fuzz-wal fuzz-zipf loc
 
 # check is the PR gate: vet, formatting, static analysis, the full test
 # suite, a race-detector pass over the whole module, and the nested
@@ -165,6 +165,14 @@ crash-soak:
 # internal/wal/testdata/fuzz/FuzzWALReplay/ — check it in with the fix.
 fuzz-wal:
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal
+
+# fuzz-zipf is a time-boxed run of the key generator's differential oracle:
+# for any key space, skew and u, the tabulated rank equals the per-draw
+# formula it replaced, up to cutpoints that sit on top of u. A failing input
+# is written to internal/load/testdata/fuzz/FuzzZipfRank/ — check it in with
+# the fix.
+fuzz-zipf:
+	$(GO) test -run '^$$' -fuzz FuzzZipfRank -fuzztime 15s ./internal/load
 
 # loc makes a size claim checkable: code-only lines (no blank lines, no lines
 # that are only a // comment) of the non-test Go of every package outside

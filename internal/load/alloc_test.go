@@ -63,3 +63,15 @@ func TestKVWritePathAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestZipfNextAllocFree pins the key draw at zero allocations: the tables
+// are built once in NewZipf and Next only reads them.
+func TestZipfNextAllocFree(t *testing.T) {
+	z, err := NewZipf(10_000, DefaultTheta, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(2000, func() { z.Next() }); got != 0 {
+		t.Errorf("Zipf.Next allocates %.3f objects/draw, want exactly 0", got)
+	}
+}

@@ -1,9 +1,12 @@
 package load
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
+
+	"rubic/internal/rng"
 )
 
 // schedule materializes the first n gaps of a generator.
@@ -120,14 +123,27 @@ func TestBurstSpikes(t *testing.T) {
 
 // TestZipfHotKeyMix pins the 80/20 default: at DefaultTheta over 10k keys,
 // the hottest 20% of ranks must absorb at least 75% of draws (and the
-// distribution must be deterministic per seed).
+// distribution must be deterministic per seed). The rank-frequency shape is
+// pinned too: the two hottest ranks against the analytic 1/(k+1)^theta/zetan,
+// the third and the top 1% against the per-draw formula on the same stream.
 func TestZipfHotKeyMix(t *testing.T) {
-	const n, draws = 10_000, 200_000
+	const n, draws = 10_000, 2_000_000
 	z, err := NewZipf(n, DefaultTheta, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	z2, _ := NewZipf(n, DefaultTheta, 11)
+	formula, us := newFormulaZipf(n, DefaultTheta), rng.NewStream(11, tagZipf)
+	// Shares of rank 0, rank 1, rank 2 and the hottest 1%.
+	share := func(c *[4]int, k uint64) {
+		if k < 3 {
+			c[k]++
+		}
+		if k < n/100 {
+			c[3]++
+		}
+	}
+	var got, old [4]int
 	hot := 0
 	for i := 0; i < draws; i++ {
 		k := z.Next()
@@ -140,6 +156,8 @@ func TestZipfHotKeyMix(t *testing.T) {
 		if k < n/5 {
 			hot++
 		}
+		share(&got, k)
+		share(&old, formula.rankByFormula(us.Float64()))
 	}
 	frac := float64(hot) / draws
 	if frac < 0.75 {
@@ -147,6 +165,17 @@ func TestZipfHotKeyMix(t *testing.T) {
 	}
 	if frac > 0.95 {
 		t.Fatalf("skew implausibly extreme: %.1f%%", 100*frac)
+	}
+	want := [4]float64{
+		draws / formula.zetan,
+		draws * math.Pow(0.5, DefaultTheta) / formula.zetan,
+		float64(old[2]),
+		float64(old[3]),
+	}
+	for i, name := range []string{"rank 0", "rank 1", "rank 2", "the hottest 1%"} {
+		if rel := math.Abs(float64(got[i])-want[i]) / want[i]; rel > 0.01 {
+			t.Errorf("%s drew %d of %d, want %.0f within 1%% (off by %.2f%%)", name, got[i], draws, want[i], 100*rel)
+		}
 	}
 }
 
@@ -158,6 +187,11 @@ func TestZipfValidation(t *testing.T) {
 		if _, err := NewZipf(10, theta, 1); err == nil {
 			t.Fatalf("theta %v accepted", theta)
 		}
+	}
+	// Ranks are 32-bit in the guide table: one key more is refused by name,
+	// before anything is allocated, not truncated.
+	if _, err := NewZipf(math.MaxUint32+1, 0.9, 1); !errors.Is(err, errZipfKeySpace) {
+		t.Fatalf("2^32 keys: got %v, want errZipfKeySpace", err)
 	}
 }
 

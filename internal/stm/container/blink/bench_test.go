@@ -12,8 +12,9 @@ import (
 
 // B-Link benchmarks for the regression harness, external test package so the
 // Zipf generator (internal/load, which imports this package for the ordered
-// workload) can supply the YCSB-style hot-key mix. Names are parsed into
-// BENCH_<date>.json; keep them stable. The Zipfian shape (theta=0.99, dense
+// workload) can supply the YCSB-style hot-key mix. Names are the row keys of
+// BENCH_baseline.json and BENCH_baseline_parallel.json (`make benchgate`,
+// `make benchscalegate`); keep them stable. The Zipfian shape (theta=0.99, dense
 // key space) mirrors the StunDB bptree benchmarks this container is modeled
 // on; `make benchscale` sweeps the parallel variants over GOMAXPROCS.
 
