@@ -5,7 +5,7 @@ GO ?= go
 # path, and the load generator's key draw).
 BENCH_PKGS = ./internal/stm ./internal/stm/container ./internal/stm/container/blink ./internal/pool ./internal/wal ./internal/load
 
-.PHONY: check build vet fmtcheck test race lint lint-fixtures bench-check bench benchgate benchscale benchscalegate bench-ab chaos serve-smoke adaptive-soak shard-soak crash-soak fuzz-wal fuzz-zipf loc
+.PHONY: check build vet fmtcheck test race lint lint-fixtures bench-check bench benchgate benchscale benchscalegate bench-ab chaos serve-smoke adaptive-soak shard-soak crash-soak fuzz-wal ring-soak fuzz-zipf loc
 
 # check is the PR gate: vet, formatting, static analysis, the full test
 # suite, a race-detector pass over the whole module, and the nested
@@ -165,6 +165,14 @@ crash-soak:
 # internal/wal/testdata/fuzz/FuzzWALReplay/ — check it in with the fix.
 fuzz-wal:
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal
+
+# ring-soak runs internal/wal under the race detector at 1, 2 and 4
+# processors, three rounds each. The committer/logger hand-off has no lock on
+# its fast path, so which interleavings a test meets depends on how many
+# processors there are: at 1 the logger only runs when a committer blocks, at
+# 4 a committer holding a CSN is overtaken by three others.
+ring-soak:
+	$(GO) test -race -count=3 -cpu 1,2,4 ./internal/wal
 
 # fuzz-zipf is a time-boxed run of the key generator's differential oracle:
 # for any key space, skew and u, the tabulated rank equals the per-draw

@@ -24,6 +24,9 @@ import (
 //     over the committed values themselves: scalars by copy, wide values by
 //     the address of their box, which is never written again. The ops slice
 //     is only valid for the duration of the call (it is pooled with the Tx).
+//     Every CSN drawn is published, by both commit paths: a sink may hold
+//     back everything above a CSN it has not been handed yet, so a hole
+//     would stall its durable watermark for good.
 //   - WaitDurable is called last, outside all locks, and may block (group
 //     commit with a synchronous fsync policy) or return immediately
 //     (asynchronous policies).

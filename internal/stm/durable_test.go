@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -108,6 +109,60 @@ func TestDurableCSNReplayEquivalence(t *testing.T) {
 			}
 			if w := sink.waits.Load(); w != n {
 				t.Errorf("WaitDurable called %d times, want one per durable commit (%d)", w, n)
+			}
+		})
+	}
+}
+
+// TestDurableEveryDrawnCSNIsPublished: a CSN drawn and never published is a
+// hole the sink's watermark cannot pass, so on both commit paths BeginCommit
+// and Publish come in pairs — whatever else happens to the attempts around
+// them: conflicts on two hot locations, bodies that return an error after
+// writing, read-only bodies.
+func TestDurableEveryDrawnCSNIsPublished(t *testing.T) {
+	const workers, iters = 6, 400
+	errBody := errors.New("body gave up")
+	for _, algo := range []Algorithm{TL2, NOrec} {
+		t.Run(algo.String(), func(t *testing.T) {
+			rt := New(Config{Algorithm: algo})
+			hot := [2]*Var[int]{NewVar(0), NewVar(0)}
+			hot[0].MarkDurable(1)
+			hot[1].MarkDurable(2)
+			sink := &memSink{}
+			rt.AttachCommitSink(sink)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < iters; i++ {
+						err := rt.Atomic(func(tx *Tx) error {
+							v := hot[i&1].Read(tx)
+							if i%5 == 0 {
+								return nil // read-only
+							}
+							hot[(i+w)&1].Write(tx, v+1)
+							if i%7 == 0 {
+								return errBody
+							}
+							return nil
+						})
+						if err != nil && !errors.Is(err, errBody) {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			drawn, published := sink.next.Load(), uint64(len(sink.recs))
+			if drawn == 0 || drawn != published {
+				t.Fatalf("%d CSNs drawn, %d published", drawn, published)
+			}
+			for csn := uint64(1); csn <= drawn; csn++ {
+				if _, ok := sink.recs[csn]; !ok {
+					t.Fatalf("CSN %d drawn and never published", csn)
+				}
 			}
 		})
 	}

@@ -10,8 +10,8 @@ import (
 // attaching the log must not cost the read-only path its zero-allocation
 // guarantee, and a durable write of a scalar allocates nothing either — the
 // encoder reads the committed word straight from the op, the encode path runs
-// into ring-slot-retained buffers and the log goroutine reuses its batch,
-// state and scratch capacity, so steady state adds nothing per commit.
+// into the ring slot itself and the log goroutine reuses its batch, state and
+// scratch capacity, so steady state adds nothing per commit.
 // testing.AllocsPerRun counts process-wide mallocs, so the gate covers the
 // log goroutine too, not just the committer.
 
@@ -31,10 +31,8 @@ func durableRig(t *testing.T, algo stm.Algorithm) (*stm.Runtime, *stm.Var[int], 
 		t.Fatal(err)
 	}
 	rt.AttachCommitSink(l)
-	// Warm every ring slot's retained buffer (the ring wraps every
-	// defaultRingSize commits), the tx pools, and the logger's batch (up to a
-	// ring's worth of frames) and state image, so the measured loop sees
-	// steady state.
+	// Warm the tx pools and the logger's batch (up to a ring's worth of
+	// frames) and state image, so the measured loop sees steady state.
 	for i := 0; i < 3*defaultRingSize; i++ {
 		if err := rt.Atomic(func(tx *stm.Tx) error {
 			x.Write(tx, (x.Read(tx)+1)&0x3f)
@@ -66,6 +64,35 @@ func TestDurableSmallWriteAllocs(t *testing.T) {
 				t.Errorf("durable small write allocates %.3f objects/op, want exactly 0", allocs)
 			}
 		})
+	}
+}
+
+// TestPublishOverflowAllocs: records too long for their slot go to the slot
+// index's overflow buffer, and after a lap has sized those — and the logger's
+// state image has seen every value length — a mix of overflow and inline
+// records costs nothing either. Publish is driven directly: a wide value
+// through a transaction costs its box (stm.newBox), which is not the log's.
+func TestPublishOverflowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector adds shadow allocations")
+	}
+	l, err := Open(Options{Dir: t.TempDir(), Policy: FsyncOS, RingSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	shapes := ringShapes()
+	publish := func() {
+		csn := l.BeginCommit()
+		// Stride 9 against 64 slots and 7 shapes: every slot index meets
+		// every shape within a few laps.
+		l.Publish(csn, shapes[csn*9%uint64(len(shapes))])
+	}
+	for i := 0; i < 64*len(shapes)*3; i++ {
+		publish()
+	}
+	if allocs := testing.AllocsPerRun(2000, publish); allocs != 0 {
+		t.Errorf("steady-state publish of mixed inline/overflow records allocates %.3f objects/op, want exactly 0", allocs)
 	}
 }
 

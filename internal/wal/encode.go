@@ -1,12 +1,11 @@
 // Package wal is the durability layer behind internal/stm's CommitSink hook
-// (DESIGN.md §13): committed durable write-sets are encoded into a bounded
-// lock-free ring by the committing goroutines, drained by one dedicated log
-// goroutine that reorders them into commit-sequence-number order, CRC-frames
-// them, group-commits batches to an append-only segment file under a
-// configurable fsync policy, periodically compacts the log into a snapshot
-// of the materialized state, and — on restart — recovers exactly the durable
-// prefix: every acked commit present, no unacked commit visible, never a
-// torn or corrupt frame surfaced.
+// (DESIGN.md §13): each committing goroutine encodes its durable write-set
+// into the ring slot its commit sequence number names, and one dedicated log
+// goroutine reads the slots in that order, CRC-frames them, group-commits
+// batches to an append-only segment file under a configurable fsync policy,
+// periodically compacts the log into a snapshot of the materialized state,
+// and — on restart — recovers exactly the durable prefix: every acked commit
+// present, no unacked commit visible, never a torn or corrupt frame surfaced.
 //
 // # Scale-out notes (range-sharded runtimes)
 //
@@ -150,8 +149,9 @@ func appendOp(b []byte, op *stm.DurableOp) ([]byte, bool) {
 }
 
 // appendRecord encodes one committed durable write-set as a record payload.
-// It runs on the committing goroutine (Log.Publish) into a ring-slot buffer
-// whose capacity is retained, so steady-state encoding allocates nothing.
+// It runs on the committing goroutine (Log.Publish) into the record's ring
+// slot, or into that slot's overflow buffer whose capacity is retained, so
+// steady-state encoding allocates nothing.
 //
 //rubic:noalloc
 func appendRecord(b []byte, csn uint64, ops []stm.DurableOp) ([]byte, bool) {
@@ -165,6 +165,15 @@ func appendRecord(b []byte, csn uint64, ops []stm.DurableOp) ([]byte, bool) {
 		ok = ok && vok
 	}
 	return b, ok
+}
+
+// fitsInline reports whether the record of ops is certain to encode in at
+// most inlineCap bytes: 8 of CSN, 1 of op count, and one op of a fixed-width
+// value (9 at most) at a durable ID of one or two bytes — the kv write.
+//
+//rubic:noalloc
+func fitsInline(ops []stm.DurableOp) bool {
+	return len(ops) == 1 && ops[0].ID < 1<<14 && ops[0].Kind != reflect.String && ops[0].Kind != reflect.Slice
 }
 
 // uvarint decodes an unsigned LEB128 from b, returning the value and the

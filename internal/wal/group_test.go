@@ -130,7 +130,8 @@ func TestAlwaysRoundTripHasNoTick(t *testing.T) {
 
 // TestParkedCommitterReleasedWithoutDrain: with no log goroutine to free a
 // slot, a committer parked on a full ring can only be released by markLost
-// or Close — and must then drop its record, not wait.
+// or Close — and must then drop its record, not wait, as must every
+// committer after it.
 func TestParkedCommitterReleasedWithoutDrain(t *testing.T) {
 	releases := map[string]func(l *Log){
 		"markLost": func(l *Log) { l.markLost(errors.New("test: disk gone")) },
@@ -140,7 +141,7 @@ func TestParkedCommitterReleasedWithoutDrain(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			l := &Log{
 				opts:  Options{Policy: FsyncOS},
-				ring:  newRing(2),
+				ring:  newRing(2, 0),
 				wake:  make(chan struct{}, 1),
 				stopc: make(chan struct{}),
 				done:  make(chan struct{}),
@@ -169,8 +170,25 @@ func TestParkedCommitterReleasedWithoutDrain(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatalf("parked committer not released by %s", name)
 			}
-			if got := l.ring.enq.Load(); got != 2 {
-				t.Errorf("released committer claimed a slot: enq %d, want 2", got)
+			// Nothing consumes the ring from here on, and nothing has to:
+			// no later Publish may wait for room either.
+			later := make(chan struct{})
+			go func() {
+				defer close(later)
+				for i := 0; i < 8; i++ {
+					l.Publish(l.BeginCommit(), ops)
+				}
+			}()
+			select {
+			case <-later:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("Publish blocked on the full ring after %s", name)
+			}
+			if _, ok := l.ring.get(3); ok {
+				t.Error("released committer published its record into a full ring")
+			}
+			if _, ok := l.ring.get(1); !ok {
+				t.Error("released committer overwrote the unconsumed record whose slot it was waiting for")
 			}
 		})
 	}
@@ -254,8 +272,8 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 	recovered := map[uint64][]byte{}
 	want := map[uint64][]byte{}
 	for _, id := range []uint64{900, 3, 41} {
-		enc := encOf(int(id))
-		recovered[id], want[id] = enc, enc
+		// Two copies: the logger folds same-length values in place.
+		recovered[id], want[id] = encOf(int(id)), encOf(int(id))
 	}
 	l := &Log{opts: Options{Policy: FsyncOS}, dir: dir, state: recovered, next: 1}
 	rounds := [][]uint64{

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"rubic/internal/fault"
+	"rubic/internal/metrics"
 	"rubic/internal/stm"
 )
 
@@ -131,10 +131,15 @@ type Recovered struct {
 // append-only segment file in CSN order. See the package comment for the
 // pipeline and DESIGN.md §13 for the recovery invariant.
 type Log struct {
+	// csn is the last assigned CSN (BeginCommit cursor) and with it the ring
+	// position of the next record. Every durable commit writes it, so it is
+	// alone on its cache line: nothing a committer or the logger polls moves
+	// with it.
+	csn metrics.PaddedUint64
+
 	opts Options
 	dir  string
 
-	csn     atomic.Uint64 // last assigned CSN (BeginCommit cursor)
 	durable atomic.Uint64 // highest acked-durable CSN
 	lost    atomic.Bool   // durability lost: log degraded to in-memory mode
 	closed  atomic.Bool
@@ -159,12 +164,13 @@ type Log struct {
 	nSnapshots atomic.Uint64
 	nRingFull  atomic.Uint64
 
-	// Log-goroutine-owned state. state is the materialized image of the
-	// written prefix: after framing record n it equals an exact replay of
-	// CSNs 1..n, which is what makes snapshots trivially consistent.
+	// Log-goroutine-owned state, written per record: kept off the lines
+	// committers read. state is the materialized image of the written prefix:
+	// after framing record n it equals an exact replay of CSNs 1..n, which is
+	// what makes snapshots trivially consistent.
+	_        [64]byte
 	f        *os.File
 	state    map[uint64][]byte
-	pending  map[uint64][]byte // out-of-CSN-order arrivals awaiting their gap
 	batch    []byte
 	next     uint64 // next CSN to frame
 	written  uint64 // last CSN written to the segment
@@ -206,13 +212,12 @@ func Open(opts Options) (*Log, error) {
 	l := &Log{
 		opts:    opts,
 		dir:     opts.Dir,
-		ring:    newRing(opts.RingSize),
+		ring:    newRing(opts.RingSize, rec.LastCSN),
 		wake:    make(chan struct{}, 1),
 		stopc:   make(chan struct{}),
 		done:    make(chan struct{}),
 		rec:     rec,
 		state:   state,
-		pending: make(map[uint64][]byte),
 		next:    rec.LastCSN + 1,
 		written: rec.LastCSN,
 	}
@@ -295,67 +300,65 @@ func (l *Log) SetLostHook(f func(error)) {
 func (l *Log) BeginCommit() uint64 { return l.csn.Add(1) }
 
 // Publish implements stm.CommitSink: it encodes the committed write-set
-// into a ring slot. Under the asynchronous policies nobody waits for the
-// log goroutine, so Publish does not wake it per record: it signals only
-// when the backlog reaches half the ring while the logger sleeps, and the
-// logger's drain tick bounds how long a record can sit otherwise. Under
+// into the ring slot csn names. Under the asynchronous policies nobody waits
+// for the log goroutine, so Publish does not wake it per record: it signals
+// only when the backlog reaches half the ring while the logger sleeps, and
+// the logger's drain tick bounds how long a record can sit otherwise. Under
 // FsyncAlways the committer is about to block in WaitDurable, so the wake
-// is immediate. A full ring is the commit path's backpressure (claimSlow).
-// When durability is lost or the log closed the record is dropped: the
-// prefix contract only covers acked commits.
+// is immediate. A slot whose previous record the logger has not consumed is
+// the commit path's backpressure (waitSpace). When durability is lost or the
+// log closed the record is dropped: the prefix contract only covers acked
+// commits, and the logger of a lost log no longer reads the ring.
 //
 //rubic:noalloc
 func (l *Log) Publish(csn uint64, ops []stm.DurableOp) {
 	if l.lost.Load() || l.closed.Load() {
 		return
 	}
-	s, pos := l.ring.claim()
-	if s == nil {
-		if s, pos = l.claimSlow(); s == nil {
+	r := l.ring
+	freed := r.freed.Load()
+	if csn-freed > r.size {
+		if freed = l.waitSpace(csn); csn-freed > r.size {
 			return
 		}
 	}
-	var ok bool
-	s.buf, ok = appendRecord(s.buf[:0], csn, ops)
-	s.seq.Store(pos + 1)
-	if !ok {
+	if !r.put(csn, ops) {
 		l.markLost(errUnsupportedType)
 	}
-	if l.opts.Policy == FsyncAlways || l.ring.wakeDue(pos) {
+	if l.opts.Policy == FsyncAlways || r.wakeDue(csn-freed) {
 		l.kick()
 	}
 }
 
-// claimSlow is Publish on a full ring: the log goroutine is a whole ring
-// behind. Poll briefly, then park until it has drained; markLost and Close
-// release parked committers too, and those return without a slot.
-func (l *Log) claimSlow() (*rslot, uint64) {
+// waitSpace is Publish on a full ring: the log goroutine is a whole ring
+// behind csn. Poll briefly, then park until it has drained, and return the
+// consumer cursor that makes room; markLost and Close release parked
+// committers too, and those return a cursor that does not.
+func (l *Log) waitSpace(csn uint64) (freed uint64) {
+	r := l.ring
 	for i := 0; i < ringFullSpins; i++ {
-		if s, pos := l.ring.claim(); s != nil {
-			return s, pos
+		if freed = r.freed.Load(); csn-freed <= r.size {
+			return freed
 		}
 	}
 	l.kick()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// The count goes up before the ring is looked at again and the logger
-	// reads it after freeing slots, so either this committer sees a free
-	// slot or the logger sees it parked and broadcasts.
+	// The count goes up before the cursor is read again and the logger reads
+	// it after publishing the cursor, so either this committer sees the room
+	// or the logger sees it parked and broadcasts.
 	l.parked.Add(1)
 	defer l.parked.Add(-1)
 	for {
-		if s, pos := l.ring.claim(); s != nil {
-			return s, pos
-		}
-		if l.lost.Load() || l.closed.Load() {
-			return nil, 0
+		if freed = r.freed.Load(); csn-freed <= r.size || l.lost.Load() || l.closed.Load() {
+			return freed
 		}
 		l.nRingFull.Add(1)
 		l.space.Wait()
 	}
 }
 
-// kick wakes the log goroutine, or leaves the wake pending if it is busy.
+// kick wakes the log goroutine, or leaves the wake queued if it is busy.
 //
 //rubic:noalloc
 func (l *Log) kick() {
@@ -406,7 +409,7 @@ func (l *Log) Close() error {
 	return err
 }
 
-// run is the log goroutine: sleep until signalled, drain, reorder, frame,
+// run is the log goroutine: sleep until signalled, drain, frame,
 // group-commit, snapshot. It sleeps between drains even when records keep
 // arriving — that is what makes a batch a group: the next drain starts when
 // the backlog reaches half the ring (Publish's signal), when a committer
@@ -453,7 +456,7 @@ func (l *Log) run() {
 // snapshot after that batch resets it or loses the log, so it is never due
 // while the batch is empty.)
 func (l *Log) drain() {
-	end := l.ring.enq.Load()
+	end := l.csn.Load()
 	for {
 		l.gather(end)
 		if l.parked.Load() > 0 {
@@ -467,52 +470,41 @@ func (l *Log) drain() {
 	}
 }
 
-// gather moves published records below ring position end into the batch in
-// exact CSN order, parking out-of-order arrivals in pending until their gap
-// fills. In lost mode it drains and discards so committers never wedge on a
-// full ring.
+// gather moves published records up to CSN end into the batch, slot order
+// being CSN order. It stops at a slot not yet published — the committer
+// between BeginCommit and Publish owns it and is at most a few instructions
+// behind — and hands the slots it has read back to the committers as it
+// goes. A lost log reads nothing: Publish neither waits nor writes any more.
 func (l *Log) gather(end uint64) {
 	r := l.ring
-	for len(l.batch) < maxBatchBytes {
-		lost := l.lost.Load()
-		if !lost {
-			if l.compactionDue() {
-				break
-			}
-			if p, ok := l.pending[l.next]; ok {
-				delete(l.pending, l.next)
-				l.frame(p)
-				continue
-			}
-		}
-		if r.deq == end {
-			break
-		}
-		rec, ok := r.head()
+	for l.next <= end && len(l.batch) < maxBatchBytes && !l.lost.Load() && !l.compactionDue() {
+		rec, ok := r.get(l.next)
 		if !ok {
 			break
 		}
-		if csn := binary.LittleEndian.Uint64(rec); lost {
-			// Discard.
-		} else if csn == l.next {
-			l.frame(rec)
-		} else {
-			// A committer between BeginCommit and Publish still owns the gap;
-			// it is at most a few instructions behind.
-			l.pending[csn] = append([]byte(nil), rec...)
+		l.frame(rec)
+		if l.next%freedEvery == 0 {
+			r.freed.Store(l.next - 1)
 		}
-		r.advance()
 	}
-	r.drained.Store(r.deq)
+	r.freed.Store(l.next - 1)
+}
+
+// foldOp applies one logged write to a state image: in place where the value
+// keeps its length — one map lookup, where assigning costs a second hash.
+func foldOp(state map[uint64][]byte, id uint64, val []byte) {
+	if cur := state[id]; len(cur) == len(val) {
+		copy(cur, val)
+	} else {
+		state[id] = append(cur[:0], val...)
+	}
 }
 
 // frame appends one record payload to the batch and folds it into the
 // materialized state image.
 func (l *Log) frame(payload []byte) {
 	l.batch = appendFrame(l.batch, payload)
-	_, err := walkRecord(payload, func(id uint64, val []byte) {
-		l.state[id] = append(l.state[id][:0], val...)
-	})
+	_, err := walkRecord(payload, func(id uint64, val []byte) { foldOp(l.state, id, val) })
 	if err != nil {
 		// Impossible for payloads our own encoder produced; fail safe.
 		l.markLost(fmt.Errorf("wal: internal encoding error: %w", err))
@@ -521,7 +513,6 @@ func (l *Log) frame(payload []byte) {
 	l.next++
 	l.sinceSnap++
 	l.bytesSinceSnap += frameHeader + len(payload)
-	l.nRecords.Add(1)
 }
 
 // commitBatch writes the batch and advances the watermarks per policy. The
@@ -556,6 +547,7 @@ func (l *Log) commitBatch() {
 		l.markLost(fmt.Errorf("wal: segment write: %w", err))
 		return
 	}
+	l.nRecords.Add(last - l.written)
 	l.written = last
 	l.nBatches.Add(1)
 	switch l.opts.Policy {
@@ -614,8 +606,9 @@ func (l *Log) setDurable(csn uint64) {
 }
 
 // markLost degrades the log to in-memory mode: the flag flips once, waiters
-// are released, the escalation hook fires. The log goroutine keeps draining
-// (and discarding) the ring so committers never block on a dead log.
+// are released, the escalation hook fires. From here on Publish drops its
+// record before it looks at the ring, so committers never block on a dead
+// log and the log goroutine has nothing left to read.
 func (l *Log) markLost(err error) {
 	l.mu.Lock()
 	if l.lost.Load() {

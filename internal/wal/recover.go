@@ -106,9 +106,7 @@ func replaySegment(data []byte, state map[uint64][]byte, next uint64) (uint64, u
 		if csn > next {
 			return next, records, true, fmt.Sprintf("CSN gap at byte %d: want %d, found %d", off, next, csn)
 		}
-		walkRecord(payload, func(id uint64, val []byte) {
-			state[id] = append(state[id][:0], val...)
-		})
+		walkRecord(payload, func(id uint64, val []byte) { foldOp(state, id, val) })
 		next++
 		records++
 		off = n
