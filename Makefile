@@ -8,9 +8,9 @@ BENCH_PKGS = ./internal/stm ./internal/stm/container ./internal/stm/container/bl
 .PHONY: check build vet fmtcheck test race lint lint-fixtures bench-check bench benchgate benchscale benchscalegate bench-ab chaos serve-smoke adaptive-soak shard-soak crash-soak fuzz-wal ring-soak fuzz-zipf loc
 
 # check is the PR gate: vet, formatting, static analysis, the full test
-# suite, a race-detector pass over the whole module, and the nested
-# benchmark module's own checks.
-check: vet fmtcheck lint test race bench-check
+# suite, a race-detector pass over the whole module, the nested benchmark
+# module's own checks, and the size ratchet.
+check: vet fmtcheck lint test race bench-check loc
 
 build:
 	$(GO) build ./...
@@ -187,13 +187,19 @@ fuzz-zipf:
 # bench/, their sum, and the top-level exported identifiers (lines of
 # `go doc -short`) of the three packages a stack is assembled from. To quote a
 # revision, run it in a `git archive` export of that revision.
+#
+# It is also a ratchet: it fails when the sum exceeds LOC_MAX, the total of
+# the last PR that changed it. A PR that must grow the code raises the number
+# in its own diff; one that shrinks it lowers the number to its new total.
+LOC_MAX = 16910
 loc:
 	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | \
 	while read -r pkg dir files; do \
 		n=0; \
 		for f in $$files; do n=$$((n + $$(grep -cvE '^[[:space:]]*(//.*)?$$' "$$dir/$$f"))); done; \
 		echo "$$n $$pkg"; \
-	done | awk '{ sum += $$1; printf "%6d  %s\n", $$1, $$2 } END { printf "%6d  total code-only non-test lines\n", sum }'
+	done | awk '{ sum += $$1; printf "%6d  %s\n", $$1, $$2 } \
+		END { printf "%6d  total code-only non-test lines (LOC_MAX $(LOC_MAX))\n", sum; exit sum > $(LOC_MAX) }'
 	@for p in core load colocate; do \
 		printf '%6d  exported identifiers in internal/%s\n' "$$($(GO) doc -short ./internal/$$p | wc -l)" $$p; \
 	done

@@ -37,6 +37,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -169,22 +170,29 @@ func runGoroutine(cfg cliConfig, specs []colocate.StackSpec) error {
 		}
 		stacks = append(stacks, p)
 	}
+	return runGroup(cfg, stacks, os.Stdout)
+}
 
+// runGroup runs the assembled stacks and reports. A run that failed after its
+// stacks started (verification, a failed or wedged sibling) still came back
+// with every finished stack's result: the table and the log outcomes are
+// printed before the error returns, as proc mode does.
+func runGroup(cfg cliConfig, stacks []colocate.Proc, out io.Writer) error {
 	group, err := colocate.NewGroup(stacks, cfg.period)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("co-locating %d stacks in goroutine mode for %v (pool %d each, engine %s, %d CPUs)...\n",
+	fmt.Fprintf(out, "co-locating %d stacks in goroutine mode for %v (pool %d each, engine %s, %d CPUs)...\n",
 		len(stacks), cfg.duration, cfg.pool, cfg.engine, runtime.NumCPU())
 	if cfg.chaos != "" {
-		fmt.Printf("chaos scenario %s armed\n", cfg.chaos)
+		fmt.Fprintf(out, "chaos scenario %s armed\n", cfg.chaos)
 	}
-	results, err := group.Run(cfg.duration)
-	if err != nil {
-		return err
+	results, runErr := group.Run(cfg.duration)
+	if results == nil {
+		return runErr
 	}
 
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "\nstack\tcompleted\tthroughput/s\tmean-level\tfaults")
 	set := &trace.Set{}
 	var tputs []float64
@@ -198,13 +206,16 @@ func runGoroutine(cfg cliConfig, specs []colocate.StackSpec) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Printf("Jain fairness (throughput): %.3f\n", metrics.Jain(tputs))
+	fmt.Fprintf(out, "Jain fairness (throughput): %.3f\n", metrics.Jain(tputs))
 	for _, r := range results {
 		if r.Wal != nil {
-			fmt.Printf("%s: %s\n", r.Name, r.Wal)
+			fmt.Fprintf(out, "%s: %s\n", r.Name, r.Wal)
 		}
 	}
-	fmt.Println("all workload invariants verified")
+	if runErr != nil {
+		return runErr
+	}
+	fmt.Fprintln(out, "all workload invariants verified")
 	plotLevels(set, cfg.plot)
 	return nil
 }

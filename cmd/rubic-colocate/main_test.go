@@ -1,16 +1,19 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"rubic/internal/colocate"
 	"rubic/internal/mproc"
+	"rubic/internal/stamp"
 )
 
 // TestHelperAgent is the agent child the proc-mode tests spawn: the real
@@ -307,5 +310,45 @@ func TestRunDurableGoroutine(t *testing.T) {
 	cfg.durable.Root, cfg.durable.Fsync = t.TempDir(), "sometimes"
 	if err := run(cfg); err == nil {
 		t.Fatal("unknown -fsync policy accepted")
+	}
+}
+
+// failsVerify runs as the workload it wraps and then fails its audit.
+type failsVerify struct{ stamp.Workload }
+
+func (failsVerify) Verify() error { return errors.New("audit failed") }
+
+// TestRunGroupPrintsResultsBesideAnError: Group.Run returns every finished
+// stack's result beside a verification error; goroutine mode prints the
+// table and the log outcomes first and returns the error after, as proc mode
+// does.
+func TestRunGroupPrintsResultsBesideAnError(t *testing.T) {
+	cfg := testConfig("goroutine", "bank:rubic,bank:rubic")
+	cfg.durable = colocate.DurableFlags{On: true, Root: t.TempDir(), Fsync: "os"}
+	specs, err := colocate.ParseSpecs(cfg.procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stacks []colocate.Proc
+	for i := range specs {
+		p, err := goroutineProc(cfg, specs, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stacks = append(stacks, p)
+	}
+	stacks[1].Workload, stacks[1].Durable = failsVerify{stacks[1].Workload}, nil
+	var out strings.Builder
+	err = runGroup(cfg, stacks, &out)
+	if err == nil || !strings.Contains(err.Error(), "P2-bank-rubic verification") {
+		t.Fatalf("err = %v, want the second stack's verification failure", err)
+	}
+	for _, want := range []string{"throughput/s", "P1-bank-rubic ", "P2-bank-rubic ", "Jain fairness", "P1-bank-rubic: wal acked"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
+	}
+	if strings.Contains(out.String(), "invariants verified") {
+		t.Errorf("a failed audit reported as verified:\n%s", out.String())
 	}
 }

@@ -140,30 +140,29 @@ func flagSpec(cfg cliConfig) (colocate.ServeSpec, error) {
 // buildProc builds one stack from a spec with the CLI's shared knobs applied.
 // prefix dedupes identical co-located specs ("P1-"); the log directory
 // follows the final name.
-func buildProc(cfg cliConfig, spec colocate.ServeSpec, seed int64, prefix string) (colocate.ServeProc, error) {
+func buildProc(cfg cliConfig, spec colocate.ServeSpec, seed int64, prefix string) (colocate.Proc, error) {
 	proc, err := spec.Build(cfg.engine, cfg.workers, seed)
 	if err != nil {
 		return proc, err
 	}
 	proc.Name = prefix + proc.Name
-	proc.Config.Epoch = cfg.epoch
-	proc.Config.QueueCap = cfg.queue
+	proc.Serve.Epoch = cfg.epoch
+	proc.Serve.QueueCap = cfg.queue
 	proc.Durable, err = cfg.durable.Options(proc.Name)
 	return proc, err
 }
 
-func runSingle(cfg cliConfig, out io.Writer) (colocate.ServeResult, error) {
-	var zero colocate.ServeResult
+func runSingle(cfg cliConfig, out io.Writer) (*load.Result, error) {
 	spec, err := flagSpec(cfg)
 	if err != nil {
-		return zero, err
+		return nil, err
 	}
 	proc, err := buildProc(cfg, spec, cfg.seed, "")
 	if err != nil {
-		return zero, err
+		return nil, err
 	}
 	if !cfg.quiet {
-		proc.Config.OnEpoch = func(e load.EpochStat) {
+		proc.Serve.OnEpoch = func(e load.EpochStat) {
 			state := e.State
 			if state == "" {
 				state = "-"
@@ -174,11 +173,11 @@ func runSingle(cfg cliConfig, out io.Writer) (colocate.ServeResult, error) {
 	}
 	fmt.Fprintf(out, "serving %s under %s arrivals at %.0f QPS for %v (workers %d, policy %s, engine %s)...\n",
 		spec.Workload, spec.Arrival, spec.QPS, cfg.duration, cfg.workers, spec.Policy, cfg.engine)
-	results, err := serve(cfg, out, []colocate.ServeProc{proc})
+	results, err := serve(cfg, out, []colocate.Proc{proc})
 	if err != nil {
-		return zero, err
+		return nil, err
 	}
-	return results[0], nil
+	return results[0].Serve, nil
 }
 
 func runStacks(cfg cliConfig, out io.Writer) error {
@@ -186,7 +185,7 @@ func runStacks(cfg cliConfig, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var procs []colocate.ServeProc
+	var procs []colocate.Proc
 	for i, s := range specs {
 		proc, err := buildProc(cfg, s, cfg.seed+int64(i)*7919, "P"+strconv.Itoa(i+1)+"-")
 		if err != nil {
@@ -201,15 +200,17 @@ func runStacks(cfg cliConfig, out io.Writer) error {
 }
 
 // serve runs the stacks side by side and reports: summary table, log
-// outcomes, and the -json snapshot.
-func serve(cfg cliConfig, out io.Writer, procs []colocate.ServeProc) ([]colocate.ServeResult, error) {
-	group, err := colocate.NewServeGroup(procs)
+// outcomes, and the -json snapshot. A run that failed after its stacks
+// started (verification, a failed or wedged sibling) still came back with
+// every finished stack's result: those are printed before the error returns.
+func serve(cfg cliConfig, out io.Writer, procs []colocate.Proc) ([]colocate.Result, error) {
+	group, err := colocate.NewGroup(procs, 0)
 	if err != nil {
 		return nil, err
 	}
-	results, err := group.Run(cfg.duration)
-	if err != nil {
-		return nil, err
+	results, runErr := group.Run(cfg.duration)
+	if results == nil {
+		return nil, runErr
 	}
 	if err := report(out, results); err != nil {
 		return nil, err
@@ -218,6 +219,9 @@ func serve(cfg cliConfig, out io.Writer, procs []colocate.ServeProc) ([]colocate
 		if r.Wal != nil {
 			fmt.Fprintf(out, "%s: %s\n", r.Name, r.Wal)
 		}
+	}
+	if runErr != nil {
+		return nil, runErr
 	}
 	return results, writeJSON(cfg, out, benchEntries(results))
 }
@@ -305,7 +309,7 @@ func runFindMax(cfg cliConfig, out io.Writer) error {
 // sustained is the sweep's pass criterion: the whole run's p99 held under
 // target and shedding stayed under 1% of arrivals (an open-loop server that
 // meets its SLO by dropping the load isn't sustaining it).
-func sustained(res colocate.ServeResult, slo time.Duration) bool {
+func sustained(res *load.Result, slo time.Duration) bool {
 	return res.P99 <= slo && res.Shed*100 <= res.Arrived
 }
 
@@ -340,16 +344,20 @@ func runSmoke(cfg cliConfig, out io.Writer) error {
 	return nil
 }
 
-func report(out io.Writer, results []colocate.ServeResult) error {
+func report(out io.Writer, results []colocate.Result) error {
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "\nstack\tarrived\tcompleted\tshed\tqps\tp50\tp99\tp999\tmax\tmean-level\tslo")
-	for _, r := range results {
+	for _, stack := range results {
+		r := stack.Serve
+		if r == nil {
+			continue // wedged in teardown: no result, the run's error names it
+		}
 		slo := "-"
 		if r.SLOState != "" {
 			slo = fmt.Sprintf("%s (%d cuts)", r.SLOState, r.SLO.Cuts)
 		}
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%.0f\t%v\t%v\t%v\t%v\t%.1f\t%s\n",
-			r.Name, r.Arrived, r.Completed, r.Shed, r.QPS, r.P50, r.P99, r.P999, r.Max, r.MeanLevel, slo)
+			stack.Name, r.Arrived, r.Completed, r.Shed, r.QPS, r.P50, r.P99, r.P999, r.Max, r.MeanLevel, slo)
 	}
 	return tw.Flush()
 }
@@ -357,10 +365,11 @@ func report(out io.Writer, results []colocate.ServeResult) error {
 // benchEntries maps results into the shared snapshot schema: p99 ns rides
 // the ns_op slot so rubic-benchgate's time gate applies to tail latency
 // unchanged; the companions travel as custom metrics.
-func benchEntries(results []colocate.ServeResult) map[string]benchfmt.Result {
+func benchEntries(results []colocate.Result) map[string]benchfmt.Result {
 	out := map[string]benchfmt.Result{}
-	for _, r := range results {
-		out["Serve/"+r.Name] = benchfmt.Result{
+	for _, stack := range results {
+		r := stack.Serve
+		out["Serve/"+stack.Name] = benchfmt.Result{
 			Procs:   runtime.GOMAXPROCS(0),
 			Iters:   int64(r.Completed),
 			NsPerOp: float64(r.P99.Nanoseconds()),

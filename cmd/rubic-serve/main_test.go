@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -11,6 +12,8 @@ import (
 	"rubic/internal/benchfmt"
 	"rubic/internal/colocate"
 	"rubic/internal/load"
+	"rubic/internal/stamp"
+	"rubic/internal/wal"
 )
 
 // testConfig mirrors the flag defaults scaled down for test time.
@@ -175,5 +178,41 @@ func TestRunStacksDurable(t *testing.T) {
 	cfg.durable.Root, cfg.durable.Fsync = t.TempDir(), "sometimes"
 	if err := run(cfg, &buf); err == nil {
 		t.Error("unknown -fsync policy accepted")
+	}
+}
+
+// failsVerify serves as the workload it wraps and then fails its audit.
+type failsVerify struct{ stamp.Workload }
+
+func (failsVerify) Verify() error { return errors.New("audit failed") }
+
+// TestServePrintsResultsBesideAnError: Group.Run returns every finished
+// stack's result beside a verification error; the summary table and the log
+// outcomes are printed first and the error returned after.
+func TestServePrintsResultsBesideAnError(t *testing.T) {
+	cfg := testConfig()
+	spec, err := flagSpec(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var procs []colocate.Proc
+	for _, prefix := range []string{"P1-", "P2-"} {
+		proc, err := buildProc(cfg, spec, cfg.seed, prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		procs = append(procs, proc)
+	}
+	procs[0].Durable = &wal.Options{Dir: t.TempDir(), Policy: wal.FsyncOS}
+	procs[1].Workload = failsVerify{procs[1].Workload}
+	var out strings.Builder
+	_, err = serve(cfg, &out, procs)
+	if err == nil || !strings.Contains(err.Error(), "P2-kv/poisson verification") {
+		t.Fatalf("err = %v, want the second stack's verification failure", err)
+	}
+	for _, want := range []string{"arrived", "P1-kv/poisson ", "P2-kv/poisson ", "P1-kv/poisson: wal acked"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
 	}
 }

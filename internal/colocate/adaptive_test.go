@@ -204,7 +204,7 @@ func TestAdaptiveStackRestore(t *testing.T) {
 }
 
 func TestServeSpecAdaptiveKey(t *testing.T) {
-	spec, err := ParseServeSpec("kv/qps=400/slo=5ms/adaptive=tl2:backoff+norec:greedy")
+	spec, err := parseServeSpec("kv/qps=400/slo=5ms/adaptive=tl2:backoff+norec:greedy")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,14 +215,14 @@ func TestServeSpecAdaptiveKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack, ok := proc.Config.Adapter.(*AdaptiveStack)
+	stack, ok := proc.Adapter.(*AdaptiveStack)
 	if !ok {
 		t.Fatal("built serve proc has no adaptive stack wired")
 	}
 	// policy=slo: handoffs re-anchor the base controller the server's
 	// decision step drives, the one the SLO stage cuts.
-	if proc.Config.SLO == nil || proc.Config.Controller == nil || stack.ctrl != proc.Config.Controller {
-		t.Fatalf("adaptive stack bound to %v, want the stack's base controller %v", stack.ctrl, proc.Config.Controller)
+	if proc.Serve.SLO == nil || proc.Controller == nil || stack.ctrl != proc.Controller {
+		t.Fatalf("adaptive stack bound to %v, want the stack's base controller %v", stack.ctrl, proc.Controller)
 	}
 	// A bad candidate list inside a serve spec surfaces at Build.
 	spec.Adaptive = "tl2:nope"

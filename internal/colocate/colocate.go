@@ -9,6 +9,7 @@ package colocate
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -17,6 +18,7 @@ import (
 
 	"rubic/internal/core"
 	"rubic/internal/fault"
+	"rubic/internal/load"
 	"rubic/internal/stamp"
 	"rubic/internal/stm"
 	"rubic/internal/trace"
@@ -58,6 +60,22 @@ type Proc struct {
 	// Runtime is the workload's STM runtime; required only when Durable is
 	// set.
 	Runtime *stm.Runtime
+	// Serve, when non-nil, drives the stack open loop: a load.Server offers
+	// requests on Serve's arrival schedule whatever the stack absorbs, and
+	// its epoch loop is the tuner's clock (see load.Config for the arrival,
+	// keys, queue bound, epoch, SLO and OnEpoch). nil is the closed loop:
+	// every worker draws its next task as soon as the last one ends. The
+	// stack fills Serve's Workload, Workers, Seed, Controller and Adapter
+	// from the fields above, so what is set there is never read; nor is
+	// AfterSetup, which is load.Server.Run's hook (the stack populates the
+	// workload and opens the log itself).
+	//
+	// A serving stack takes no Health stage and no Faults: an idle open-loop
+	// epoch is a zero-throughput sample, which the closed loop's health
+	// policy would count as garbage telemetry and degrade on, and the
+	// injection points are wired to the closed-loop ticker. NewGroup refuses
+	// both rather than ignore them.
+	Serve *load.Config
 }
 
 // Result is one stack's outcome.
@@ -81,6 +99,10 @@ type Result struct {
 	Ctl   *core.TuningState
 	// Wal summarizes the stack's durability outcome (nil without Durable).
 	Wal *WalResult
+	// Serve is the open-loop outcome — arrivals, shed, latency quantiles,
+	// per-epoch reports, SLO posture (nil for a closed-loop stack; zero for
+	// a serving stack the group aborted before its arrival).
+	Serve *load.Result
 }
 
 // WalResult is one durable stack's log outcome.
@@ -122,16 +144,16 @@ func NewGroup(procs []Proc, period time.Duration) (*Group, error) {
 	}
 	names := map[string]struct{}{}
 	for i, p := range procs {
-		if p.Workload == nil {
-			return nil, fmt.Errorf("colocate: stack %d (%s) has no workload", i, p.Name)
-		}
-		if p.PoolSize < 1 {
-			return nil, fmt.Errorf("colocate: stack %d (%s) pool size %d", i, p.Name, p.PoolSize)
+		if p.Name == "" {
+			return nil, fmt.Errorf("colocate: stack %d has no name", i)
 		}
 		if _, dup := names[p.Name]; dup {
 			return nil, fmt.Errorf("colocate: duplicate stack name %q", p.Name)
 		}
 		names[p.Name] = struct{}{}
+		if err := p.validate(); err != nil {
+			return nil, fmt.Errorf("colocate: stack %s: %w", p.Name, err)
+		}
 	}
 	if period <= 0 {
 		period = core.DefaultPeriod
@@ -139,13 +161,44 @@ func NewGroup(procs []Proc, period time.Duration) (*Group, error) {
 	return &Group{procs: procs, period: period}, nil
 }
 
+// validate is everything about one stack that can be refused from its
+// description alone — before any workload is populated or any log opened.
+func (p *Proc) validate() error {
+	switch _, durable := p.Workload.(wal.DurableState); {
+	case p.Workload == nil:
+		return errors.New("no workload")
+	case p.PoolSize < 1:
+		return fmt.Errorf("pool size %d", p.PoolSize)
+	case p.Durable != nil && p.Runtime == nil:
+		return errors.New("durable stack needs its workload's runtime")
+	case p.Durable != nil && !durable:
+		return errors.New("workload has no durable state (wal.DurableState)")
+	case p.Serve == nil:
+		return nil
+	case p.Faults != nil:
+		return errors.New("fault injection is not wired for the open-loop drive")
+	case p.Health != nil:
+		return errors.New("the health stage is not wired for the open-loop drive")
+	case p.Serve.Arrival == nil:
+		return errors.New("serving stack needs an arrival process")
+	}
+	return nil
+}
+
 // Run opens every stack, starts each at its arrival delay, lets the group run
 // for the given duration, stops everything, finishes every stack (log
 // outcomes, workload invariants) and returns per-stack results in input
-// order.
+// order. An error beside nil results is a set-up failure — nothing ran; any
+// later error (a failed, wedged or unverified stack) comes beside every
+// finished stack's result.
 func (g *Group) Run(duration time.Duration) ([]Result, error) {
 	if duration <= 0 {
 		return nil, fmt.Errorf("colocate: duration must be positive")
+	}
+	for _, p := range g.procs {
+		if duration <= p.ArrivalDelay {
+			return nil, fmt.Errorf("colocate: %s arrives after the run ends", p.Name)
+		}
 	}
 	// Opening is sequential and up front so arrival delays measure pure
 	// execution, not population or recovery.
@@ -170,14 +223,10 @@ func (g *Group) Run(duration time.Duration) ([]Result, error) {
 	defer fail(nil)
 	// sleep waits for d but returns early (false) once the group aborts.
 	sleep := func(d time.Duration) bool {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-t.C:
-			return true
-		case <-run.Done():
-			return false
-		}
+		timeout, cancel := context.WithTimeout(run, d)
+		defer cancel()
+		<-timeout.Done()
+		return run.Err() == nil
 	}
 	var wg sync.WaitGroup
 	// finished flags each stack's goroutine completion so a wedged teardown
@@ -190,10 +239,6 @@ func (g *Group) Run(duration time.Duration) ([]Result, error) {
 			defer wg.Done()
 			defer finished[i].Store(true)
 			if !sleep(s.p.ArrivalDelay) {
-				return
-			}
-			if duration <= s.p.ArrivalDelay {
-				fail(fmt.Errorf("colocate: %s arrives after the run ends", s.p.Name))
 				return
 			}
 			if err := s.start(); err != nil {
@@ -220,23 +265,20 @@ func (g *Group) Run(duration time.Duration) ([]Result, error) {
 	}()
 	deadline := time.NewTimer(time.Until(start.Add(duration)) + grace)
 	defer deadline.Stop()
-	var wedged []string
 	select {
 	case <-allDone:
 	case <-deadline.C:
-		for i := range g.procs {
-			if !finished[i].Load() {
-				wedged = append(wedged, g.procs[i].Name)
-			}
-		}
 	}
 	// Every stopped stack's pool is down, so no commit of its can still
 	// publish: finish it. A wedged stack is left alone — its workers may
-	// still be committing, so its log stays open and its result empty.
+	// still be committing, so its log stays open and its result is its name.
 	results := make([]Result, len(g.procs))
+	var wedged []string
 	var verifyErr error
 	for i, s := range stacks {
 		if !finished[i].Load() {
+			results[i].Name = s.p.Name
+			wedged = append(wedged, s.p.Name)
 			continue
 		}
 		var err error

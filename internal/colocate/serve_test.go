@@ -9,27 +9,16 @@ import (
 	"rubic/internal/stm"
 )
 
-func serveKVProc(t *testing.T, name string, qps float64, slo *core.SLOPolicy, seed int64) ServeProc {
+func serveKVProc(t *testing.T, name string, qps float64, slo *core.SLOPolicy, seed int64) Proc {
 	t.Helper()
 	rt := stm.New(stm.Config{})
 	kv := load.NewKV(rt, load.KVConfig{Keys: 300})
-	keys, err := load.NewZipf(uint64(kv.Keys()), load.DefaultTheta, seed)
-	if err != nil {
+	cfg := serveConfig(t, qps, slo, seed)
+	var err error
+	if cfg.Keys, err = load.NewZipf(uint64(kv.Keys()), load.DefaultTheta, seed); err != nil {
 		t.Fatal(err)
 	}
-	a, err := load.NewPoisson(qps, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ServeProc{Name: name, Config: load.Config{
-		Workload: kv,
-		Arrival:  a,
-		Keys:     keys,
-		Workers:  3,
-		SLO:      slo,
-		Epoch:    100 * time.Millisecond,
-		Seed:     seed,
-	}}
+	return Proc{Name: name, Workload: kv, PoolSize: 3, Seed: seed, Runtime: rt, Serve: cfg}
 }
 
 // TestServeGroupDifferentSLOs is the co-location contract for open-loop
@@ -37,11 +26,11 @@ func serveKVProc(t *testing.T, name string, qps float64, slo *core.SLOPolicy, se
 // guard judges only its own stack — the generous SLO ends meeting while the
 // unreachable one is forced to cut, in the same process at the same time.
 func TestServeGroupDifferentSLOs(t *testing.T) {
-	procs := []ServeProc{
+	procs := []Proc{
 		serveKVProc(t, "lenient", 300, &core.SLOPolicy{TargetP99: 250 * time.Millisecond}, 41),
 		serveKVProc(t, "strict", 300, &core.SLOPolicy{TargetP99: time.Nanosecond, BreachAfter: 1}, 43),
 	}
-	g, err := NewServeGroup(procs)
+	g, err := NewGroup(procs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +41,7 @@ func TestServeGroupDifferentSLOs(t *testing.T) {
 	if len(results) != 2 || results[0].Name != "lenient" || results[1].Name != "strict" {
 		t.Fatalf("results out of input order: %v, %v", results[0].Name, results[1].Name)
 	}
-	lenient, strict := results[0], results[1]
+	lenient, strict := results[0].Serve, results[1].Serve
 	if lenient.SLOState != "meeting" || lenient.SLO.Cuts != 0 {
 		t.Fatalf("lenient stack %q with %d cuts (%+v), want meeting with none", lenient.SLOState, lenient.SLO.Cuts, lenient.SLO)
 	}
@@ -60,29 +49,29 @@ func TestServeGroupDifferentSLOs(t *testing.T) {
 		t.Fatalf("strict stack's unreachable SLO produced no cuts: %+v", strict.SLO)
 	}
 	for _, r := range results {
-		if r.Completed == 0 {
+		if r.Serve.Completed == 0 {
 			t.Fatalf("stack %s served nothing", r.Name)
 		}
 	}
 }
 
 func TestServeGroupValidation(t *testing.T) {
-	if _, err := NewServeGroup(nil); err == nil {
+	if _, err := NewGroup(nil, 0); err == nil {
 		t.Fatal("empty group accepted")
 	}
 	p := serveKVProc(t, "a", 100, nil, 1)
-	if _, err := NewServeGroup([]ServeProc{p, serveKVProc(t, "a", 100, nil, 2)}); err == nil {
+	if _, err := NewGroup([]Proc{p, serveKVProc(t, "a", 100, nil, 2)}, 0); err == nil {
 		t.Fatal("duplicate names accepted")
 	}
 	bad := p
 	bad.Name = ""
-	if _, err := NewServeGroup([]ServeProc{bad}); err == nil {
+	if _, err := NewGroup([]Proc{bad}, 0); err == nil {
 		t.Fatal("unnamed stack accepted")
 	}
 	bad = p
-	bad.Config.Workers = 0
+	bad.PoolSize = 0
 	bad.Name = "b"
-	if _, err := NewServeGroup([]ServeProc{bad}); err == nil {
+	if _, err := NewGroup([]Proc{bad}, 0); err == nil {
 		t.Fatal("invalid stack config accepted")
 	}
 }
@@ -105,7 +94,7 @@ func TestParseServeSpecs(t *testing.T) {
 	if b.Workload != "bank" || b.Arrival != "diurnal" || b.Policy != "rubic" || b.SLO != 0 || b.Theta != 0.5 {
 		t.Fatalf("spec b = %+v", b)
 	}
-	if c, err := ParseServeSpec("kv/qps=100"); err != nil || c.Policy != "fixed" {
+	if c, err := parseServeSpec("kv/qps=100"); err != nil || c.Policy != "fixed" {
 		t.Fatalf("no-SLO spec: %+v, %v (policy must default to fixed)", c, err)
 	}
 
@@ -118,14 +107,14 @@ func TestParseServeSpecs(t *testing.T) {
 		"kv/qps=800/slo=fast",   // unparsable duration
 		"kv/qps=800/policy=slo", // slo policy without a target
 	} {
-		if _, err := ParseServeSpec(bad); err == nil {
+		if _, err := parseServeSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
 	}
 }
 
 func TestServeSpecBuild(t *testing.T) {
-	spec, err := ParseServeSpec("kv/qps=100/slo=10ms")
+	spec, err := parseServeSpec("kv/qps=100/slo=10ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,16 +125,16 @@ func TestServeSpecBuild(t *testing.T) {
 	if proc.Name != "kv/poisson" {
 		t.Fatalf("proc name %q", proc.Name)
 	}
-	cfg := proc.Config
-	if cfg.Keys == nil || cfg.SLO == nil || cfg.SLO.TargetP99 != 10*time.Millisecond || cfg.Workers != 4 {
-		t.Fatalf("built config missing pieces: keys=%v slo=%+v workers=%d", cfg.Keys != nil, cfg.SLO, cfg.Workers)
+	cfg := proc.Serve
+	if cfg.Keys == nil || cfg.SLO == nil || cfg.SLO.TargetP99 != 10*time.Millisecond || proc.PoolSize != 4 {
+		t.Fatalf("built config missing pieces: keys=%v slo=%+v workers=%d", cfg.Keys != nil, cfg.SLO, proc.PoolSize)
 	}
-	if _, ok := cfg.Workload.(load.Keyed); !ok {
+	if _, ok := proc.Workload.(load.Keyed); !ok {
 		t.Fatal("kv workload must be keyed")
 	}
 
 	// Unkeyed stamp workloads build too — they serve through the Task path.
-	spec, err = ParseServeSpec("bank/qps=50/policy=rubic")
+	spec, err = parseServeSpec("bank/qps=50/policy=rubic")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +142,12 @@ func TestServeSpecBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if proc.Config.Controller == nil || proc.Config.SLO != nil || proc.Config.Keys != nil {
-		t.Fatalf("rubic-policy bank stack built wrong: %+v", proc.Config)
+	if proc.Controller == nil || proc.Serve.SLO != nil || proc.Serve.Keys != nil {
+		t.Fatalf("rubic-policy bank stack built wrong: %+v", proc)
 	}
 
 	// The keyed ordered-index and range-sharded workloads build too.
-	spec, err = ParseServeSpec("ordered/qps=100/slo=10ms")
+	spec, err = parseServeSpec("ordered/qps=100/slo=10ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,10 +155,10 @@ func TestServeSpecBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := proc.Config.Workload.(load.Keyed); !ok || proc.Config.Keys == nil {
+	if _, ok := proc.Workload.(load.Keyed); !ok || proc.Serve.Keys == nil {
 		t.Fatal("ordered workload must be keyed with a Zipf generator")
 	}
-	spec, err = ParseServeSpec("shardedkv/qps=100/shards=4")
+	spec, err = parseServeSpec("shardedkv/qps=100/shards=4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +166,7 @@ func TestServeSpecBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := proc.Config.Workload.(load.Keyed); !ok {
+	if _, ok := proc.Workload.(load.Keyed); !ok {
 		t.Fatal("shardedkv workload must be keyed")
 	}
 	if proc.Runtime != nil {

@@ -48,10 +48,14 @@ func parseSpec(s string) (StackSpec, error) {
 }
 
 // ParseSpecs parses a comma-separated list of stack descriptions.
-func ParseSpecs(s string) ([]StackSpec, error) {
-	var out []StackSpec
+func ParseSpecs(s string) ([]StackSpec, error) { return parseList(s, parseSpec) }
+
+// parseList applies one description's parser to each element of a
+// comma-separated list; the first bad element fails the list.
+func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, part := range strings.Split(s, ",") {
-		spec, err := parseSpec(part)
+		spec, err := parse(part)
 		if err != nil {
 			return nil, err
 		}

@@ -6,31 +6,46 @@ import (
 	"time"
 
 	"rubic/internal/core"
+	"rubic/internal/load"
 	"rubic/internal/pool"
 	"rubic/internal/trace"
 	"rubic/internal/wal"
 )
 
-// stack is the lifecycle of one closed-loop stack — the paper's unit of
-// deployment: workload + STM runtime + malleable pool + monitor loop,
-// deciding alone. Every driver walks the same four steps (openStack, start,
-// stop, finish): Group.Run schedules N of them, RunStack — the process-mode
-// agent — walks one.
+// stack is the lifecycle of one stack — the paper's unit of deployment:
+// workload + STM runtime + malleable pool + monitor loop, deciding alone.
+// Every driver walks the same four steps (openStack, start, stop, finish):
+// Group.Run schedules N of them, RunStack — the process-mode agent — walks
+// one. What differs between stacks is only the drive between start and stop,
+// picked by Proc.Serve: the closed loop is a pool over the workload's task
+// and the tuner on its own ticker; the open loop is a load.Server, whose
+// epoch loop is the tuner's clock.
 type stack struct {
 	p      *Proc
 	period time.Duration
 	log    *wal.Log
+	server *load.Server // the open-loop drive; nil for the closed loop
 	pool   *pool.Pool
 	tuner  *core.Tuner
 	levels *trace.Series
 	began  time.Time
 	active time.Duration
+	served load.Result // what server.Stop reported
 }
 
 // openStack populates the workload and, for a durable stack, opens (or
 // recovers) its log — before any traffic exists to log.
 func openStack(p *Proc, period time.Duration) (*stack, error) {
 	s := &stack{p: p, period: period}
+	if p.Serve != nil {
+		cfg := *p.Serve
+		cfg.Workload, cfg.Workers, cfg.Seed = p.Workload, p.PoolSize, p.Seed
+		cfg.Controller, cfg.Adapter = p.Controller, p.Adapter
+		var err error
+		if s.server, err = load.NewServer(cfg); err != nil {
+			return nil, fmt.Errorf("colocate: %s: %w", p.Name, err)
+		}
+	}
 	if err := p.Workload.Setup(rand.New(rand.NewSource(p.Seed))); err != nil {
 		return nil, fmt.Errorf("colocate: setup %s: %w", p.Name, err)
 	}
@@ -47,6 +62,13 @@ func openStack(p *Proc, period time.Duration) (*stack, error) {
 // start builds the pool and the monitor loop and sets both running.
 func (s *stack) start() error {
 	p := s.p
+	if s.server != nil {
+		if err := s.server.Start(); err != nil {
+			return fmt.Errorf("colocate: %s: %w", p.Name, err)
+		}
+		s.pool, s.tuner, s.began = s.server.Pool(), s.server.Tuner(), time.Now()
+		return nil
+	}
 	pl, err := pool.New(p.PoolSize, p.Seed+1, p.Workload.Task())
 	if err != nil {
 		return fmt.Errorf("colocate: %s: %w", p.Name, err)
@@ -87,13 +109,17 @@ func (s *stack) start() error {
 // stop halts the monitor loop, then the pool; once it returns no commit can
 // still publish. A stack that never started has nothing to stop.
 func (s *stack) stop() {
-	if s.pool == nil {
+	switch {
+	case s.pool == nil:
 		return
+	case s.server != nil:
+		s.served = s.server.Stop()
+	default:
+		if s.tuner != nil {
+			s.tuner.Stop()
+		}
+		s.pool.Stop()
 	}
-	if s.tuner != nil {
-		s.tuner.Stop()
-	}
-	s.pool.Stop()
 	s.active = time.Since(s.began)
 }
 
@@ -126,6 +152,9 @@ func (s *stack) finish() (Result, error) {
 	res.MeanLevel = float64(s.p.PoolSize)
 	if s.levels != nil && s.levels.Len() > 0 {
 		res.MeanLevel = s.levels.Mean()
+	}
+	if s.server != nil {
+		res.Serve, res.MeanLevel = &s.served, s.served.MeanLevel
 	}
 	if s.log != nil {
 		res.Wal = closeLog(s.log)

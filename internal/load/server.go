@@ -50,10 +50,11 @@ type Config struct {
 	// hot-swap the serving runtime's engine and contention manager at epoch
 	// boundaries.
 	Adapter core.Adapter
-	// AfterSetup, when non-nil, runs once the workload has populated and
-	// before any traffic is generated — the window in which a durability
-	// layer can register the workload's locations and replay a recovered
-	// log. An error aborts the run.
+	// AfterSetup, when non-nil, runs once Run has populated the workload and
+	// before any traffic is generated. Only Run calls it — bench/ opens its
+	// log and takes its CPU baseline there. A colocate stack walks Start and
+	// Stop, populates the workload and opens its log itself (openStack), and
+	// never calls the hook. An error aborts the run.
 	AfterSetup func() error
 }
 
@@ -117,10 +118,25 @@ type Result struct {
 // interval latency quantiles and hands each epoch's observation to a
 // core.Tuner's decision step — the same step the closed-loop ticker calls,
 // here with the p99 filled in so an SLO stage can tune against it.
+//
+// Start and Stop are the drive a colocate stack walks between its own Setup
+// and Verify; Run is the whole lifecycle for a caller that owns nothing else.
 type Server struct {
 	cfg Config
 	// tuner decides and actuates every level; the epoch loop is its clock.
 	tuner *core.Tuner
+
+	// Built by Start. The generator and the epoch loop exit on stop; loops
+	// waits for both.
+	queue   *Queue
+	hists   []*metrics.Hist // per worker: single-writer record path
+	pool    *pool.Pool
+	arrived atomic.Uint64
+	stop    chan struct{}
+	loops   sync.WaitGroup
+	began   time.Time
+	// epochs belongs to the epoch loop until Stop has waited for it.
+	epochs []EpochStat
 }
 
 // NewServer validates the configuration. The SLO default controller is a
@@ -162,37 +178,54 @@ func NewServer(cfg Config) (*Server, error) {
 	return &Server{cfg: cfg, tuner: t}, nil
 }
 
-// Run executes the open-loop run for the given duration, then verifies the
-// workload's invariants. The returned Result is valid even when err is a
-// verification failure.
+// Run is the whole lifecycle in order: populate the workload, run the
+// after-setup hook, serve for the given duration, then verify the workload's
+// invariants. The returned Result is valid even when err is a verification
+// failure.
 func (s *Server) Run(duration time.Duration) (Result, error) {
-	var res Result
 	if duration <= 0 {
-		return res, fmt.Errorf("load: run duration must be positive")
+		return Result{}, fmt.Errorf("load: run duration must be positive")
 	}
-	cfg := &s.cfg
-	if err := cfg.Workload.Setup(rand.New(rand.NewSource(cfg.Seed))); err != nil {
-		return res, fmt.Errorf("load: setup %s: %w", cfg.Workload.Name(), err)
+	w := s.cfg.Workload
+	if err := w.Setup(rand.New(rand.NewSource(s.cfg.Seed))); err != nil {
+		return Result{}, fmt.Errorf("load: setup %s: %w", w.Name(), err)
 	}
-	if cfg.AfterSetup != nil {
-		if err := cfg.AfterSetup(); err != nil {
-			return res, fmt.Errorf("load: after-setup %s: %w", cfg.Workload.Name(), err)
+	if s.cfg.AfterSetup != nil {
+		if err := s.cfg.AfterSetup(); err != nil {
+			return Result{}, fmt.Errorf("load: after-setup %s: %w", w.Name(), err)
 		}
 	}
-	queue, err := NewQueue(cfg.QueueCap)
-	if err != nil {
-		return res, err
+	if err := s.Start(); err != nil {
+		return Result{}, err
+	}
+	time.Sleep(duration)
+	res := s.Stop()
+	if err := w.Verify(); err != nil {
+		return res, fmt.Errorf("load: %s verification: %w", w.Name(), err)
+	}
+	return res, nil
+}
+
+// Start builds the queue and the pool over the already populated workload,
+// sizes the pool to the controller's level and sets the workers, the
+// generator and the epoch loop running.
+func (s *Server) Start() error {
+	cfg := &s.cfg
+	var err error
+	if s.queue, err = NewQueue(cfg.QueueCap); err != nil {
+		return err
 	}
 	keyed, _ := cfg.Workload.(Keyed)
 	task := cfg.Workload.Task()
-
-	// Per-worker histograms: single-writer record path, merged (atomically
-	// read) by the epoch loop while the workers keep recording.
-	hists := make([]*metrics.Hist, cfg.Workers)
-	for i := range hists {
-		hists[i] = metrics.NewHist()
+	if keyed == nil && task == nil {
+		return fmt.Errorf("load: workload %s has no task", cfg.Workload.Name())
 	}
-	pl, err := pool.New(cfg.Workers, cfg.Seed+1, func(workerID int, rng *rand.Rand) bool {
+	s.hists = make([]*metrics.Hist, cfg.Workers)
+	for i := range s.hists {
+		s.hists[i] = metrics.NewHist()
+	}
+	queue, hists := s.queue, s.hists // the task reads its own copies, not through s
+	s.pool, err = pool.New(cfg.Workers, cfg.Seed+1, func(workerID int, rng *rand.Rand) bool {
 		req, ok := queue.Pop()
 		if !ok {
 			return false // queue closed: the run is tearing down
@@ -208,131 +241,137 @@ func (s *Server) Run(duration time.Duration) (Result, error) {
 		return done
 	})
 	if err != nil {
-		return res, err
+		return err
 	}
+	s.tuner.Target = s.pool
+	s.tuner.Hold()
+	s.stop = make(chan struct{})
+	s.loops.Add(2)
+	go s.generate()
+	s.began = time.Now()
+	s.pool.Start()
+	go s.epochLoop()
+	return nil
+}
 
-	s.tuner.Target = pl
-	level := s.tuner.Hold()
-
-	// Generator: walks the arrival schedule in absolute time, so a slow
-	// consumer cannot stretch the schedule (that would close the loop). A
-	// late wakeup emits the overdue arrivals back-to-back.
-	var arrived atomic.Uint64
-	genStop := make(chan struct{})
-	var genWG sync.WaitGroup
-	genWG.Add(1)
-	go func() {
-		defer genWG.Done()
-		timer := time.NewTimer(0)
-		defer timer.Stop()
-		if !timer.Stop() {
-			<-timer.C
-		}
-		next := time.Now()
-		var seq uint64
-		for {
-			select {
-			case <-genStop:
-				return
-			default:
-			}
-			next = next.Add(cfg.Arrival.Next())
-			if wait := time.Until(next); wait > 0 {
-				timer.Reset(wait)
-				select {
-				case <-genStop:
-					return
-				case <-timer.C:
-				}
-			}
-			key := seq
-			if cfg.Keys != nil {
-				key = cfg.Keys.Next()
-			}
-			queue.Offer(Request{Key: key, Seq: seq, Arrival: time.Now()})
-			arrived.Add(1)
-			seq++
-		}
-	}()
-
-	start := time.Now()
-	pl.Start()
-
-	// Epoch loop: merge the workers' cumulative histograms, difference
-	// against the previous merge for the interval view, decide the level.
-	// Each epoch is measured from the instant the previous one was sampled,
-	// so a late or dropped tick stretches the window, not the rate.
-	ticker := time.NewTicker(cfg.Epoch)
-	defer ticker.Stop()
-	deadline := time.NewTimer(duration)
-	defer deadline.Stop()
-	prevCum := metrics.NewHist()
-	var prevCompleted, prevArrived, prevShed uint64
-	var levelSum float64
-	epochs := 0
-	sampled := start
-loop:
+// generate walks the arrival schedule in absolute time, so a slow consumer
+// cannot stretch the schedule (that would close the loop). A late wakeup
+// emits the overdue arrivals back-to-back.
+func (s *Server) generate() {
+	defer s.loops.Done()
+	cfg := &s.cfg
+	timer := time.NewTimer(0)
+	defer timer.Stop()
+	if !timer.Stop() {
+		<-timer.C
+	}
+	next := time.Now()
+	var seq uint64
 	for {
 		select {
-		case <-deadline.C:
-			break loop
-		case <-ticker.C:
-			cum := metrics.NewHist()
-			for _, h := range hists {
-				cum.Merge(h)
-			}
-			interval := cum.Clone()
-			interval.Sub(prevCum)
-			prevCum = cum
-
-			now := time.Now()
-			window := now.Sub(sampled)
-			sampled = now
-			completed := pl.Completed()
-			arr := arrived.Load()
-			shed := queue.Shed()
-			st := EpochStat{
-				Index:      epochs,
-				Arrived:    arr - prevArrived,
-				Completed:  completed - prevCompleted,
-				Shed:       shed - prevShed,
-				QPS:        float64(completed-prevCompleted) / window.Seconds(),
-				QueueDepth: queue.Len(),
-				P50:        interval.P50(),
-				P99:        interval.P99(),
-				P999:       interval.P999(),
-				Max:        interval.Quantile(1),
-			}
-			prevCompleted, prevArrived, prevShed = completed, arr, shed
-
-			s.decide(&st, window)
-			levelSum += float64(st.Level)
-			epochs++
-			res.Epochs = append(res.Epochs, st)
-			if cfg.OnEpoch != nil {
-				cfg.OnEpoch(st)
+		case <-s.stop:
+			return
+		default:
+		}
+		next = next.Add(cfg.Arrival.Next())
+		if wait := time.Until(next); wait > 0 {
+			timer.Reset(wait)
+			select {
+			case <-s.stop:
+				return
+			case <-timer.C:
 			}
 		}
+		key := seq
+		if cfg.Keys != nil {
+			key = cfg.Keys.Next()
+		}
+		s.queue.Offer(Request{Key: key, Seq: seq, Arrival: time.Now()})
+		s.arrived.Add(1)
+		seq++
 	}
+}
 
-	// Teardown order matters: stop the generator, close the queue so
-	// workers blocked in Pop unblock, then stop the pool (workers exit at
-	// the loop top; the residual backlog is discarded, not served).
-	close(genStop)
-	genWG.Wait()
-	queue.Close()
-	pl.Stop()
-	res.Elapsed = time.Since(start)
+// epochLoop merges the workers' cumulative histograms every epoch,
+// differences against the previous merge for the interval view, and decides
+// the level. Each epoch is measured from the instant the previous one was
+// sampled, so a late or dropped tick stretches the window, not the rate.
+func (s *Server) epochLoop() {
+	defer s.loops.Done()
+	cfg := &s.cfg
+	ticker := time.NewTicker(cfg.Epoch)
+	defer ticker.Stop()
+	prevCum := metrics.NewHist()
+	var prevCompleted, prevArrived, prevShed uint64
+	sampled := s.began
+	for {
+		select {
+		case <-s.stop:
+			return
+		case <-ticker.C:
+		}
+		cum := s.mergedHist()
+		interval := cum.Clone()
+		interval.Sub(prevCum)
+		prevCum = cum
 
-	res.Hist = metrics.NewHist()
-	for _, h := range hists {
-		res.Hist.Merge(h)
+		now := time.Now()
+		window := now.Sub(sampled)
+		sampled = now
+		completed := s.pool.Completed()
+		arr := s.arrived.Load()
+		shed := s.queue.Shed()
+		st := EpochStat{
+			Index:      len(s.epochs),
+			Arrived:    arr - prevArrived,
+			Completed:  completed - prevCompleted,
+			Shed:       shed - prevShed,
+			QPS:        float64(completed-prevCompleted) / window.Seconds(),
+			QueueDepth: s.queue.Len(),
+			P50:        interval.P50(),
+			P99:        interval.P99(),
+			P999:       interval.P999(),
+			Max:        interval.Quantile(1),
+		}
+		prevCompleted, prevArrived, prevShed = completed, arr, shed
+
+		s.decide(&st, window)
+		s.epochs = append(s.epochs, st)
+		if cfg.OnEpoch != nil {
+			cfg.OnEpoch(st)
+		}
 	}
-	res.Arrived = arrived.Load()
-	res.Completed = pl.Completed()
-	res.Shed = queue.Shed()
-	secs := res.Elapsed.Seconds()
-	if secs > 0 {
+}
+
+// mergedHist sums the per-worker histograms; the reads are atomic, so it is
+// safe while the workers keep recording.
+func (s *Server) mergedHist() *metrics.Hist {
+	cum := metrics.NewHist()
+	for _, h := range s.hists {
+		cum.Merge(h)
+	}
+	return cum
+}
+
+// Stop tears a started server down and summarizes the run. The order
+// matters: stop the generator and the epoch loop, close the queue so workers
+// blocked in Pop unblock, then stop the pool (workers exit at the loop top;
+// the residual backlog is discarded, not served).
+func (s *Server) Stop() Result {
+	close(s.stop)
+	s.loops.Wait()
+	s.queue.Close()
+	s.pool.Stop()
+	res := Result{
+		Elapsed:   time.Since(s.began),
+		Epochs:    s.epochs,
+		Hist:      s.mergedHist(),
+		Arrived:   s.arrived.Load(),
+		Completed: s.pool.Completed(),
+		Shed:      s.queue.Shed(),
+		MeanLevel: float64(s.pool.Level()),
+	}
+	if secs := res.Elapsed.Seconds(); secs > 0 {
 		res.OfferedQPS = float64(res.Arrived) / secs
 		res.QPS = float64(res.Completed) / secs
 	}
@@ -340,20 +379,25 @@ loop:
 	res.P99 = res.Hist.P99()
 	res.P999 = res.Hist.P999()
 	res.Max = res.Hist.Max()
-	if epochs > 0 {
-		res.MeanLevel = levelSum / float64(epochs)
-	} else {
-		res.MeanLevel = float64(level)
+	if len(s.epochs) > 0 {
+		sum := 0
+		for _, e := range s.epochs {
+			sum += e.Level
+		}
+		res.MeanLevel = float64(sum) / float64(len(s.epochs))
 	}
 	if slo := s.tuner.SLO; slo != nil {
 		res.SLO = slo.Stats()
 		res.SLOState = slo.State().String()
 	}
-	if err := cfg.Workload.Verify(); err != nil {
-		return res, fmt.Errorf("load: %s verification: %w", cfg.Workload.Name(), err)
-	}
-	return res, nil
+	return res
 }
+
+// Pool and Tuner are what a live observer samples beside the running loops
+// (completions, level in force, recovered panics, resumable controller
+// state); Pool is nil before Start.
+func (s *Server) Pool() *pool.Pool   { return s.pool }
+func (s *Server) Tuner() *core.Tuner { return s.tuner }
 
 // decide is the epoch loop's call into the decision step: the epoch's
 // measured rate, window and p99 are the observation; the step's answer and
