@@ -28,15 +28,6 @@ var benchEngines = []struct {
 	{"norec", stm.NOrec},
 }
 
-func benchTree(b *testing.B) *blink.Tree[int64] {
-	b.Helper()
-	tr := blink.New[int64]()
-	for k := int64(0); k < benchKeys; k++ {
-		tr.Put(k, k<<8)
-	}
-	return tr
-}
-
 func benchMap(b *testing.B, algo stm.Algorithm) (*stm.Runtime, *blink.Map[int64]) {
 	b.Helper()
 	rt := stm.New(stm.Config{Algorithm: algo})
@@ -64,22 +55,10 @@ func benchZipf(b *testing.B, seed int64) *load.Zipf {
 }
 
 // BenchmarkBLink_Lookup_Zipfian: point lookups under the hot-key mix.
-// "tree" is the lock-free Tree, "fast" the hybrid Map's lock-free path,
-// "stm/*" the transactional path under AtomicRO. The fast paths must stay
-// allocation-free (the alloc gate rides on -benchmem).
+// "fast" is the Map's lock-free path, "stm/*" the transactional path under
+// AtomicRO. The fast path must stay allocation-free (the alloc gate rides on
+// -benchmem).
 func BenchmarkBLink_Lookup_Zipfian(b *testing.B) {
-	b.Run("tree", func(b *testing.B) {
-		tr := benchTree(b)
-		z := benchZipf(b, 1)
-		sink := int64(0)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			v, _ := tr.Get(int64(z.Next()))
-			sink += v
-		}
-		_ = sink
-	})
 	b.Run("fast", func(b *testing.B) {
 		_, m := benchMap(b, stm.TL2)
 		z := benchZipf(b, 1)
@@ -120,21 +99,6 @@ func BenchmarkBLink_Lookup_Zipfian(b *testing.B) {
 // keys — the ordered workload shape no hash container can serve.
 func BenchmarkBLink_Scan_Zipfian(b *testing.B) {
 	const width = 64
-	b.Run("tree", func(b *testing.B) {
-		tr := benchTree(b)
-		z := benchZipf(b, 2)
-		sink := int64(0)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			lo := int64(z.Next())
-			tr.Scan(lo, lo+width-1, func(k, v int64) bool {
-				sink += v
-				return true
-			})
-		}
-		_ = sink
-	})
 	b.Run("fast", func(b *testing.B) {
 		_, m := benchMap(b, stm.TL2)
 		z := benchZipf(b, 2)
@@ -180,16 +144,6 @@ func BenchmarkBLink_Scan_Zipfian(b *testing.B) {
 // contended ordered-index write path (in-place leaf updates, occasional
 // splits from the re-insert mix).
 func BenchmarkBLink_Update_Zipfian(b *testing.B) {
-	b.Run("tree", func(b *testing.B) {
-		tr := benchTree(b)
-		z := benchZipf(b, 3)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			k := int64(z.Next())
-			tr.Put(k, k<<8|int64(i&0xff))
-		}
-	})
 	for _, e := range benchEngines {
 		b.Run("stm/"+e.name, func(b *testing.B) {
 			rt, m := benchMap(b, e.algo)
@@ -220,8 +174,8 @@ type workerSeq struct{ n atomic.Int64 }
 func (s *workerSeq) next() int64 { return s.n.Add(1) * 1_000_003 }
 
 // BenchmarkParallelBLinkLookup: the scaling claim — lock-free readers over
-// the hybrid map and the native tree from every proc, Zipfian keys, zero
-// allocations, no shared word touched.
+// the hybrid map from every proc, Zipfian keys, zero allocations, no shared
+// word touched.
 func BenchmarkParallelBLinkLookup(b *testing.B) {
 	b.Run("fast", func(b *testing.B) {
 		_, m := benchMap(b, stm.TL2)
@@ -233,21 +187,6 @@ func BenchmarkParallelBLinkLookup(b *testing.B) {
 			sink := int64(0)
 			for pb.Next() {
 				v, _ := m.LookupFast(int64(z.Next()))
-				sink += v
-			}
-			_ = sink
-		})
-	})
-	b.Run("tree", func(b *testing.B) {
-		tr := benchTree(b)
-		seq := workerSeq{}
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			z := benchZipf(b, seq.next())
-			sink := int64(0)
-			for pb.Next() {
-				v, _ := tr.Get(int64(z.Next()))
 				sink += v
 			}
 			_ = sink

@@ -9,13 +9,12 @@ import (
 	"rubic/internal/stm"
 )
 
-// FuzzBLink is the differential fuzzer over the B-Link implementations: one
-// operation sequence drives the lock-free Tree and the transactional Map on
-// BOTH engines, checked against a sorted-map oracle op by op. The hybrid
-// fast path (LookupFast) is validated against the STM path after every
+// FuzzBLink is the Map's differential fuzzer: one operation sequence drives
+// the Map on BOTH engines, checked against a sorted-map oracle op by op. The
+// hybrid fast path (LookupFast) is validated against the STM path after every
 // commit, full ordered scans are compared against the sorted oracle, and a
-// concurrent reader probes the Tree and the Map fast path for torn reads
-// (every value encodes its key) while the sequence executes.
+// concurrent reader probes the fast path for torn reads (every value encodes
+// its key) while the sequence executes.
 //
 // Op encoding follows the container package's fuzzers: two bytes per op —
 // kind, then key — over a tiny key space so structural paths (splits,
@@ -55,7 +54,6 @@ func FuzzBLink(f *testing.F) {
 		if len(ops) > 512 {
 			ops = ops[:512]
 		}
-		tree := New[int64]()
 		engines := []*stm.Runtime{
 			stm.New(stm.Config{Algorithm: stm.TL2}),
 			stm.New(stm.Config{Algorithm: stm.NOrec}),
@@ -63,17 +61,14 @@ func FuzzBLink(f *testing.F) {
 		maps := []*Map[int64]{NewMap[int64](), NewMap[int64]()}
 		oracle := map[int64]int64{}
 
-		// Concurrent torn-read probe over the lock-free structures: values
-		// encode their key, so any torn observation is a mismatch.
+		// Concurrent torn-read probe over the lock-free paths: values encode
+		// their key, so any torn observation is a mismatch.
 		var stopProbe atomic.Bool
 		var probe sync.WaitGroup
 		probe.Add(1)
 		go func() {
 			defer probe.Done()
 			for k := int64(0); !stopProbe.Load(); k = (k + 1) % fuzzKeySpace {
-				if v, ok := tree.Get(k); ok && v>>8 != k {
-					panic("fuzz probe: torn Tree.Get")
-				}
 				if v, ok := maps[0].LookupFast(k); ok && v>>8 != k {
 					panic("fuzz probe: torn Map.LookupFast")
 				}
@@ -93,47 +88,37 @@ func FuzzBLink(f *testing.F) {
 		for opIdx, op := range ops {
 			switch op.kind {
 			case 0: // Put
-				added := tree.Put(op.key, op.val)
+				_, had := oracle[op.key]
 				for e, rt := range engines {
-					var mAdded bool
+					var added bool
 					if err := rt.Atomic(func(tx *stm.Tx) error {
-						mAdded = maps[e].Put(tx, op.key, op.val)
+						added = maps[e].Put(tx, op.key, op.val)
 						return nil
 					}); err != nil {
 						t.Fatalf("op %d engine %d: %v", opIdx, e, err)
 					}
-					if mAdded != added {
-						t.Fatalf("op %d: Put(%d) Tree added=%v, Map[%d] added=%v", opIdx, op.key, added, e, mAdded)
+					if added == had {
+						t.Fatalf("op %d: Map[%d].Put(%d) added=%v, oracle had=%v", opIdx, e, op.key, added, had)
 					}
-				}
-				_, had := oracle[op.key]
-				if added == had {
-					t.Fatalf("op %d: Put(%d) added=%v, oracle had=%v", opIdx, op.key, added, had)
 				}
 				oracle[op.key] = op.val
 			case 1: // Delete
-				removed := tree.Delete(op.key)
+				_, had := oracle[op.key]
 				for e, rt := range engines {
-					var mRemoved bool
+					var removed bool
 					if err := rt.Atomic(func(tx *stm.Tx) error {
-						mRemoved = maps[e].Delete(tx, op.key)
+						removed = maps[e].Delete(tx, op.key)
 						return nil
 					}); err != nil {
 						t.Fatalf("op %d engine %d: %v", opIdx, e, err)
 					}
-					if mRemoved != removed {
-						t.Fatalf("op %d: Delete(%d) Tree=%v, Map[%d]=%v", opIdx, op.key, removed, e, mRemoved)
+					if removed != had {
+						t.Fatalf("op %d: Map[%d].Delete(%d)=%v, oracle had=%v", opIdx, e, op.key, removed, had)
 					}
 				}
-				if _, had := oracle[op.key]; removed != had {
-					t.Fatalf("op %d: Delete(%d)=%v, oracle had=%v", opIdx, op.key, removed, had)
-				}
 				delete(oracle, op.key)
-			case 2: // Get: lock-free, fast path, and STM path must all agree.
+			case 2: // Get: the fast path and the STM path must both agree with the oracle.
 				want, had := oracle[op.key]
-				if got, ok := tree.Get(op.key); ok != had || (ok && got != want) {
-					t.Fatalf("op %d: Tree.Get(%d)=(%d,%v), want (%d,%v)", opIdx, op.key, got, ok, want, had)
-				}
 				for e, rt := range engines {
 					if got, ok := maps[e].LookupFast(op.key); ok != had || (ok && got != want) {
 						t.Fatalf("op %d: Map[%d].LookupFast(%d)=(%d,%v), want (%d,%v)", opIdx, e, op.key, got, ok, want, had)
@@ -168,18 +153,12 @@ func FuzzBLink(f *testing.F) {
 						}
 					}
 				}
-				var treeKeys []int64
-				tree.Scan(op.key, fuzzKeySpace, func(k, v int64) bool {
-					if v != oracle[k] {
-						t.Fatalf("op %d: Tree.Scan key %d value %d, oracle %d", opIdx, k, v, oracle[k])
-					}
-					treeKeys = append(treeKeys, k)
-					return true
-				})
-				check("Tree", treeKeys)
 				for e, rt := range engines {
 					var fastKeys, tranKeys []int64
 					maps[e].ScanFast(op.key, fuzzKeySpace, func(k, v int64) bool {
+						if v != oracle[k] {
+							t.Fatalf("op %d: Map[%d].ScanFast key %d value %d, oracle %d", opIdx, e, k, v, oracle[k])
+						}
 						fastKeys = append(fastKeys, k)
 						return true
 					})
@@ -198,9 +177,6 @@ func FuzzBLink(f *testing.F) {
 				}
 			}
 		}
-		if err := tree.CheckInvariants(); err != nil {
-			t.Fatalf("settled Tree: %v", err)
-		}
 		for e, rt := range engines {
 			if err := rt.AtomicRO(func(tx *stm.Tx) error {
 				if err := maps[e].CheckInvariants(tx); err != nil {
@@ -213,9 +189,6 @@ func FuzzBLink(f *testing.F) {
 			}); err != nil {
 				t.Fatalf("settled Map[%d]: %v", e, err)
 			}
-		}
-		if tree.Len() != len(oracle) {
-			t.Fatalf("Tree.Len=%d, oracle %d", tree.Len(), len(oracle))
 		}
 	})
 }

@@ -1,3 +1,17 @@
+// Package blink provides Map, a B-Link-tree ordered index held in STM Vars:
+// every mutation is a transaction and serializes with any other transactional
+// state, while read-only navigation may skip the transaction altogether
+// (LookupFast, ScanFast).
+//
+// The structure follows Lehman & Yao: every node carries an exclusive upper
+// bound (high) and a right-sibling link (next); splits move entries to a new
+// right sibling and deletes never merge, so a reader that lands on a stale node
+// recovers by chasing right until its key is back in range. Readers therefore
+// need only per-node atomicity, which immutable copy-on-write node snapshots
+// give them: a node is one Var holding a pointer to a snapshot nobody modifies.
+//
+// Keys span all of int64 except math.MaxInt64, which is the +infinity
+// sentinel in the rightmost node of every level.
 package blink
 
 import (
@@ -6,6 +20,19 @@ import (
 
 	"rubic/internal/stm"
 )
+
+// order is the per-node entry capacity. 32 keeps a node's key array within a
+// few cache lines while holding the tree to 3 levels past a million keys.
+const order = 32
+
+// maxHeight bounds the writer descent stack; order^maxHeight key capacity
+// makes overflow unreachable.
+const maxHeight = 16
+
+// infKey is the exclusive-upper-bound sentinel of rightmost nodes. It can
+// never be bound, and no node lies to the right of the one whose bound it is,
+// so every entry point answers for it before descending.
+const infKey = math.MaxInt64
 
 // sizeShards spreads the Map's element count over several Vars so
 // concurrent inserts to distant keys do not all serialize on one counter
@@ -17,7 +44,8 @@ const sizeShards = 8
 // the owning mnode's whole snapshot (copy-on-write); nothing in a published
 // mdata is ever modified, which is what makes the Peek-based fast path
 // sound: any snapshot a lock-free reader captures is internally consistent,
-// and staleness is recovered by the B-Link right-chase exactly as in Tree.
+// and a snapshot that a split has since narrowed still links to the sibling
+// holding the keys it lost, so staleness is recovered by the right-chase.
 type mdata[V any] struct {
 	leaf bool
 	high int64 // exclusive upper bound; infKey on the rightmost node
@@ -67,6 +95,9 @@ func sizeShard(key int64) int {
 // Get returns the value bound to key as seen by tx.
 func (m *Map[V]) Get(tx *stm.Tx, key int64) (V, bool) {
 	var zero V
+	if key == infKey {
+		return zero, false
+	}
 	nd := m.root.Read(tx)
 	for {
 		d := nd.d.Read(tx)
@@ -158,10 +189,10 @@ func (m *Map[V]) Put(tx *stm.Tx, key int64, val V) bool {
 }
 
 // insertUp links a freshly split node's right sibling into the parent
-// level, splitting upward as needed. Unlike Tree, the whole split commits
-// atomically with the triggering mutation, so the transactional view never
-// observes a half-propagated split (the fast path still right-chases, which
-// covers its own cross-Peek staleness instead).
+// level, splitting upward as needed. The whole split commits atomically with
+// the triggering mutation, so the transactional view never observes a
+// half-propagated split; the fast path can — it may Peek a parent from before
+// the commit and a child from after it — which is what its right-chase is for.
 func (m *Map[V]) insertUp(tx *stm.Tx, path *[maxHeight]*mnode[V], depth int, child *mnode[V], childHigh int64, sib *mnode[V], sibHigh int64) {
 	for {
 		if depth == 0 {
@@ -207,8 +238,12 @@ func (m *Map[V]) insertUp(tx *stm.Tx, path *[maxHeight]*mnode[V], depth int, chi
 }
 
 // Delete unbinds key, reporting whether it was present. Nodes are never
-// merged; emptied leaves stay linked, mirroring Tree.
+// merged: an emptied leaf stays linked with its bound, so a reader holding a
+// stale pointer to it still finds its way right.
 func (m *Map[V]) Delete(tx *stm.Tx, key int64) bool {
+	if key == infKey {
+		return false
+	}
 	nd := m.root.Read(tx)
 	for {
 		d := nd.d.Read(tx)
@@ -258,7 +293,7 @@ func (m *Map[V]) Range(tx *stm.Tx, fn func(key int64, val V) bool) {
 // returns false. The walk reads through tx, so under Atomic/AtomicRO the
 // visited snapshot is serializable with every other transactional access.
 func (m *Map[V]) RangeBetween(tx *stm.Tx, lo, hi int64, fn func(key int64, val V) bool) {
-	if hi < lo {
+	if hi < lo || lo == infKey {
 		return
 	}
 	nd := m.root.Read(tx)
@@ -301,6 +336,9 @@ func (m *Map[V]) RangeBetween(tx *stm.Tx, lo, hi int64, fn func(key int64, val V
 //rubic:noalloc
 func (m *Map[V]) LookupFast(key int64) (V, bool) {
 	var zero V
+	if key == infKey {
+		return zero, false
+	}
 	nd := m.root.Peek()
 	for {
 		d := nd.d.Peek()
@@ -326,11 +364,12 @@ func (m *Map[V]) LookupFast(key int64) (V, bool) {
 
 // ScanFast streams [lo, hi] in ascending order without a transaction. Each
 // leaf snapshot is internally consistent; across leaves the scan is weakly
-// consistent (B-Link contract), like Tree.Scan.
+// consistent (it observes each leaf at its own instant), the standard B-Link
+// contract.
 //
 //rubic:noalloc
 func (m *Map[V]) ScanFast(lo, hi int64, fn func(key int64, val V) bool) {
-	if hi < lo {
+	if hi < lo || lo == infKey {
 		return
 	}
 	nd := m.root.Peek()
