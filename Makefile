@@ -5,7 +5,7 @@ GO ?= go
 # path, and the load generator's key draw).
 BENCH_PKGS = ./internal/stm ./internal/stm/container ./internal/stm/container/blink ./internal/pool ./internal/wal ./internal/load
 
-.PHONY: check build vet fmtcheck test race lint lint-fixtures bench-check bench benchgate benchscale benchscalegate bench-ab chaos serve-smoke adaptive-soak shard-soak crash-soak fuzz-wal ring-soak fuzz-zipf fuzz-blink loc
+.PHONY: check build vet fmtcheck test race lint lint-fixtures bench-check bench benchgate benchscale benchscalegate bench-ab chaos serve-smoke adaptive-soak shard-soak crash-soak fuzz-wal ring-soak fuzz-zipf fuzz-blink fuzz-spec fuzz-containers loc
 
 # check is the PR gate: vet, formatting, static analysis, the full test
 # suite, a race-detector pass over the whole module, the nested benchmark
@@ -191,6 +191,24 @@ fuzz-zipf:
 fuzz-blink:
 	$(GO) test -run '^$$' -fuzz FuzzBLink -fuzztime 15s ./internal/stm/container/blink
 
+# fuzz-spec is a time-boxed run of the stack grammar's fuzz target: the
+# parser never panics, every spec it accepts prints back to itself
+# (StackSpec.String, how the agent receives its stack), and every stack name
+# it derives logs in one directory directly under the root. A failing input
+# is written to internal/colocate/testdata/fuzz/FuzzStackSpec/ — check it in
+# with the fix.
+fuzz-spec:
+	$(GO) test -run '^$$' -fuzz FuzzStackSpec -fuzztime 15s ./internal/colocate
+
+# fuzz-containers runs the transactional containers' differential fuzz
+# targets, 10 s each: the red-black tree and the hash map against Go-map
+# oracles, and the hash map across fuzz-chosen engine switches against a
+# never-switching twin. go test -fuzz takes one target per run.
+fuzz-containers:
+	@set -e; for t in FuzzRBTree FuzzHashMap FuzzAdaptiveSwitch; do \
+		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime 10s ./internal/stm/container; \
+	done
+
 # loc makes a size claim checkable: code-only lines (no blank lines, no lines
 # that are only a // comment) of the non-test Go of every package outside
 # bench/, their sum, and the top-level exported identifiers (lines of
@@ -200,7 +218,7 @@ fuzz-blink:
 # It is also a ratchet: it fails when the sum exceeds LOC_MAX, the total of
 # the last PR that changed it. A PR that must grow the code raises the number
 # in its own diff; one that shrinks it lowers the number to its new total.
-LOC_MAX = 16390
+LOC_MAX = 16277
 loc:
 	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | \
 	while read -r pkg dir files; do \

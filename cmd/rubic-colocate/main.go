@@ -18,6 +18,14 @@
 //     rubic-colocate -mode=proc -procs rbtree-ro:rubic,rbtree-ro:rubic -duration 2s
 //     rubic-colocate -mode=proc -gomaxprocs 4 -procs vacation:rubic,intruder:ebs
 //
+// Every stack is a colocate.StackSpec, workload:policy[@delay][/key=value]...,
+// the grammar rubic-serve takes: adaptive= hot-swaps a stack's engine and
+// contention manager, and in goroutine mode qps= serves a stack open-loop
+// beside closed-loop ones (a batch job beside a service):
+//
+//	rubic-colocate -procs rbtree-ro:rubic/adaptive=tl2:backoff+norec:greedy
+//	rubic-colocate -procs rbtree:rubic,kv/qps=300/slo=250ms
+//
 // A seeded chaos scenario can be layered over either mode:
 //
 //	rubic-colocate -mode=proc -chaos crashloop@7 -procs bank:rubic,bank:rubic
@@ -30,8 +38,9 @@
 //
 // Workloads: see internal/stamp/workloads (rbtree, rbtree-ro, vacation,
 // vacation-low, vacation-high, intruder, stmbench7, bank, genome, kmeans,
-// labyrinth, ssca2). Policies: rubic, ebs, f2c2, aiad, aimd, profile;
-// "greedy" pins all workers.
+// labyrinth, ssca2) and internal/load (kv, ordered, shardedkv). Policies:
+// rubic, ebs, f2c2, aiad, aimd, hillclimb, equalshare, profile; "greedy"
+// pins all workers.
 package main
 
 import (
@@ -59,11 +68,8 @@ var agentExec mproc.ExecFunc
 type cliConfig struct {
 	mode       string
 	procs      string
-	pool       int
 	duration   time.Duration
 	period     time.Duration
-	seed       int64
-	engine     string
 	gomaxprocs int
 	// chaos names the fault scenario ("scenario@seed"); empty runs clean.
 	chaos string
@@ -71,12 +77,9 @@ type cliConfig struct {
 	// scenario (or a flaky machine) crashes an agent.
 	restarts int
 	plot     bool
-	// adaptive is the '+'-separated engine[/cm] candidate list for online
-	// engine/CM hot-swap; empty runs the static -algo engine.
-	adaptive string
-	// durable is the -durable/-wal-dir/-fsync group: a write-ahead log for
-	// every stack, in its own directory under -wal-dir.
-	durable colocate.DurableFlags
+	// stack is -algo, -pool, -seed and the -durable/-wal-dir/-fsync group,
+	// shared with rubic-serve and the agent.
+	stack colocate.StackFlags
 }
 
 func main() {
@@ -90,19 +93,7 @@ func main() {
 		return
 	}
 	var cfg cliConfig
-	flag.StringVar(&cfg.mode, "mode", "goroutine", "execution mode: goroutine (in-process) or proc (real child OS processes)")
-	flag.StringVar(&cfg.procs, "procs", "rbtree-ro:rubic,rbtree-ro:rubic", "comma-separated workload:policy[@arrivalDelay] stacks")
-	flag.IntVar(&cfg.pool, "pool", 2*runtime.NumCPU(), "per-stack worker pool size")
-	flag.DurationVar(&cfg.duration, "duration", 2*time.Second, "run duration")
-	flag.DurationVar(&cfg.period, "period", core.DefaultPeriod, "controller period")
-	flag.Int64Var(&cfg.seed, "seed", 1, "random seed")
-	flag.StringVar(&cfg.engine, "algo", "tl2", "stm engine: tl2 or norec")
-	flag.IntVar(&cfg.gomaxprocs, "gomaxprocs", 0, "per-child GOMAXPROCS in proc mode (0 leaves the Go default)")
-	flag.StringVar(&cfg.chaos, "chaos", "", "seeded fault scenario: crashloop|stall|corrupt|mixed[@seed]")
-	flag.IntVar(&cfg.restarts, "restarts", 2, "proc mode: restart budget per crashed agent")
-	flag.BoolVar(&cfg.plot, "plot", true, "render the level traces")
-	flag.StringVar(&cfg.adaptive, "adaptive", "", "'+'-separated engine[/cm] hot-swap candidates (e.g. tl2/backoff+norec/greedy); empty stays on -algo")
-	cfg.durable.Register(flag.CommandLine)
+	register(flag.CommandLine, &cfg)
 	flag.Parse()
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "rubic-colocate:", err)
@@ -110,67 +101,61 @@ func main() {
 	}
 }
 
+// register declares the command line over cfg.
+func register(fs *flag.FlagSet, cfg *cliConfig) {
+	fs.StringVar(&cfg.mode, "mode", "goroutine", "execution mode: goroutine (in-process) or proc (real child OS processes)")
+	fs.StringVar(&cfg.procs, "procs", "rbtree-ro:rubic,rbtree-ro:rubic", "comma-separated stacks, workload:policy[@delay][/key=value]... (qps= serves a stack open-loop, goroutine mode only)")
+	fs.DurationVar(&cfg.duration, "duration", 2*time.Second, "run duration")
+	fs.DurationVar(&cfg.period, "period", core.DefaultPeriod, "controller period")
+	fs.IntVar(&cfg.gomaxprocs, "gomaxprocs", 0, "per-child GOMAXPROCS in proc mode (0 leaves the Go default)")
+	fs.StringVar(&cfg.chaos, "chaos", "", "seeded fault scenario: crashloop|stall|corrupt|mixed[@seed]")
+	fs.IntVar(&cfg.restarts, "restarts", 2, "proc mode: restart budget per crashed agent")
+	fs.BoolVar(&cfg.plot, "plot", true, "render the level traces")
+	cfg.stack.Register(fs)
+}
+
 func run(cfg cliConfig) error {
 	specs, err := colocate.ParseSpecs(cfg.procs)
 	if err != nil {
 		return err
 	}
-	// Both modes validate the engine, chaos scenario, adaptive candidates and
-	// log flags before any stack runs: goroutine mode while assembling its
-	// stacks, proc mode in the supervisor, before it launches a child.
+	// Both modes assemble every stack before any runs: goroutine mode to run
+	// it, proc mode in the supervisor, before it launches a child.
 	switch cfg.mode {
 	case "goroutine":
-		return runGoroutine(cfg, specs)
+		stacks, err := goroutineProcs(cfg, specs)
+		if err != nil {
+			return err
+		}
+		return runGroup(cfg, stacks, os.Stdout)
 	case "proc":
 		return runProc(cfg, specs)
 	}
 	return fmt.Errorf("unknown mode %q (want goroutine or proc)", cfg.mode)
 }
 
-// stackName labels the i-th stack the way both modes report it.
-func stackName(i int, s colocate.StackSpec) string {
-	return "P" + strconv.Itoa(i+1) + "-" + s.Workload + "-" + s.Policy
+// options are the group's stack options; stack i runs options.For(i) in
+// either mode.
+func (cfg cliConfig) options(stacks int) colocate.StackOptions {
+	return colocate.StackOptions{StackFlags: cfg.stack, Processes: stacks, Chaos: cfg.chaos}
 }
 
-// goroutineProc assembles the i-th stack for goroutine mode through the
-// function the process-mode agent uses (colocate.StackSpec.Proc). There are
-// no agent processes here, so only the pool, controller and log injection
-// points of a chaos scenario apply, and the incarnation is always 0: nothing
-// restarts in-process.
-func goroutineProc(cfg cliConfig, specs []colocate.StackSpec, i int) (colocate.Proc, error) {
-	name := stackName(i, specs[i])
-	dur, err := cfg.durable.Options(name)
-	if err != nil {
-		return colocate.Proc{}, err
-	}
-	return specs[i].Proc(name, colocate.StackOptions{
-		Engine:    cfg.engine,
-		Pool:      cfg.pool,
-		Processes: len(specs),
-		Seed:      stackSeed(cfg, i),
-		Chaos:     cfg.chaos,
-		Child:     i,
-		Adaptive:  cfg.adaptive,
-		Durable:   dur,
-	})
-}
-
-// stackSeed derives the i-th stack's seed the way both modes do.
-func stackSeed(cfg cliConfig, i int) int64 { return cfg.seed + int64(i)*7919 }
-
-func runGoroutine(cfg cliConfig, specs []colocate.StackSpec) error {
+// goroutineProcs assembles the stacks for goroutine mode through the function
+// the process-mode agent uses (colocate.StackSpec.Proc). There are no agent
+// processes here, so only the pool, controller and log injection points of a
+// chaos scenario apply, and the incarnation is always 0: nothing restarts
+// in-process.
+func goroutineProcs(cfg cliConfig, specs []colocate.StackSpec) ([]colocate.Proc, error) {
+	opts := cfg.options(len(specs))
 	var stacks []colocate.Proc
-	for i := range specs {
-		p, err := goroutineProc(cfg, specs, i)
+	for i, s := range specs {
+		p, err := s.Proc(s.Name(i), opts.For(i))
 		if err != nil {
-			return err
-		}
-		if p.Adapter != nil && p.Controller == nil {
-			return fmt.Errorf("-adaptive needs a tuning policy (stack %s pins its workers)", p.Name)
+			return nil, err
 		}
 		stacks = append(stacks, p)
 	}
-	return runGroup(cfg, stacks, os.Stdout)
+	return stacks, nil
 }
 
 // runGroup runs the assembled stacks and reports. A run that failed after its
@@ -183,7 +168,7 @@ func runGroup(cfg cliConfig, stacks []colocate.Proc, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "co-locating %d stacks in goroutine mode for %v (pool %d each, engine %s, %d CPUs)...\n",
-		len(stacks), cfg.duration, cfg.pool, cfg.engine, runtime.NumCPU())
+		len(stacks), cfg.duration, cfg.stack.Pool, cfg.stack.Engine, runtime.NumCPU())
 	if cfg.chaos != "" {
 		fmt.Fprintf(out, "chaos scenario %s armed\n", cfg.chaos)
 	}
@@ -220,54 +205,42 @@ func runGroup(cfg cliConfig, stacks []colocate.Proc, out io.Writer) error {
 	return nil
 }
 
-// procChildren describes the run to the process-mode supervisor.
-func procChildren(cfg cliConfig, specs []colocate.StackSpec) ([]mproc.ChildSpec, mproc.Options) {
-	var children []mproc.ChildSpec
-	for i, s := range specs {
-		children = append(children, mproc.ChildSpec{
-			Name:         stackName(i, s),
-			Workload:     s.Workload,
-			Policy:       s.Policy,
-			ArrivalDelay: s.ArrivalDelay,
-			Pool:         cfg.pool,
-			Seed:         stackSeed(cfg, i),
-			GOMAXPROCS:   cfg.gomaxprocs,
-		})
-	}
+// procOptions describes the run to the process-mode supervisor.
+func procOptions(cfg cliConfig, stacks int) mproc.Options {
 	opt := mproc.Options{
-		Duration: cfg.duration,
-		Period:   cfg.period,
-		Engine:   cfg.engine,
-		Adaptive: cfg.adaptive,
-		Durable:  cfg.durable,
-		Exec:     agentExec,
+		Duration:   cfg.duration,
+		Period:     cfg.period,
+		Stack:      cfg.options(stacks),
+		GOMAXPROCS: cfg.gomaxprocs,
+		Exec:       agentExec,
 	}
 	if cfg.restarts > 0 {
 		// The restart budget covers any crashed agent — a chaos scenario's
 		// scripted exits and a genuine kill -9 alike.
 		opt.Restart = mproc.RestartPolicy{
 			MaxRestarts:      cfg.restarts,
-			JitterSeed:       cfg.seed,
+			JitterSeed:       cfg.stack.Seed,
 			BreakerThreshold: 3,
 		}
 	}
 	if cfg.chaos != "" {
-		opt.Chaos = cfg.chaos
 		// The corrupt scenario injects up to four bad lines per incarnation;
 		// give the budget headroom so chaos exercises recovery, not failure.
 		opt.FrameErrorBudget = 8
 	}
-	return children, opt
+	return opt
 }
 
 func runProc(cfg cliConfig, specs []colocate.StackSpec) error {
-	children, opt := procChildren(cfg, specs)
 	fmt.Printf("co-locating %d real OS processes for %v (pool %d each, engine %s, %d CPUs, gomaxprocs %d)...\n",
-		len(children), cfg.duration, cfg.pool, cfg.engine, runtime.NumCPU(), cfg.gomaxprocs)
+		len(specs), cfg.duration, cfg.stack.Pool, cfg.stack.Engine, runtime.NumCPU(), cfg.gomaxprocs)
 	if cfg.chaos != "" {
 		fmt.Printf("chaos scenario %s armed (restart budget %d)\n", cfg.chaos, cfg.restarts)
 	}
-	results, err := mproc.Run(children, opt)
+	results, err := mproc.Run(specs, procOptions(cfg, len(specs)))
+	if results == nil {
+		return err // refused before any child launched
+	}
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "\nprocess\tpid\tcompleted\tthroughput/s\tmean-level\tcommits\taborts\trestarts\tfaults\tstatus")

@@ -5,24 +5,28 @@
 // throughput like the closed-loop drivers, or against a p99 target through
 // the SLO-aware controller.
 //
-//	rubic-serve -workload kv -arrival poisson -qps 800 -slo-p99 5ms
-//	rubic-serve -arrival burst -qps 500 -policy rubic -duration 10s
-//	rubic-serve -qps 200 -slo-p99 5ms -find-max          # max sustainable QPS
-//	rubic-serve -stacks kv/qps=800/slo=5ms,kv/qps=200/slo=50ms
-//	rubic-serve -qps 400 -slo-p99 5ms -adaptive tl2:backoff+norec:greedy
+// Each stack is a colocate.StackSpec with qps= set (the grammar
+// rubic-colocate takes); -algo, -pool and -seed are the flags it shares with
+// rubic-colocate.
+//
+//	rubic-serve -procs kv/qps=800/slo=5ms
+//	rubic-serve -procs kv:rubic/qps=500/arrival=burst -duration 10s
+//	rubic-serve -procs kv/qps=200/slo=5ms -find-max      # max sustainable QPS
+//	rubic-serve -procs kv/qps=800/slo=5ms,kv/qps=200/slo=50ms
+//	rubic-serve -procs kv/qps=400/slo=5ms/adaptive=tl2:backoff+norec:greedy
 //	rubic-serve -smoke                                    # CI gate
 //
-// Single-stack runs print one line per epoch (level, posture, interval
-// quantiles); every mode ends with a summary table. -json FILE writes a
+// A single stack prints one line per epoch (level, posture, interval
+// quantiles); every run ends with a summary table. -json FILE writes a
 // rubic-bench/v2 snapshot (p99 ns in the ns_op slot) that rubic-benchgate
 // can gate like any benchmark output.
 //
-// -find-max sweeps the offered rate — doubling while the stack sustains the
-// SLO, then bisecting — and reports the highest QPS at which the run held
-// p99 under target with <1% shed.
+// -find-max sweeps one stack's offered rate — doubling from its qps= while it
+// sustains its slo=, then bisecting — and reports the highest QPS at which
+// the run held p99 under target with <1% shed.
 //
-// -stacks co-locates several open-loop stacks in one process, each with its
-// own SLO; per-stack guards observe only their own latency.
+// Several stacks co-locate in one process, each with its own SLO; per-stack
+// guards observe only their own latency.
 //
 // -smoke is the CI entry point: a short fixed-seed Poisson run at low QPS
 // that exits nonzero unless the p999 is finite and the SLO controller ends
@@ -35,7 +39,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strconv"
 	"text/tabwriter"
 	"time"
 
@@ -45,50 +48,22 @@ import (
 )
 
 type cliConfig struct {
-	workload string
-	arrival  string
-	qps      float64
-	theta    float64
+	procs    string
 	duration time.Duration
 	epoch    time.Duration
-	workers  int
 	queue    int
-	sloP99   time.Duration
-	policy   string
-	engine   string
-	adaptive string
-	seed     int64
-	stacks   string
 	findMax  bool
 	jsonOut  string
 	smoke    bool
 	quiet    bool
-	// durable is the -durable/-wal-dir/-fsync group: a write-ahead log for
-	// every stack, in its own directory under -wal-dir.
-	durable colocate.DurableFlags
+	// stack is -algo, -pool, -seed and the -durable/-wal-dir/-fsync group,
+	// shared with rubic-colocate and its agent.
+	stack colocate.StackFlags
 }
 
 func main() {
 	var cfg cliConfig
-	flag.StringVar(&cfg.workload, "workload", "kv", "workload: kv (keyed), ordered (keyed B-Link index), shardedkv (keyed, range-sharded runtime) or any internal/stamp/workloads name")
-	flag.StringVar(&cfg.arrival, "arrival", "poisson", "arrival process: constant, poisson, diurnal or burst")
-	flag.Float64Var(&cfg.qps, "qps", 400, "offered request rate (find-max: the sweep's starting rate)")
-	flag.Float64Var(&cfg.theta, "theta", load.DefaultTheta, "Zipf skew for keyed workloads (0,1)")
-	flag.DurationVar(&cfg.duration, "duration", 3*time.Second, "run duration (find-max: per probe)")
-	flag.DurationVar(&cfg.epoch, "epoch", load.DefaultEpoch, "tuning/reporting epoch")
-	flag.IntVar(&cfg.workers, "workers", 2*runtime.NumCPU(), "worker pool size (the maximum level)")
-	flag.IntVar(&cfg.queue, "queue", load.DefaultQueueCap, "admission queue bound (arrivals beyond it are shed)")
-	flag.DurationVar(&cfg.sloP99, "slo-p99", 0, "p99 latency target (0 disables the SLO guard)")
-	flag.StringVar(&cfg.policy, "policy", "", "controller: slo, rubic or fixed (default slo with a target, fixed without)")
-	flag.StringVar(&cfg.engine, "algo", "tl2", "stm engine: tl2 or norec")
-	flag.StringVar(&cfg.adaptive, "adaptive", "", "'+'-separated engine[:cm] hot-swap candidates (e.g. tl2:backoff+norec:greedy); in -stacks specs use the adaptive= key")
-	flag.Int64Var(&cfg.seed, "seed", 1, "random seed (arrivals, keys and pool all derive from it)")
-	flag.StringVar(&cfg.stacks, "stacks", "", "co-located stacks, e.g. kv/qps=800/slo=5ms,kv/qps=200/slo=50ms")
-	flag.BoolVar(&cfg.findMax, "find-max", false, "sweep for the max sustainable QPS under -slo-p99")
-	flag.StringVar(&cfg.jsonOut, "json", "", "write a rubic-bench/v2 snapshot to this file")
-	flag.BoolVar(&cfg.smoke, "smoke", false, "CI smoke: short fixed-seed run, fail unless the SLO converges")
-	flag.BoolVar(&cfg.quiet, "quiet", false, "suppress the per-epoch report")
-	cfg.durable.Register(flag.CommandLine)
+	register(flag.CommandLine, &cfg)
 	flag.Parse()
 	if err := run(cfg, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "rubic-serve:", err)
@@ -96,73 +71,75 @@ func main() {
 	}
 }
 
+// register declares the command line over cfg.
+func register(fs *flag.FlagSet, cfg *cliConfig) {
+	fs.StringVar(&cfg.procs, "procs", "kv/qps=400", "comma-separated open-loop stacks, workload[:policy][@delay]/qps=<rate>[/key=value]...")
+	fs.DurationVar(&cfg.duration, "duration", 3*time.Second, "run duration (find-max: per probe)")
+	fs.DurationVar(&cfg.epoch, "epoch", load.DefaultEpoch, "tuning/reporting epoch")
+	fs.IntVar(&cfg.queue, "queue", load.DefaultQueueCap, "admission queue bound (arrivals beyond it are shed)")
+	fs.BoolVar(&cfg.findMax, "find-max", false, "sweep one stack's qps= for the max sustainable rate under its slo=")
+	fs.StringVar(&cfg.jsonOut, "json", "", "write a rubic-bench/v2 snapshot to this file")
+	fs.BoolVar(&cfg.smoke, "smoke", false, "CI smoke: short fixed-seed run, fail unless the SLO converges")
+	fs.BoolVar(&cfg.quiet, "quiet", false, "suppress the per-epoch report")
+	cfg.stack.Register(fs)
+}
+
 func run(cfg cliConfig, out io.Writer) error {
-	if _, err := cfg.durable.Options(""); err != nil {
-		return err
-	}
-	if cfg.durable.On && cfg.findMax {
-		return fmt.Errorf("-find-max probes reuse seeds; a recovered log would carry state between probes, so it does not combine with -durable")
-	}
 	if cfg.smoke {
 		return runSmoke(cfg, out)
 	}
-	if cfg.findMax {
-		return runFindMax(cfg, out)
-	}
-	if cfg.stacks != "" {
-		return runStacks(cfg, out)
-	}
-	_, err := runSingle(cfg, out)
-	return err
-}
-
-// flagSpec assembles the single-stack spec from the flags; the policy
-// defaults are the -stacks grammar's own (ServeSpec.Normalize).
-func flagSpec(cfg cliConfig) (colocate.ServeSpec, error) {
-	spec := colocate.ServeSpec{
-		Workload: cfg.workload,
-		Arrival:  cfg.arrival,
-		QPS:      cfg.qps,
-		SLO:      cfg.sloP99,
-		Policy:   cfg.policy,
-		Theta:    cfg.theta,
-		Adaptive: cfg.adaptive,
-	}
-	switch spec.Normalize() {
-	case "qps":
-		return spec, fmt.Errorf("need -qps > 0, got %v", spec.QPS)
-	case "slo":
-		return spec, fmt.Errorf("-policy slo needs -slo-p99")
-	}
-	return spec, nil
-}
-
-// buildProc builds one stack from a spec with the CLI's shared knobs applied.
-// prefix dedupes identical co-located specs ("P1-"); the log directory
-// follows the final name.
-func buildProc(cfg cliConfig, spec colocate.ServeSpec, seed int64, prefix string) (colocate.Proc, error) {
-	proc, err := spec.Build(cfg.engine, cfg.workers, seed)
+	specs, err := colocate.ParseSpecs(cfg.procs)
 	if err != nil {
-		return proc, err
+		return err
 	}
-	proc.Name = prefix + proc.Name
-	proc.Serve.Epoch = cfg.epoch
-	proc.Serve.QueueCap = cfg.queue
-	proc.Durable, err = cfg.durable.Options(proc.Name)
-	return proc, err
+	for _, s := range specs {
+		if s.QPS <= 0 {
+			return fmt.Errorf("stack %s has no qps=: rubic-serve runs open-loop stacks (closed-loop ones run in rubic-colocate)", s)
+		}
+	}
+	if !cfg.findMax {
+		_, err := runStacks(cfg, specs, out)
+		return err
+	}
+	if cfg.stack.Durable.On {
+		return fmt.Errorf("-find-max probes reuse seeds; a recovered log would carry state between probes, so it does not combine with -durable")
+	}
+	if len(specs) != 1 {
+		return fmt.Errorf("-find-max sweeps one stack, got %d", len(specs))
+	}
+	return runFindMax(cfg, specs[0], out)
 }
 
-func runSingle(cfg cliConfig, out io.Writer) (*load.Result, error) {
-	spec, err := flagSpec(cfg)
+// buildStacks assembles the stacks, the i-th named and seeded as every
+// driver does it, with the CLI's epoch and queue bound.
+func buildStacks(cfg cliConfig, specs []colocate.StackSpec) ([]colocate.Proc, error) {
+	opts := colocate.StackOptions{StackFlags: cfg.stack, Processes: len(specs)}
+	var procs []colocate.Proc
+	for i, s := range specs {
+		proc, err := s.Proc(s.Name(i), opts.For(i))
+		if err != nil {
+			return nil, err
+		}
+		proc.Serve.Epoch, proc.Serve.QueueCap = cfg.epoch, cfg.queue
+		procs = append(procs, proc)
+	}
+	return procs, nil
+}
+
+// runStacks serves the stacks side by side; a single stack reports each
+// epoch as it closes.
+func runStacks(cfg cliConfig, specs []colocate.StackSpec, out io.Writer) ([]colocate.Result, error) {
+	procs, err := buildStacks(cfg, specs)
 	if err != nil {
 		return nil, err
 	}
-	proc, err := buildProc(cfg, spec, cfg.seed, "")
-	if err != nil {
-		return nil, err
+	if len(procs) > 1 {
+		fmt.Fprintf(out, "co-locating %d open-loop stacks for %v (pool %d each, engine %s, %d CPUs)...\n",
+			len(procs), cfg.duration, cfg.stack.Pool, cfg.stack.Engine, runtime.NumCPU())
+		return serve(cfg, out, procs)
 	}
 	if !cfg.quiet {
-		proc.Serve.OnEpoch = func(e load.EpochStat) {
+		procs[0].Serve.OnEpoch = func(e load.EpochStat) {
 			state := e.State
 			if state == "" {
 				state = "-"
@@ -171,32 +148,10 @@ func runSingle(cfg cliConfig, out io.Writer) (*load.Result, error) {
 				e.Index, e.Level, state, e.QPS, e.P50, e.P99, e.P999, e.QueueDepth, e.Shed)
 		}
 	}
-	fmt.Fprintf(out, "serving %s under %s arrivals at %.0f QPS for %v (workers %d, policy %s, engine %s)...\n",
-		spec.Workload, spec.Arrival, spec.QPS, cfg.duration, cfg.workers, spec.Policy, cfg.engine)
-	results, err := serve(cfg, out, []colocate.Proc{proc})
-	if err != nil {
-		return nil, err
-	}
-	return results[0].Serve, nil
-}
-
-func runStacks(cfg cliConfig, out io.Writer) error {
-	specs, err := colocate.ParseServeSpecs(cfg.stacks)
-	if err != nil {
-		return err
-	}
-	var procs []colocate.Proc
-	for i, s := range specs {
-		proc, err := buildProc(cfg, s, cfg.seed+int64(i)*7919, "P"+strconv.Itoa(i+1)+"-")
-		if err != nil {
-			return err
-		}
-		procs = append(procs, proc)
-	}
-	fmt.Fprintf(out, "co-locating %d open-loop stacks for %v (workers %d each, engine %s, %d CPUs)...\n",
-		len(procs), cfg.duration, cfg.workers, cfg.engine, runtime.NumCPU())
-	_, err = serve(cfg, out, procs)
-	return err
+	s := specs[0]
+	fmt.Fprintf(out, "serving %s under %s arrivals at %.0f QPS for %v (pool %d, policy %s, engine %s)...\n",
+		s.Workload, s.Arrival, s.QPS, cfg.duration, cfg.stack.Pool, s.Policy, cfg.stack.Engine)
+	return serve(cfg, out, procs)
 }
 
 // serve runs the stacks side by side and reports: summary table, log
@@ -238,23 +193,25 @@ func writeJSON(cfg cliConfig, out io.Writer, entries map[string]benchfmt.Result)
 	return nil
 }
 
-// runFindMax sweeps the offered rate for the highest the stack sustains
-// under the SLO: double from the starting rate while probes pass, then
-// bisect between the last sustained and first failed rate.
-func runFindMax(cfg cliConfig, out io.Writer) error {
-	if cfg.sloP99 <= 0 {
-		return fmt.Errorf("-find-max needs -slo-p99")
+// runFindMax sweeps the stack's offered rate for the highest it sustains
+// under its SLO: double from the spec's qps= while probes pass, then bisect
+// between the last sustained and first failed rate.
+func runFindMax(cfg cliConfig, spec colocate.StackSpec, out io.Writer) error {
+	if spec.SLO <= 0 {
+		return fmt.Errorf("-find-max needs slo= on the stack")
 	}
 	probeCfg := cfg
 	probeCfg.quiet = true
 	probeCfg.jsonOut = ""
 	probe := func(qps float64) (bool, error) {
-		probeCfg.qps = qps
-		res, err := runSingle(probeCfg, io.Discard)
+		s := spec
+		s.QPS = qps
+		results, err := runStacks(probeCfg, []colocate.StackSpec{s}, io.Discard)
 		if err != nil {
 			return false, err
 		}
-		ok := sustained(res, cfg.sloP99)
+		res := results[0].Serve
+		ok := sustained(res, spec.SLO)
 		verdict := "SUSTAINED"
 		if !ok {
 			verdict = "failed"
@@ -264,7 +221,7 @@ func runFindMax(cfg cliConfig, out io.Writer) error {
 	}
 
 	good, bad := 0.0, 0.0
-	qps := cfg.qps
+	qps := spec.QPS
 	for i := 0; i < 8; i++ {
 		ok, err := probe(qps)
 		if err != nil {
@@ -278,10 +235,10 @@ func runFindMax(cfg cliConfig, out io.Writer) error {
 		qps *= 2
 	}
 	if good == 0 {
-		return fmt.Errorf("starting rate %.0f QPS already misses the SLO; retry with a lower -qps", cfg.qps)
+		return fmt.Errorf("starting rate %.0f QPS already misses the SLO; retry with a lower qps=", spec.QPS)
 	}
 	if bad == 0 {
-		fmt.Fprintf(out, "max sustainable QPS >= %.0f (ramp exhausted; raise -qps to probe further)\n", good)
+		fmt.Fprintf(out, "max sustainable QPS >= %.0f (ramp exhausted; raise qps= to probe further)\n", good)
 		return nil
 	}
 	for i := 0; i < 4; i++ {
@@ -296,11 +253,11 @@ func runFindMax(cfg cliConfig, out io.Writer) error {
 			bad = mid
 		}
 	}
-	fmt.Fprintf(out, "max sustainable QPS ~= %.0f under p99 <= %v (next failure at %.0f)\n", good, cfg.sloP99, bad)
+	fmt.Fprintf(out, "max sustainable QPS ~= %.0f under p99 <= %v (next failure at %.0f)\n", good, spec.SLO, bad)
 	return writeJSON(cfg, out, map[string]benchfmt.Result{
-		"ServeMaxQPS/" + cfg.workload + "/" + cfg.arrival: {
+		"ServeMaxQPS/" + spec.Workload + "/" + spec.Arrival: {
 			Procs:   runtime.GOMAXPROCS(0),
-			NsPerOp: float64(cfg.sloP99.Nanoseconds()),
+			NsPerOp: float64(spec.SLO.Nanoseconds()),
 			Metrics: map[string]float64{"max-sustainable-qps": good},
 		},
 	})
@@ -317,20 +274,18 @@ func sustained(res *load.Result, slo time.Duration) bool {
 // It fails unless the guard ends the run meeting its target with a finite
 // p999 — the open-loop path, histogram and SLO controller all working.
 func runSmoke(cfg cliConfig, out io.Writer) error {
-	cfg.workload, cfg.arrival = "kv", "poisson"
-	cfg.qps, cfg.theta = 300, load.DefaultTheta
-	cfg.sloP99, cfg.policy = 250*time.Millisecond, "slo"
-	cfg.duration, cfg.epoch = 1500*time.Millisecond, 100*time.Millisecond
-	if cfg.workers > 4 {
-		cfg.workers = 4
-	}
-	cfg.queue, cfg.seed = load.DefaultQueueCap, 7
-	cfg.findMax, cfg.stacks = false, ""
-	cfg.durable.On = false // the smoke gate measures the latency path, not the log
-	res, err := runSingle(cfg, out)
+	cfg.duration, cfg.epoch, cfg.queue = 1500*time.Millisecond, 100*time.Millisecond, load.DefaultQueueCap
+	cfg.stack.Pool, cfg.stack.Seed = min(cfg.stack.Pool, 4), 7
+	cfg.stack.Durable.On = false // the smoke gate measures the latency path, not the log
+	specs, err := colocate.ParseSpecs("kv/qps=300/slo=250ms")
 	if err != nil {
 		return err
 	}
+	results, err := runStacks(cfg, specs, out)
+	if err != nil {
+		return err
+	}
+	res := results[0].Serve
 	if res.Completed == 0 {
 		return fmt.Errorf("smoke: no requests served")
 	}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"errors"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -19,17 +21,12 @@ import (
 // testConfig mirrors the flag defaults scaled down for test time.
 func testConfig() cliConfig {
 	return cliConfig{
-		workload: "kv",
-		arrival:  "poisson",
-		qps:      300,
-		theta:    load.DefaultTheta,
+		procs:    "kv/qps=300",
 		duration: 500 * time.Millisecond,
 		epoch:    100 * time.Millisecond,
-		workers:  4,
 		queue:    load.DefaultQueueCap,
-		engine:   "tl2",
-		seed:     7,
 		quiet:    true,
+		stack:    colocate.StackFlags{Engine: "tl2", Pool: 4, Seed: 7},
 	}
 }
 
@@ -49,10 +46,11 @@ func TestRunSmoke(t *testing.T) {
 
 // TestRunSingleEmitsBenchJSON: a single-stack run with -json must produce a
 // rubic-bench/v2 snapshot rubic-benchgate can load, with the p99 in the
-// ns_op slot and the companion quantiles as metrics.
+// ns_op slot and the companion quantiles as metrics — keyed by the stack's
+// name, which carries the P1- prefix every other stack has.
 func TestRunSingleEmitsBenchJSON(t *testing.T) {
 	cfg := testConfig()
-	cfg.sloP99 = 250 * time.Millisecond
+	cfg.procs = "kv/qps=300/slo=250ms"
 	cfg.jsonOut = filepath.Join(t.TempDir(), "serve.json")
 	var buf strings.Builder
 	if err := run(cfg, &buf); err != nil {
@@ -62,9 +60,9 @@ func TestRunSingleEmitsBenchJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entry, ok := f.Benchmarks["Serve/kv/poisson"]
-	if !ok {
-		t.Fatalf("snapshot missing Serve/kv/poisson: %v", f.Benchmarks)
+	entry, ok := f.Benchmarks["Serve/P1-kv/poisson"]
+	if !ok || len(f.Benchmarks) != 1 {
+		t.Fatalf("snapshot is not Serve/P1-kv/poisson alone: %v", f.Benchmarks)
 	}
 	if entry.NsPerOp <= 0 || entry.Iters == 0 || entry.Procs != runtime.GOMAXPROCS(0) {
 		t.Fatalf("entry = %+v", entry)
@@ -82,7 +80,7 @@ func TestRunSingleEmitsBenchJSON(t *testing.T) {
 // TestRunStacks: two co-located stacks with different SLOs both report.
 func TestRunStacks(t *testing.T) {
 	cfg := testConfig()
-	cfg.stacks = "kv/qps=200/slo=250ms,kv/qps=200/slo=250ms"
+	cfg.procs = "kv/qps=200/slo=250ms,kv/qps=200/slo=250ms"
 	var buf strings.Builder
 	if err := run(cfg, &buf); err != nil {
 		t.Fatalf("%v\n%s", err, buf.String())
@@ -99,9 +97,8 @@ func TestRunStacks(t *testing.T) {
 func TestRunFindMax(t *testing.T) {
 	cfg := testConfig()
 	cfg.findMax = true
-	cfg.qps = 50
+	cfg.procs = "kv/qps=50/slo=250ms"
 	cfg.duration = 200 * time.Millisecond
-	cfg.sloP99 = 250 * time.Millisecond
 	var buf strings.Builder
 	if err := run(cfg, &buf); err != nil {
 		t.Fatalf("%v\n%s", err, buf.String())
@@ -110,37 +107,34 @@ func TestRunFindMax(t *testing.T) {
 		t.Fatalf("no sweep verdict:\n%s", buf.String())
 	}
 
-	cfg.sloP99 = time.Nanosecond
-	if err := run(cfg, &strings.Builder{}); err == nil || !strings.Contains(err.Error(), "lower -qps") {
+	cfg.procs = "kv/qps=50/slo=1ns"
+	if err := run(cfg, &strings.Builder{}); err == nil || !strings.Contains(err.Error(), "lower qps=") {
 		t.Fatalf("unreachable SLO sweep err = %v, want starting-rate failure", err)
 	}
 
-	cfg.sloP99 = 0
-	if err := run(cfg, &strings.Builder{}); err == nil {
-		t.Fatal("-find-max without -slo-p99 accepted")
+	for _, procs := range []string{"kv/qps=50", "kv/qps=50/slo=1s,kv/qps=50/slo=1s"} {
+		cfg.procs = procs
+		if err := run(cfg, &strings.Builder{}); err == nil {
+			t.Errorf("-find-max over %s accepted", procs)
+		}
 	}
 }
 
+// TestFlagSpecValidation: -procs takes the one stack grammar, and only
+// open-loop stacks: a spec without qps= is refused by name, as is a key that
+// does not apply.
 func TestFlagSpecValidation(t *testing.T) {
+	for _, procs := range []string{"kv:rubic", "kv/qps=100,bank:rubic", "kv/qps=0", "bank/qps=100/theta=0.5", "kv/qps=100/shards=3"} {
+		cfg := testConfig()
+		cfg.procs = procs
+		if err := run(cfg, &strings.Builder{}); err == nil {
+			t.Errorf("-procs %s accepted", procs)
+		}
+	}
 	cfg := testConfig()
-	cfg.qps = 0
-	if _, err := flagSpec(cfg); err == nil {
-		t.Fatal("qps 0 accepted")
-	}
-	cfg = testConfig()
-	cfg.policy = "slo"
-	if _, err := flagSpec(cfg); err == nil {
-		t.Fatal("policy slo without a target accepted")
-	}
-	cfg = testConfig()
-	spec, err := flagSpec(cfg)
-	if err != nil || spec.Policy != "fixed" {
-		t.Fatalf("spec %+v err %v, want fixed default policy", spec, err)
-	}
-	cfg.sloP99 = time.Millisecond
-	spec, err = flagSpec(cfg)
-	if err != nil || spec.Policy != "slo" {
-		t.Fatalf("spec %+v err %v, want slo default policy with a target", spec, err)
+	cfg.procs = "kv:rubic"
+	if err := run(cfg, &strings.Builder{}); err == nil || !strings.Contains(err.Error(), "kv:rubic has no qps=") {
+		t.Errorf("closed-loop stack refused with %v, want it named", err)
 	}
 }
 
@@ -150,8 +144,8 @@ func TestFlagSpecValidation(t *testing.T) {
 // -wal-dir, as in rubic-colocate and the process-mode supervisor.
 func TestRunStacksDurable(t *testing.T) {
 	cfg := testConfig()
-	cfg.stacks = "kv/qps=200,kv/qps=200"
-	cfg.durable = colocate.DurableFlags{On: true, Root: t.TempDir(), Fsync: "os"}
+	cfg.procs = "kv/qps=200,kv/qps=200"
+	cfg.stack.Durable = colocate.DurableFlags{On: true, Root: t.TempDir(), Fsync: "os"}
 	var buf strings.Builder
 	for i := 0; i < 2; i++ {
 		buf.Reset()
@@ -162,7 +156,7 @@ func TestRunStacksDurable(t *testing.T) {
 	if !strings.Contains(buf.String(), "P2-kv/poisson: wal acked") || strings.Contains(buf.String(), "recovered prefix 0,") {
 		t.Errorf("second run did not report recovered logs:\n%s", buf.String())
 	}
-	entries, err := os.ReadDir(cfg.durable.Root)
+	entries, err := os.ReadDir(cfg.stack.Durable.Root)
 	if err != nil || len(entries) != 2 || entries[0].Name() != "P1-kv_poisson" || entries[1].Name() != "P2-kv_poisson" {
 		t.Fatalf("log directories under -wal-dir: %v (err %v), want P1-kv_poisson and P2-kv_poisson", entries, err)
 	}
@@ -171,11 +165,11 @@ func TestRunStacksDurable(t *testing.T) {
 	if err := run(cfg, &buf); err == nil {
 		t.Error("-find-max with -durable accepted")
 	}
-	cfg.findMax, cfg.durable.Root = false, ""
+	cfg.findMax, cfg.stack.Durable.Root = false, ""
 	if err := run(cfg, &buf); err == nil {
 		t.Error("-durable without -wal-dir accepted")
 	}
-	cfg.durable.Root, cfg.durable.Fsync = t.TempDir(), "sometimes"
+	cfg.stack.Durable.Root, cfg.stack.Durable.Fsync = t.TempDir(), "sometimes"
 	if err := run(cfg, &buf); err == nil {
 		t.Error("unknown -fsync policy accepted")
 	}
@@ -191,17 +185,13 @@ func (failsVerify) Verify() error { return errors.New("audit failed") }
 // outcomes are printed first and the error returned after.
 func TestServePrintsResultsBesideAnError(t *testing.T) {
 	cfg := testConfig()
-	spec, err := flagSpec(cfg)
+	specs, err := colocate.ParseSpecs("kv/qps=300,kv/qps=300")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var procs []colocate.Proc
-	for _, prefix := range []string{"P1-", "P2-"} {
-		proc, err := buildProc(cfg, spec, cfg.seed, prefix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		procs = append(procs, proc)
+	procs, err := buildStacks(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	procs[0].Durable = &wal.Options{Dir: t.TempDir(), Policy: wal.FsyncOS}
 	procs[1].Workload = failsVerify{procs[1].Workload}
@@ -214,5 +204,34 @@ func TestServePrintsResultsBesideAnError(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output lacks %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestFlags pins the command line: a stack is only its spec, so the
+// single-stack flags are gone (their values are -procs keys), -workers is
+// -pool, -stacks is -procs, and -algo/-pool/-seed/-durable are the group
+// every stack driver shares.
+func TestFlags(t *testing.T) {
+	var cfg cliConfig
+	fs := flag.NewFlagSet("rubic-serve", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	register(fs, &cfg)
+	for _, gone := range []string{"-workload=kv", "-arrival=burst", "-qps=1", "-theta=0.5", "-slo-p99=1ms",
+		"-policy=rubic", "-adaptive=tl2", "-workers=4", "-stacks=kv/qps=1"} {
+		if err := fs.Parse([]string{gone}); err == nil {
+			t.Errorf("%s accepted", gone)
+		}
+	}
+	if err := fs.Parse([]string{"-procs=kv/qps=1", "-pool=3", "-algo=norec", "-seed=5", "-durable", "-wal-dir=w", "-fsync=os"}); err != nil {
+		t.Fatal(err)
+	}
+	want := colocate.StackFlags{Engine: "norec", Pool: 3, Seed: 5, Durable: colocate.DurableFlags{On: true, Root: "w", Fsync: "os"}}
+	if cfg.procs != "kv/qps=1" || cfg.stack != want {
+		t.Fatalf("parsed %+v", cfg)
+	}
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n != 14 {
+		t.Errorf("%d flags, want 14", n)
 	}
 }

@@ -39,10 +39,9 @@ func parseCM(name string) (func() stm.ContentionManager, error) {
 }
 
 // ParseAdaptive parses a '+'-separated candidate list, each candidate an
-// engine with an optional contention manager: "tl2/backoff+norec/greedy".
-// ':' is accepted in place of '/' so candidate specs can ride inside serve
-// specs, whose options are themselves '/'-separated. The CM defaults to
-// backoff.
+// engine with an optional contention manager after a ':' —
+// "tl2:backoff+norec:greedy", the value of a stack spec's adaptive= key. The
+// CM defaults to backoff. Candidates are named engine/cm.
 func ParseAdaptive(spec string) ([]adaptiveCandidate, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("colocate: empty adaptive spec")
@@ -51,11 +50,8 @@ func ParseAdaptive(spec string) ([]adaptiveCandidate, error) {
 	seen := map[string]struct{}{}
 	for _, part := range strings.Split(spec, "+") {
 		part = strings.TrimSpace(part)
-		engineName, cmName := part, ""
-		if i := strings.IndexAny(part, "/:"); i >= 0 {
-			engineName, cmName = part[:i], part[i+1:]
-		}
-		engine, err := ParseEngine(engineName)
+		engineName, cmName, _ := strings.Cut(part, ":")
+		engine, err := parseEngine(engineName)
 		if err != nil {
 			return nil, fmt.Errorf("colocate: adaptive candidate %q: %w", part, err)
 		}

@@ -33,24 +33,27 @@ func TestParseCM(t *testing.T) {
 
 func TestParseAdaptive(t *testing.T) {
 	t.Run("slash_and_colon_mix", func(t *testing.T) {
-		// ':' rides inside serve specs (whose options are '/'-delimited), '/'
-		// is the flag syntax; both must parse to the same candidates.
-		for _, spec := range []string{"tl2/backoff+norec/greedy", "tl2:backoff+norec:greedy"} {
-			cands, err := ParseAdaptive(spec)
-			if err != nil {
-				t.Fatalf("ParseAdaptive(%q): %v", spec, err)
-			}
-			if len(cands) != 2 {
-				t.Fatalf("%q parsed to %d candidates", spec, len(cands))
-			}
-			if cands[0].name != "tl2/backoff" || cands[0].engine != stm.TL2 {
-				t.Fatalf("%q candidate 0: %+v", spec, cands[0])
-			}
-			if cands[1].name != "norec/greedy" || cands[1].engine != stm.NOrec {
-				t.Fatalf("%q candidate 1: %+v", spec, cands[1])
-			}
-			if got := cands[1].cm().Name(); got != (stm.GreedyCM{}).Name() {
-				t.Fatalf("%q candidate 1 CM %q", spec, got)
+		// ':' is the one engine/CM separator: '/' delimits a stack spec's
+		// keys, so an adaptive= value cannot carry it.
+		cands, err := ParseAdaptive("tl2:backoff+norec:greedy")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cands) != 2 {
+			t.Fatalf("parsed to %d candidates", len(cands))
+		}
+		if cands[0].name != "tl2/backoff" || cands[0].engine != stm.TL2 {
+			t.Fatalf("candidate 0: %+v", cands[0])
+		}
+		if cands[1].name != "norec/greedy" || cands[1].engine != stm.NOrec {
+			t.Fatalf("candidate 1: %+v", cands[1])
+		}
+		if got := cands[1].cm().Name(); got != (stm.GreedyCM{}).Name() {
+			t.Fatalf("candidate 1 CM %q", got)
+		}
+		for _, slash := range []string{"tl2/backoff+norec/greedy", "tl2:backoff+norec/greedy"} {
+			if _, err := ParseAdaptive(slash); err == nil {
+				t.Errorf("ParseAdaptive(%q) accepted '/' as a separator", slash)
 			}
 		}
 	})
@@ -67,10 +70,10 @@ func TestParseAdaptive(t *testing.T) {
 		for _, spec := range []string{
 			"",                          // empty
 			"   ",                       // blank
-			"tl2+tl2/backoff",           // duplicate after CM defaulting
-			"norec/greedy+norec:greedy", // duplicate across separator styles
-			"stmx/backoff",              // unknown engine
-			"tl2/aggressive",            // unknown CM
+			"tl2+tl2:backoff",           // duplicate after CM defaulting
+			"norec:greedy+norec:greedy", // duplicate
+			"stmx:backoff",              // unknown engine
+			"tl2:aggressive",            // unknown CM
 		} {
 			if _, err := ParseAdaptive(spec); err == nil {
 				t.Fatalf("ParseAdaptive(%q) accepted", spec)
@@ -84,7 +87,7 @@ func TestParseAdaptive(t *testing.T) {
 // serves on a configuration outside its candidate list.
 func TestAdaptiveStackActuatesFirstCandidate(t *testing.T) {
 	rt := stm.New(stm.Config{Algorithm: stm.TL2})
-	stack, err := newAdaptiveStack(rt, nil, "norec/greedy+tl2/backoff", core.AdaptiveConfig{})
+	stack, err := newAdaptiveStack(rt, nil, "norec:greedy+tl2:backoff", core.AdaptiveConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +110,7 @@ func TestAdaptiveStackActuatesFirstCandidate(t *testing.T) {
 // actuates the decision — the engine handoff and CM swap land on the runtime.
 func TestAdaptiveStackEpochDrivesSwitches(t *testing.T) {
 	rt := stm.New(stm.Config{Algorithm: stm.TL2})
-	stack, err := newAdaptiveStack(rt, nil, "tl2/backoff+norec/greedy", core.AdaptiveConfig{
+	stack, err := newAdaptiveStack(rt, nil, "tl2:backoff+norec:greedy", core.AdaptiveConfig{
 		Window: 1,
 		Warmup: -1, // no warmup: every epoch scores
 	})
@@ -147,7 +150,7 @@ func TestAdaptiveStackEpochDrivesSwitches(t *testing.T) {
 func TestAdaptiveStackReanchorsController(t *testing.T) {
 	rt := stm.New(stm.Config{Algorithm: stm.TL2})
 	ctrl := core.NewRUBIC(core.RUBICConfig{MaxLevel: 16, InitialLevel: 6})
-	stack, err := newAdaptiveStack(rt, ctrl, "tl2/backoff+norec/backoff", core.AdaptiveConfig{
+	stack, err := newAdaptiveStack(rt, ctrl, "tl2:backoff+norec:backoff", core.AdaptiveConfig{
 		Window: 1,
 		Warmup: -1,
 	})
@@ -183,7 +186,7 @@ func TestAdaptiveStackReanchorsController(t *testing.T) {
 // candidate and actuates it — runtime engine included — without a sweep.
 func TestAdaptiveStackRestore(t *testing.T) {
 	rt := stm.New(stm.Config{Algorithm: stm.TL2})
-	stack, err := newAdaptiveStack(rt, nil, "tl2/backoff+norec/greedy", core.AdaptiveConfig{})
+	stack, err := newAdaptiveStack(rt, nil, "tl2:backoff+norec:greedy", core.AdaptiveConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,15 +206,16 @@ func TestAdaptiveStackRestore(t *testing.T) {
 	}
 }
 
+// TestServeSpecAdaptiveKey: adaptive= on an open-loop stack re-anchors the
+// base controller the server's decision step drives, the one the SLO stage
+// cuts; a bad candidate list surfaces when the stack is built.
 func TestServeSpecAdaptiveKey(t *testing.T) {
-	spec, err := parseServeSpec("kv/qps=400/slo=5ms/adaptive=tl2:backoff+norec:greedy")
+	opts := StackOptions{StackFlags: StackFlags{Engine: "tl2", Pool: 4, Seed: 1}, Processes: 1}
+	spec, err := parseSpec("kv/qps=400/slo=5ms/adaptive=tl2:backoff+norec:greedy")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Adaptive != "tl2:backoff+norec:greedy" {
-		t.Fatalf("adaptive option parsed to %q", spec.Adaptive)
-	}
-	proc, err := spec.Build("tl2", 4, 1)
+	proc, err := spec.Proc("P1", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,14 +223,11 @@ func TestServeSpecAdaptiveKey(t *testing.T) {
 	if !ok {
 		t.Fatal("built serve proc has no adaptive stack wired")
 	}
-	// policy=slo: handoffs re-anchor the base controller the server's
-	// decision step drives, the one the SLO stage cuts.
 	if proc.Serve.SLO == nil || proc.Controller == nil || stack.ctrl != proc.Controller {
 		t.Fatalf("adaptive stack bound to %v, want the stack's base controller %v", stack.ctrl, proc.Controller)
 	}
-	// A bad candidate list inside a serve spec surfaces at Build.
 	spec.Adaptive = "tl2:nope"
-	if _, err := spec.Build("tl2", 4, 1); err == nil {
-		t.Fatal("Build accepted an unknown adaptive CM")
+	if _, err := spec.Proc("P1", opts); err == nil {
+		t.Fatal("Proc accepted an unknown adaptive CM")
 	}
 }

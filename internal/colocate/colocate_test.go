@@ -372,15 +372,16 @@ func TestLogsOpenBeforeAnyTraffic(t *testing.T) {
 // own stack: the service's epochs add up to its own completions, which its
 // arrival schedule bounds, while the batch job ran orders of magnitude more.
 func TestMixedGroup(t *testing.T) {
-	batch, err := StackSpec{Workload: "rbtree", Policy: "rubic"}.Proc("batch", StackOptions{Engine: "tl2", Pool: 2, Processes: 2, Seed: 1})
+	specs, err := ParseSpecs("rbtree:rubic,kv/qps=300/slo=250ms")
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := parseServeSpec("kv/qps=300/slo=250ms")
+	opts := StackOptions{StackFlags: StackFlags{Engine: "tl2", Pool: 2, Seed: 1}, Processes: 2}
+	batch, err := specs[0].Proc("batch", opts.For(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	service, err := spec.Build("tl2", 2, 2)
+	service, err := specs[1].Proc("service", opts.For(1))
 	if err != nil {
 		t.Fatal(err)
 	}

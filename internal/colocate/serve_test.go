@@ -1,6 +1,7 @@
 package colocate
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -76,116 +77,104 @@ func TestServeGroupValidation(t *testing.T) {
 	}
 }
 
+// TestParseServeSpecs: an open-loop head may leave the policy out — RUBIC
+// under an SLO, pinned without one — and the arrival process defaults to
+// Poisson; an explicit head is taken as written.
 func TestParseServeSpecs(t *testing.T) {
-	specs, err := ParseServeSpecs("kv/qps=800/slo=5ms,bank/qps=200/arrival=diurnal/policy=rubic/theta=0.5")
+	specs, err := ParseSpecs("kv/qps=800/slo=5ms,bank:rubic/qps=200/arrival=diurnal,kv/qps=100")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(specs) != 2 {
-		t.Fatalf("parsed %d specs, want 2", len(specs))
+	want := []StackSpec{
+		{Workload: "kv", Policy: "rubic", QPS: 800, SLO: 5 * time.Millisecond, Arrival: "poisson"},
+		{Workload: "bank", Policy: "rubic", QPS: 200, Arrival: "diurnal"},
+		{Workload: "kv", Policy: "greedy", QPS: 100, Arrival: "poisson"},
 	}
-	a, b := specs[0], specs[1]
-	if a.Workload != "kv" || a.QPS != 800 || a.SLO != 5*time.Millisecond || a.Policy != "slo" || a.Arrival != "poisson" {
-		t.Fatalf("spec a = %+v (policy must default to slo when a target is set)", a)
-	}
-	if a.Theta != load.DefaultTheta {
-		t.Fatalf("spec a theta %v, want default %v", a.Theta, load.DefaultTheta)
-	}
-	if b.Workload != "bank" || b.Arrival != "diurnal" || b.Policy != "rubic" || b.SLO != 0 || b.Theta != 0.5 {
-		t.Fatalf("spec b = %+v", b)
-	}
-	if c, err := parseServeSpec("kv/qps=100"); err != nil || c.Policy != "fixed" {
-		t.Fatalf("no-SLO spec: %+v, %v (policy must default to fixed)", c, err)
-	}
-
-	for _, bad := range []string{
-		"",                      // no workload
-		"kv",                    // no qps
-		"kv/qps=0",              // zero qps
-		"kv/qps",                // option without value
-		"kv/qps=800/warp=1",     // unknown option
-		"kv/qps=800/slo=fast",   // unparsable duration
-		"kv/qps=800/policy=slo", // slo policy without a target
-	} {
-		if _, err := parseServeSpec(bad); err == nil {
-			t.Errorf("spec %q accepted", bad)
+	for i := range want {
+		if specs[i] != want[i] {
+			t.Errorf("spec %d = %+v, want %+v", i, specs[i], want[i])
 		}
 	}
 }
 
+// TestServeSpecBuild is the conversion table of the merge: every serving
+// spec the parent revision's tests, README and EXPERIMENTS.md wrote in the
+// ServeSpec grammar (flag forms included), rewritten in the one grammar,
+// builds the Proc ServeSpec.Build wired at 687f625 — controller and initial
+// level, SLO target, arrival process (its first gap pins type, rate and
+// seed), θ and the key space (the first draws pin both), adaptive
+// candidates, shard count (in the workload's name), pool and seed. The
+// wanted values were recorded from the parent, pool 4, seed 7, the i-th
+// stack of a group seeded as rubic-serve -stacks seeded it.
 func TestServeSpecBuild(t *testing.T) {
-	spec, err := parseServeSpec("kv/qps=100/slo=10ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	proc, err := spec.Build("tl2", 4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if proc.Name != "kv/poisson" {
-		t.Fatalf("proc name %q", proc.Name)
-	}
-	cfg := proc.Serve
-	if cfg.Keys == nil || cfg.SLO == nil || cfg.SLO.TargetP99 != 10*time.Millisecond || proc.PoolSize != 4 {
-		t.Fatalf("built config missing pieces: keys=%v slo=%+v workers=%d", cfg.Keys != nil, cfg.SLO, proc.PoolSize)
-	}
-	if _, ok := proc.Workload.(load.Keyed); !ok {
-		t.Fatal("kv workload must be keyed")
-	}
-
-	// Unkeyed stamp workloads build too — they serve through the Task path.
-	spec, err = parseServeSpec("bank/qps=50/policy=rubic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	proc, err = spec.Build("norec", 2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if proc.Controller == nil || proc.Serve.SLO != nil || proc.Serve.Keys != nil {
-		t.Fatalf("rubic-policy bank stack built wrong: %+v", proc)
-	}
-
-	// The keyed ordered-index and range-sharded workloads build too.
-	spec, err = parseServeSpec("ordered/qps=100/slo=10ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	proc, err = spec.Build("tl2", 2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := proc.Workload.(load.Keyed); !ok || proc.Serve.Keys == nil {
-		t.Fatal("ordered workload must be keyed with a Zipf generator")
-	}
-	spec, err = parseServeSpec("shardedkv/qps=100/shards=4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	proc, err = spec.Build("tl2", 2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := proc.Workload.(load.Keyed); !ok {
-		t.Fatal("shardedkv workload must be keyed")
-	}
-	if proc.Runtime != nil {
-		t.Fatal("shardedkv stack must not carry a single runtime (no durability)")
-	}
-	spec.Adaptive = "tl2:backoff+norec:greedy"
-	if _, err := spec.Build("tl2", 2, 7); err == nil {
-		t.Fatal("adaptive shardedkv accepted; engine hot-swap is per-runtime")
-	}
-
-	if _, err := spec.Build("warp-stm", 2, 7); err == nil {
-		t.Fatal("unknown engine accepted")
-	}
-	spec.Policy = "entropy"
-	if _, err := spec.Build("tl2", 2, 7); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-	spec.Workload, spec.Policy = "warpload", "fixed"
-	if _, err := spec.Build("tl2", 2, 7); err == nil {
-		t.Fatal("unknown workload accepted")
+	kv := "kv(keys=10000,read=80%)"
+	hot := []uint64{963, 2228, 9} // DefaultTheta's first draws at seed 7
+	for _, tc := range []struct {
+		parent, spec string
+		i            int
+		workload     string
+		ctrl         string // "" for a pinned stack
+		init         float64
+		slo          time.Duration
+		gap          time.Duration
+		keys         []uint64
+		cands        []string
+	}{
+		{"kv/qps=800/slo=5ms", "kv/qps=800/slo=5ms", 0, kv, "rubic", 4, 5 * time.Millisecond, 1861440, hot, nil},
+		{"bank/qps=200/arrival=diurnal/policy=rubic/theta=0.5", "bank:rubic/qps=200/arrival=diurnal", 1, "bank(a=1024,audit=10%)", "rubic", 4, 0, 5420217, nil, nil},
+		{"kv/qps=100 (policy fixed)", "kv/qps=100", 0, kv, "", 0, 0, 14891520, hot, nil},
+		{"kv/qps=100/slo=10ms", "kv/qps=100/slo=10ms", 0, kv, "rubic", 4, 10 * time.Millisecond, 14891520, hot, nil},
+		{"bank/qps=50/policy=rubic", "bank:rubic/qps=50", 0, "bank(a=1024,audit=10%)", "rubic", 4, 0, 29783040, nil, nil},
+		{"ordered/qps=100/slo=10ms", "ordered/qps=100/slo=10ms", 0, "ordered(keys=10000,read=70%,scan=20%x64)", "rubic", 4, 10 * time.Millisecond, 14891520, hot, nil},
+		{"shardedkv/qps=100/shards=4", "shardedkv/qps=100/shards=4", 0, "shardedkv(shards=4,keys=10000,read=80%)", "", 0, 0, 14891520, hot, nil},
+		{"shardedkv/qps=100 (shards: the pool)", "shardedkv/qps=100", 0, "shardedkv(shards=4,keys=10000,read=80%)", "", 0, 0, 14891520, hot, nil},
+		{"kv/qps=400/slo=5ms/adaptive=tl2:backoff+norec:greedy", "kv/qps=400/slo=5ms/adaptive=tl2:backoff+norec:greedy", 0, kv, "rubic", 4, 5 * time.Millisecond, 3722880, hot, []string{"tl2/backoff", "norec/greedy"}},
+		{"kv/qps=300/slo=250ms", "kv/qps=300/slo=250ms", 0, kv, "rubic", 4, 250 * time.Millisecond, 4963840, hot, nil},
+		{"kv/qps=200/slo=250ms (1st of 2)", "kv/qps=200/slo=250ms", 0, kv, "rubic", 4, 250 * time.Millisecond, 7445760, hot, nil},
+		{"kv/qps=200/slo=250ms (2nd of 2)", "kv/qps=200/slo=250ms", 1, kv, "rubic", 4, 250 * time.Millisecond, 5420217, []uint64{0, 656, 1}, nil},
+		{"kv/qps=200 (2nd of 2)", "kv/qps=200", 1, kv, "", 0, 0, 5420217, []uint64{0, 656, 1}, nil},
+		{"kv/qps=200/slo=50ms (2nd of 2)", "kv/qps=200/slo=50ms", 1, kv, "rubic", 4, 50 * time.Millisecond, 5420217, []uint64{0, 656, 1}, nil},
+		{"kv/qps=800/slo=5ms/adaptive=tl2:backoff+norec:greedy", "kv/qps=800/slo=5ms/adaptive=tl2:backoff+norec:greedy", 0, kv, "rubic", 4, 5 * time.Millisecond, 1861440, hot, []string{"tl2/backoff", "norec/greedy"}},
+		{"-workload kv -arrival poisson -qps 800 -slo-p99 5ms", "kv/qps=800/slo=5ms", 0, kv, "rubic", 4, 5 * time.Millisecond, 1861440, hot, nil},
+		{"-qps 200 -slo-p99 5ms -find-max", "kv/qps=200/slo=5ms", 0, kv, "rubic", 4, 5 * time.Millisecond, 7445760, hot, nil},
+		{"-qps 300 -slo-p99 5ms -durable", "kv/qps=300/slo=5ms", 0, kv, "rubic", 4, 5 * time.Millisecond, 4963840, hot, nil},
+		{"-workers 4 -slo-p99 1ms -find-max -qps 50000", "kv/qps=50000/slo=1ms", 0, kv, "rubic", 4, time.Millisecond, 29783, hot, nil},
+		{"-arrival burst -qps 500 -policy rubic", "kv:rubic/qps=500/arrival=burst", 0, kv, "rubic", 4, 0, 372288, hot, nil},
+		// Not in the parent's docs: the keyed θ and constant-arrival row.
+		{"kv/qps=100/theta=0.5/arrival=constant", "kv/qps=100/theta=0.5/arrival=constant", 0, kv, "", 0, 0, 10 * time.Millisecond, []uint64{5772, 7143, 886}, nil},
+	} {
+		specs, err := ParseSpecs(tc.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.spec, err)
+		}
+		group := StackOptions{StackFlags: StackFlags{Engine: "tl2", Pool: 4, Seed: 7}, Processes: 2}
+		p, err := specs[0].Proc(specs[0].Name(tc.i), group.For(tc.i))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.spec, err)
+		}
+		var ctrl string
+		var init float64
+		if p.Controller != nil {
+			ctrl, init = p.Controller.Name(), p.Controller.(core.Resumable).ExportState().Level
+		}
+		var slo time.Duration
+		if p.Serve.SLO != nil {
+			slo = p.Serve.SLO.TargetP99
+		}
+		var keys []uint64
+		for j := 0; p.Serve.Keys != nil && j < 3; j++ {
+			keys = append(keys, p.Serve.Keys.Next())
+		}
+		var cands []string
+		if a, ok := p.Adapter.(*AdaptiveStack); ok {
+			cands = a.policy.Candidates()
+		}
+		gap := p.Serve.Arrival.Next()
+		if got := p.Workload.Name(); got != tc.workload || ctrl != tc.ctrl || init != tc.init || slo != tc.slo ||
+			gap != tc.gap || !reflect.DeepEqual(keys, tc.keys) || !reflect.DeepEqual(cands, tc.cands) ||
+			p.PoolSize != 4 || p.Seed != 7+int64(tc.i)*7919 || p.Health != nil {
+			t.Errorf("%s (was %s) built %s ctrl %q@%v slo %v gap %v keys %v cands %v pool %d seed %d health %v",
+				tc.spec, tc.parent, got, ctrl, init, slo, gap, keys, cands, p.PoolSize, p.Seed, p.Health)
+		}
 	}
 }

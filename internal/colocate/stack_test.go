@@ -77,9 +77,10 @@ func TestLostLogEscalatesGuard(t *testing.T) {
 // tuned stack always runs behind the health guard, degrading to its equal
 // share of the pool; a pinned one has nothing to guard; the adaptive stack
 // is the tuner's adapter, carries the chaos injector, and scores candidates
-// over the short closed-loop window.
+// over the short closed-loop window; the log lives in the stack's own
+// directory under the root.
 func TestStackSpecProcWiring(t *testing.T) {
-	opts := StackOptions{Engine: "tl2", Pool: 6, Processes: 2, Seed: 3}
+	opts := StackOptions{StackFlags: StackFlags{Engine: "tl2", Pool: 6, Seed: 3}, Processes: 2}
 	p, err := StackSpec{Workload: "bank", Policy: "rubic", ArrivalDelay: time.Second}.Proc("P1", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -105,10 +106,10 @@ func TestStackSpecProcWiring(t *testing.T) {
 		t.Fatalf("pinned stack got a controller or a guard: %+v", greedy)
 	}
 
+	root := t.TempDir()
 	opts.Chaos, opts.Child = "mixed@11", 1
-	opts.Adaptive = "tl2/backoff+norec/backoff"
-	opts.Durable = &wal.Options{Dir: t.TempDir(), Policy: wal.FsyncOS}
-	full, err := StackSpec{Workload: "bank", Policy: "rubic"}.Proc("P3", opts)
+	opts.Durable = DurableFlags{On: true, Root: root, Fsync: "os"}
+	full, err := StackSpec{Workload: "bank", Policy: "rubic", Adaptive: "tl2:backoff+norec:backoff"}.Proc("P3", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +117,8 @@ func TestStackSpecProcWiring(t *testing.T) {
 	if !ok || full.Faults == nil || stack.Faults != full.Faults || full.Durable.Faults != full.Faults {
 		t.Fatalf("one injector must drive pool, tuner, handoff and log: %+v", full)
 	}
-	if full.Durable == opts.Durable || full.Durable.Dir != opts.Durable.Dir || full.Durable.Policy != wal.FsyncOS {
-		t.Fatalf("durable options = %+v, want a private copy of %+v", full.Durable, opts.Durable)
+	if full.Durable.Dir != filepath.Join(root, "P3") || full.Durable.Policy != wal.FsyncOS {
+		t.Fatalf("durable options = %+v, want the stack's own directory under %q", full.Durable, root)
 	}
 	// One warm-up epoch and a window of two close the first candidate's
 	// probe; the core default window of four would still be scoring it.
@@ -129,13 +130,16 @@ func TestStackSpecProcWiring(t *testing.T) {
 	}
 
 	for _, bad := range []StackOptions{
-		{Engine: "quantum", Pool: 2, Processes: 1},
-		{Engine: "tl2", Pool: 2, Processes: 1, Chaos: "earthquake@1"},
-		{Engine: "tl2", Pool: 2, Processes: 1, Adaptive: "tl2/nope"},
+		{StackFlags: StackFlags{Engine: "quantum", Pool: 2}, Processes: 1},
+		{StackFlags: StackFlags{Engine: "tl2", Pool: 2}, Processes: 1, Chaos: "earthquake@1"},
+		{StackFlags: StackFlags{Engine: "tl2", Pool: 2, Durable: DurableFlags{On: true}}, Processes: 1},
 	} {
 		if _, err := (StackSpec{Workload: "bank", Policy: "rubic"}).Proc("bad", bad); err == nil {
 			t.Errorf("options %+v accepted", bad)
 		}
+	}
+	if _, err := (StackSpec{Workload: "bank", Policy: "rubic", Adaptive: "tl2:nope"}).Proc("bad", opts); err == nil {
+		t.Error("unknown adaptive CM accepted")
 	}
 }
 

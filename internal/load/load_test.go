@@ -183,7 +183,7 @@ func TestZipfValidation(t *testing.T) {
 	if _, err := NewZipf(0, 0.9, 1); err == nil {
 		t.Fatal("empty key space accepted")
 	}
-	for _, theta := range []float64{0, 1, -0.5, 2} {
+	for _, theta := range []float64{0, 1, -0.5, 2, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := NewZipf(10, theta, 1); err == nil {
 			t.Fatalf("theta %v accepted", theta)
 		}

@@ -52,7 +52,7 @@ func NewZipf(n uint64, theta float64, seed int64) (*Zipf, error) {
 	if n > math.MaxUint32 {
 		return nil, fmt.Errorf("%w, got %d", errZipfKeySpace, n)
 	}
-	if theta <= 0 || theta >= 1 {
+	if !(theta > 0 && theta < 1) { // written so that NaN fails it too
 		return nil, fmt.Errorf("load: zipf theta must be in (0,1), got %v", theta)
 	}
 	z := &Zipf{

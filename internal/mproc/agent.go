@@ -8,8 +8,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"rubic/internal/colocate"
@@ -20,35 +18,28 @@ import (
 // AgentConfig describes the single stack an agent process runs.
 type AgentConfig struct {
 	// Spec and Stack describe the stack exactly as goroutine mode does — the
-	// agent hands them to colocate.StackSpec.Proc unchanged, except that
-	// Stack.Durable is filled from Durable below. Stack.Child is the child's
-	// index in the group and Stack.Incarnation the supervisor's restart
-	// count for it: restarted incarnations draw different chaos schedules.
+	// agent hands them to colocate.StackSpec.Proc unchanged, as the group's
+	// stack Stack.Child (its name, seed, log directory and chaos schedule
+	// derive from it). Stack.Incarnation is the supervisor's restart count:
+	// restarted incarnations draw different chaos schedules. Stack.Durable
+	// attaches a write-ahead log under Stack.Durable.Root, the group's root,
+	// in the directory goroutine mode would use — stable across the child's
+	// incarnations, so a restarted agent recovers its predecessor's
+	// committed prefix; the agent streams WalState in its telemetry and
+	// flushes and closes the log before the result frame.
 	Spec  colocate.StackSpec
 	Stack colocate.StackOptions
 	// Duration is the measurement length; Period the controller period.
 	Duration time.Duration
 	Period   time.Duration
-	// GOMAXPROCS, when positive, caps the child's Go scheduler — the knob
-	// for pinning each co-located process to a hardware-context budget.
+	// GOMAXPROCS, when positive, caps the child's Go scheduler.
 	GOMAXPROCS int
-	// Restore, when non-empty, is a "level,wmax,epoch" tuning state the
-	// controller resumes from — the supervisor passes the crashed
-	// predecessor's last published state so CUBIC growth restarts from its
-	// preserved anchors instead of the floor.
-	Restore string
-	// AdaptRestore, when non-empty, is the JSON core.AdaptiveState the
-	// adaptive policy resumes from — the supervisor passes the crashed
-	// predecessor's last published state, mirroring Restore.
-	AdaptRestore string
-	// Durable attaches a write-ahead log to the stack: the agent opens (or,
-	// on restart, recovers) the log before taking traffic, streams WalState
-	// in its telemetry, and flushes and closes the log before the result
-	// frame. The workload must implement wal.DurableState. Durable.Root is
-	// the stack's own log directory, not a parent: the supervisor derives it
-	// (colocate.WalDir) and keeps it stable across a child's incarnations so
-	// a restarted agent recovers its predecessor's committed prefix.
-	Durable colocate.DurableFlags
+	// Restore and AdaptRestore, when non-nil, are the states the controller
+	// and the adaptive policy resume from — the supervisor passes the crashed
+	// predecessor's last published ones, so CUBIC growth restarts from its
+	// preserved anchors and the policy on its settled candidate.
+	Restore      *core.TuningState
+	AdaptRestore *core.AdaptiveState
 }
 
 // AgentMain parses agent-mode command-line flags and runs the agent,
@@ -62,47 +53,86 @@ func AgentMain(args []string, out io.Writer) error {
 	return RunAgent(cfg, out)
 }
 
-// parseAgentFlags decodes the flag list AgentArgs (plus the supervisor's
-// per-attempt additions) encodes.
-func parseAgentFlags(args []string) (AgentConfig, error) {
+// agentFlags declares the agent's command line over cfg. AgentArgs encodes
+// through the same declarations, so a flag the agent parses cannot be missing
+// from what the supervisor sends.
+func agentFlags(cfg *AgentConfig) *flag.FlagSet {
 	fs := flag.NewFlagSet("agent", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
-	var cfg AgentConfig
-	fs.StringVar(&cfg.Spec.Workload, "workload", "", "workload name")
-	fs.StringVar(&cfg.Spec.Policy, "policy", "rubic", "controller policy (or greedy)")
-	fs.IntVar(&cfg.Stack.Pool, "pool", runtime.NumCPU(), "worker pool size")
-	fs.Int64Var(&cfg.Stack.Seed, "seed", 1, "random seed")
+	fs.Var(specFlag{&cfg.Spec}, "spec", "the stack, workload:policy[@delay][/key=value]...")
+	cfg.Stack.Register(fs)
 	fs.DurationVar(&cfg.Duration, "duration", 2*time.Second, "run duration")
 	fs.DurationVar(&cfg.Period, "period", core.DefaultPeriod, "controller period")
-	fs.StringVar(&cfg.Stack.Engine, "engine", "tl2", "stm engine: tl2 or norec")
 	fs.IntVar(&cfg.GOMAXPROCS, "gomaxprocs", 0, "GOMAXPROCS for this agent (0 leaves the default)")
 	fs.IntVar(&cfg.Stack.Processes, "processes", 1, "number of co-located processes")
 	fs.StringVar(&cfg.Stack.Chaos, "chaos", "", "fault scenario, scenario@seed (empty: none)")
-	fs.IntVar(&cfg.Stack.Child, "chaos-child", 0, "this stack's index in the chaos derivation")
+	fs.IntVar(&cfg.Stack.Child, "chaos-child", 0, "this stack's index in the group (its name, seed, log and chaos schedule)")
 	fs.IntVar(&cfg.Stack.Incarnation, "incarnation", 0, "restart count (0 = first launch)")
-	fs.StringVar(&cfg.Restore, "restore", "", "tuning state to resume from, level,wmax,epoch")
-	fs.StringVar(&cfg.Stack.Adaptive, "adaptive", "", "adaptive engine/CM candidates, e.g. tl2/backoff+norec/greedy (empty: static)")
-	fs.IntVar(&cfg.Stack.Window, "adapt-window", 0, "adaptive scoring window, epochs (0: the stack default)")
-	fs.StringVar(&cfg.AdaptRestore, "adapt-restore", "", "adaptive policy state to resume from (JSON)")
-	cfg.Durable.Register(fs)
-	return cfg, fs.Parse(args)
+	fs.Var(jsonFlag[core.TuningState]{&cfg.Restore}, "restore", "tuning state to resume from (JSON)")
+	fs.Var(jsonFlag[core.AdaptiveState]{&cfg.AdaptRestore}, "adapt-restore", "adaptive policy state to resume from (JSON)")
+	return fs
 }
 
-// parseRestore decodes the -restore flag's "level,wmax,epoch" payload.
-func parseRestore(s string) (core.TuningState, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 3 {
-		return core.TuningState{}, fmt.Errorf("mproc: restore state %q: want level,wmax,epoch", s)
-	}
-	var vals [3]float64
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return core.TuningState{}, fmt.Errorf("mproc: restore state %q: %v", s, err)
+// parseAgentFlags decodes an agent command line.
+func parseAgentFlags(args []string) (AgentConfig, error) {
+	var cfg AgentConfig
+	return cfg, agentFlags(&cfg).Parse(args)
+}
+
+// AgentArgs is the agent command line that parses back to cfg: every flag
+// agentFlags declares whose value differs from its default.
+func AgentArgs(cfg AgentConfig) []string {
+	var bound AgentConfig
+	fs := agentFlags(&bound)
+	bound = cfg // the flags read their values through pointers into bound
+	var args []string
+	fs.VisitAll(func(f *flag.Flag) {
+		if v := f.Value.String(); v != f.DefValue {
+			args = append(args, "-"+f.Name+"="+v)
 		}
-		vals[i] = v
+	})
+	return args
+}
+
+// specFlag is a flag holding one stack spec in its String form.
+type specFlag struct{ spec *colocate.StackSpec }
+
+func (f specFlag) String() string {
+	if f.spec == nil {
+		return ""
 	}
-	return core.TuningState{Level: vals[0], WMax: vals[1], Epoch: vals[2]}, nil
+	return f.spec.String()
+}
+
+func (f specFlag) Set(s string) error {
+	specs, err := colocate.ParseSpecs(s)
+	if err == nil && len(specs) != 1 {
+		err = fmt.Errorf("mproc: -spec %q names %d stacks, want one", s, len(specs))
+	}
+	if err == nil {
+		*f.spec = specs[0]
+	}
+	return err
+}
+
+// jsonFlag is a flag holding an optional *T as JSON; the empty default is nil.
+type jsonFlag[T any] struct{ p **T }
+
+func (f jsonFlag[T]) String() string {
+	if f.p == nil || *f.p == nil {
+		return ""
+	}
+	b, _ := json.Marshal(*f.p) // the states are plain structs of scalars
+	return string(b)
+}
+
+func (f jsonFlag[T]) Set(s string) error {
+	v := new(T)
+	if err := json.Unmarshal([]byte(s), v); err != nil {
+		return err
+	}
+	*f.p = v
+	return nil
 }
 
 // RunAgent runs one co-located stack to completion, streaming a handshake,
@@ -114,10 +144,7 @@ func parseRestore(s string) (core.TuningState, error) {
 // result instead of dying mid-write.
 func RunAgent(cfg AgentConfig, out io.Writer) error {
 	if cfg.Spec.Workload == "" {
-		return fmt.Errorf("mproc: agent needs a workload")
-	}
-	if cfg.Stack.Pool < 1 {
-		return fmt.Errorf("mproc: agent pool size %d < 1", cfg.Stack.Pool)
+		return fmt.Errorf("mproc: agent needs a -spec")
 	}
 	if cfg.Duration <= 0 {
 		return fmt.Errorf("mproc: agent duration must be positive")
@@ -262,11 +289,6 @@ func streamTelemetry(enc *Encoder, period time.Duration, p colocate.Proc, live f
 				continue
 			}
 			tput := float64(snap.Completed-prevCount) / elapsed
-			if adaptive != nil && p.Controller == nil {
-				// No tuning loop to drive the adapter (greedy policy): the
-				// telemetry tick is the epoch boundary instead.
-				adaptive.Epoch(core.Observation{Tput: tput})
-			}
 			stats := p.Runtime.Stats()
 			tele := Telemetry{
 				T:       now.Sub(started).Seconds(),
@@ -304,32 +326,26 @@ func streamTelemetry(enc *Encoder, period time.Duration, p colocate.Proc, live f
 
 // Proc assembles the agent's stack through the function goroutine mode uses
 // (colocate.StackSpec.Proc), then resumes a crashed predecessor's controller
-// and adaptive-policy state.
+// and adaptive-policy state. It refuses, naming the spec, the stacks an
+// agent cannot run: an open-loop one (the agent has only the closed-loop
+// drive) and one without a single STM runtime to report commits from.
 func (cfg AgentConfig) Proc() (colocate.Proc, error) {
-	var err error
-	if cfg.Stack.Durable, err = cfg.Durable.Options(""); err != nil {
-		return colocate.Proc{}, err
+	if cfg.Spec.QPS > 0 {
+		return colocate.Proc{}, fmt.Errorf("mproc: %s is an open-loop stack; process mode has no open-loop drive", cfg.Spec)
 	}
-	p, err := cfg.Spec.Proc(cfg.Spec.Workload, cfg.Stack)
+	p, err := cfg.Spec.Proc(cfg.Spec.Name(cfg.Stack.Child), cfg.Stack)
 	if err != nil {
 		return p, err
 	}
-	if cfg.Restore != "" && p.Controller != nil {
-		st, err := parseRestore(cfg.Restore)
-		if err != nil {
-			return p, err
-		}
-		// Non-resumable policies (the baselines) simply start fresh.
-		if r, ok := p.Controller.(core.Resumable); ok {
-			r.RestoreState(st)
-		}
+	if p.Runtime == nil {
+		return p, fmt.Errorf("mproc: %s has no single STM runtime to report commits from", cfg.Spec)
 	}
-	if cfg.AdaptRestore != "" && p.Adapter != nil {
-		var st core.AdaptiveState
-		if err := json.Unmarshal([]byte(cfg.AdaptRestore), &st); err != nil {
-			return p, fmt.Errorf("mproc: adapt-restore state %q: %w", cfg.AdaptRestore, err)
-		}
-		p.Adapter.(*colocate.AdaptiveStack).Restore(st)
+	// Non-resumable policies (the baselines) simply start fresh.
+	if r, ok := p.Controller.(core.Resumable); ok && cfg.Restore != nil {
+		r.RestoreState(*cfg.Restore)
+	}
+	if a, ok := p.Adapter.(*colocate.AdaptiveStack); ok && cfg.AdaptRestore != nil {
+		a.Restore(*cfg.AdaptRestore)
 	}
 	return p, nil
 }

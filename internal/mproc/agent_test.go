@@ -4,12 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"flag"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"rubic/internal/colocate"
+	"rubic/internal/core"
 	"rubic/internal/wal"
 )
 
@@ -35,7 +38,7 @@ func runAgentFrames(t *testing.T, cfg AgentConfig) []Frame {
 func TestAgentStreamsProtocol(t *testing.T) {
 	frames := runAgentFrames(t, AgentConfig{
 		Spec:     colocate.StackSpec{Workload: "rbtree-ro", Policy: "rubic"},
-		Stack:    colocate.StackOptions{Pool: 2, Seed: 1, Engine: "tl2"},
+		Stack:    stackOptions("tl2", 2, 1),
 		Duration: 150 * time.Millisecond,
 		Period:   5 * time.Millisecond,
 	})
@@ -75,7 +78,7 @@ func TestAgentStreamsProtocol(t *testing.T) {
 func TestAgentGreedyPinsPool(t *testing.T) {
 	frames := runAgentFrames(t, AgentConfig{
 		Spec:     colocate.StackSpec{Workload: "bank", Policy: "greedy"},
-		Stack:    colocate.StackOptions{Pool: 3, Seed: 1, Engine: "norec"},
+		Stack:    stackOptions("norec", 3, 1),
 		Duration: 100 * time.Millisecond,
 		Period:   5 * time.Millisecond,
 	})
@@ -92,7 +95,7 @@ func TestAgentBadConfig(t *testing.T) {
 	mk := func(workload, policy string, pool int, d time.Duration, engine string) AgentConfig {
 		return AgentConfig{
 			Spec:     colocate.StackSpec{Workload: workload, Policy: policy},
-			Stack:    colocate.StackOptions{Pool: pool, Engine: engine},
+			Stack:    stackOptions(engine, pool, 0),
 			Duration: d,
 		}
 	}
@@ -103,6 +106,8 @@ func TestAgentBadConfig(t *testing.T) {
 		mk("nope", "rubic", 2, time.Second, "tl2"),       // bad workload
 		mk("rbtree", "nope", 2, time.Second, "tl2"),      // bad policy
 		mk("rbtree", "rubic", 2, time.Second, "quantum"), // bad engine
+		{Spec: colocate.StackSpec{Workload: "kv", Policy: "greedy", QPS: 10, Arrival: "poisson"}, // open loop
+			Stack: stackOptions("tl2", 2, 0), Duration: time.Second},
 	}
 	for i, cfg := range cases {
 		var buf bytes.Buffer
@@ -115,8 +120,8 @@ func TestAgentBadConfig(t *testing.T) {
 func TestAgentMainFlags(t *testing.T) {
 	var buf bytes.Buffer
 	err := AgentMain([]string{
-		"-workload", "bank", "-policy", "rubic", "-pool", "2",
-		"-duration", "100ms", "-period", "5ms", "-engine", "tl2",
+		"-spec", "bank:rubic", "-pool", "2",
+		"-duration", "100ms", "-period", "5ms", "-algo", "tl2",
 		"-seed", "7", "-processes", "2",
 	}, &buf)
 	if err != nil {
@@ -128,42 +133,57 @@ func TestAgentMainFlags(t *testing.T) {
 	if err := AgentMain([]string{"-pool", "x"}, &buf); err == nil {
 		t.Error("bad flag accepted")
 	}
+	// The stack is its -spec; the engine flag is the shared -algo.
+	for _, gone := range []string{"-workload=bank", "-policy=rubic", "-engine=tl2", "-adaptive=tl2", "-adapt-window=2"} {
+		if _, err := parseAgentFlags([]string{gone}); err == nil {
+			t.Errorf("%s accepted", gone)
+		}
+	}
+	n := 0
+	agentFlags(&AgentConfig{}).VisitAll(func(*flag.Flag) { n++ })
+	if n != 16 {
+		t.Errorf("the agent declares %d flags, want 16", n)
+	}
+}
+
+// stackOptions is one stack's engine, pool and seed, nothing else set.
+func stackOptions(engine string, pool int, seed int64) colocate.StackOptions {
+	return colocate.StackOptions{StackFlags: colocate.StackFlags{Engine: engine, Pool: pool, Seed: seed}}
 }
 
 // TestAgentArgsRoundTrip: the flag list the supervisor builds decodes into
-// the config the agent runs — including the child's log directory, which is
-// a single directory directly under the root whatever the child is called.
+// the config the agent runs — every field set away from its default, the
+// restore states included — and the agent logs where goroutine mode would:
+// one directory directly under the root, named after the stack.
 func TestAgentArgsRoundTrip(t *testing.T) {
 	root := t.TempDir()
-	spec := ChildSpec{Name: `P1-kv/hot\cold`, Workload: "bank", Policy: "ebs", Pool: 3, Seed: 9, GOMAXPROCS: 2}
-	opt := Options{
-		Period: 5 * time.Millisecond, Engine: "norec", Processes: 4,
-		Adaptive: "tl2/backoff+norec/greedy", Durable: colocate.DurableFlags{On: true, Root: root, Fsync: "os"},
+	want := AgentConfig{
+		Spec: colocate.StackSpec{Workload: "bank", Policy: "ebs", ArrivalDelay: time.Second, Adaptive: "tl2:backoff+norec:greedy"},
+		Stack: colocate.StackOptions{
+			StackFlags: colocate.StackFlags{Engine: "norec", Pool: 3, Seed: 9,
+				Durable: colocate.DurableFlags{On: true, Root: root, Fsync: "os"}},
+			Processes: 4, Chaos: "mixed@11", Child: 2, Incarnation: 1,
+		},
+		Duration: time.Second, Period: 5 * time.Millisecond, GOMAXPROCS: 2,
+		Restore:      &core.TuningState{Level: 3.5, WMax: 6, Epoch: 0.25},
+		AdaptRestore: &core.AdaptiveState{Candidate: "norec/greedy", Phase: "settled", Reference: 80, Switches: 3},
 	}
-	args := append(AgentArgs(spec, opt, time.Second), "-chaos", "mixed@11", "-chaos-child", "2", "-incarnation", "1")
-	got, err := parseAgentFlags(args)
+	got, err := parseAgentFlags(AgentArgs(want))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := AgentConfig{
-		Spec: colocate.StackSpec{Workload: "bank", Policy: "ebs"},
-		Stack: colocate.StackOptions{
-			Engine: "norec", Pool: 3, Processes: 4, Seed: 9,
-			Chaos: "mixed@11", Child: 2, Incarnation: 1,
-			Adaptive: "tl2/backoff+norec/greedy",
-		},
-		Duration: time.Second, Period: 5 * time.Millisecond, GOMAXPROCS: 2,
-		Durable: colocate.DurableFlags{On: true, Root: filepath.Join(root, "P1-kv_hot_cold"), Fsync: "os"},
-	}
-	if got != want {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("agent config\n got %+v\nwant %+v", got, want)
+	}
+	if empty, err := parseAgentFlags(AgentArgs(AgentConfig{})); err != nil || empty.Restore != nil || empty.AdaptRestore != nil {
+		t.Fatalf("zero config round-trips to %+v (err %v)", empty, err)
 	}
 	p, err := got.Proc()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Durable.Dir != want.Durable.Root || filepath.Dir(p.Durable.Dir) != root || p.Durable.Policy != wal.FsyncOS {
-		t.Fatalf("log options %+v, want the supervisor's directory %q as is", p.Durable, want.Durable.Root)
+	if p.Name != "P3-bank-ebs" || p.Durable.Dir != filepath.Join(root, "P3-bank-ebs") || p.Durable.Policy != wal.FsyncOS {
+		t.Fatalf("stack %q logs with %+v, want P3-bank-ebs directly under %q", p.Name, p.Durable, root)
 	}
 }
 
@@ -173,11 +193,11 @@ func TestAgentArgsRoundTrip(t *testing.T) {
 func TestAgentDurableFrames(t *testing.T) {
 	cfg := AgentConfig{
 		Spec:     colocate.StackSpec{Workload: "bank", Policy: "rubic"},
-		Stack:    colocate.StackOptions{Pool: 2, Seed: 1, Engine: "tl2"},
+		Stack:    stackOptions("tl2", 2, 1),
 		Duration: 150 * time.Millisecond,
 		Period:   5 * time.Millisecond,
-		Durable:  colocate.DurableFlags{On: true, Root: t.TempDir(), Fsync: "os"},
 	}
+	cfg.Stack.Durable = colocate.DurableFlags{On: true, Root: t.TempDir(), Fsync: "os"}
 	frames := runAgentFrames(t, cfg)
 	for _, f := range frames[1 : len(frames)-1] {
 		if f.Telemetry.Wal == nil {
@@ -189,7 +209,7 @@ func TestAgentDurableFrames(t *testing.T) {
 		t.Fatalf("final WAL state %+v, want every issued commit acked by the close", final)
 	}
 
-	cfg.Durable.Root = ""
+	cfg.Stack.Durable.Root = ""
 	if err := RunAgent(cfg, &bytes.Buffer{}); err == nil {
 		t.Error("durable agent without a log directory accepted")
 	}

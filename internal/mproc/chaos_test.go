@@ -15,11 +15,18 @@ import (
 // Both stacks use the bank workload: its population is cheap, and restart
 // scenarios pay one population per incarnation (rbtree's 64K-element setup
 // would dominate the soak's wall time under -race).
-func chaosChildren() []ChildSpec {
-	return []ChildSpec{
-		{Name: "P1", Workload: "bank", Policy: "rubic", Pool: 2, Seed: 1},
-		{Name: "P2", Workload: "bank", Policy: "rubic", Pool: 2, Seed: 2},
+func chaosChildren() []colocate.StackSpec {
+	return []colocate.StackSpec{{Workload: "bank", Policy: "rubic"}, {Workload: "bank", Policy: "rubic"}}
+}
+
+// chaos is the soaks' stack options: two workers per stack under the
+// scenario, each logging under root unless it is empty.
+func chaos(scenario, root string) colocate.StackOptions {
+	o := colocate.StackOptions{StackFlags: colocate.StackFlags{Pool: 2, Seed: 1}, Chaos: scenario}
+	if root != "" {
+		o.Durable = colocate.DurableFlags{On: true, Root: root}
 	}
+	return o
 }
 
 // nonZeroFraction reports how many of a child's telemetry throughput samples
@@ -50,7 +57,7 @@ func TestChaosCrashLoopSoak(t *testing.T) {
 	results, err := Run(chaosChildren(), Options{
 		Duration: 2 * time.Second,
 		Period:   5 * time.Millisecond,
-		Chaos:    "crashloop@7",
+		Stack:    chaos("crashloop@7", ""),
 		Restart: RestartPolicy{MaxRestarts: 4, Backoff: 10 * time.Millisecond,
 			MaxBackoff: 40 * time.Millisecond, JitterSeed: 7},
 		Exec: fakeExec("agent", nil),
@@ -89,7 +96,7 @@ func TestChaosCorruptSoak(t *testing.T) {
 	results, err := Run(chaosChildren(), Options{
 		Duration:         500 * time.Millisecond,
 		Period:           5 * time.Millisecond,
-		Chaos:            "corrupt@5",
+		Stack:            chaos("corrupt@5", ""),
 		FrameErrorBudget: 4,
 		Exec:             fakeExec("agent", nil),
 	})
@@ -113,7 +120,7 @@ func TestChaosStallSoak(t *testing.T) {
 	results, err := Run(chaosChildren(), Options{
 		Duration: 500 * time.Millisecond,
 		Period:   5 * time.Millisecond,
-		Chaos:    "stall@3",
+		Stack:    chaos("stall@3", ""),
 		Exec:     fakeExec("agent", nil),
 	})
 	if err != nil {
@@ -133,7 +140,7 @@ func TestChaosMixedSoak(t *testing.T) {
 	results, err := Run(chaosChildren(), Options{
 		Duration: 2 * time.Second,
 		Period:   5 * time.Millisecond,
-		Chaos:    "mixed@11",
+		Stack:    chaos("mixed@11", ""),
 		Restart: RestartPolicy{MaxRestarts: 2, Backoff: 10 * time.Millisecond,
 			MaxBackoff: 40 * time.Millisecond, JitterSeed: 11},
 		FrameErrorBudget: 2,
@@ -167,8 +174,7 @@ func TestChaosDurabilitySoak(t *testing.T) {
 	results, err := Run(chaosChildren(), Options{
 		Duration: 2 * time.Second,
 		Period:   5 * time.Millisecond,
-		Chaos:    "durability@9",
-		Durable:  colocate.DurableFlags{On: true, Root: t.TempDir()},
+		Stack:    chaos("durability@9", t.TempDir()),
 		Restart: RestartPolicy{MaxRestarts: 4, Backoff: 10 * time.Millisecond,
 			MaxBackoff: 40 * time.Millisecond, JitterSeed: 9},
 		Exec: fakeExec("agent", nil),
@@ -217,8 +223,7 @@ func TestChaosCrashSoak(t *testing.T) {
 			results, err := Run(chaosChildren(), Options{
 				Duration: 2 * time.Second,
 				Period:   5 * time.Millisecond,
-				Chaos:    fmt.Sprintf("crashloop@%d", seed),
-				Durable:  colocate.DurableFlags{On: true, Root: t.TempDir()},
+				Stack:    chaos(fmt.Sprintf("crashloop@%d", seed), t.TempDir()),
 				Restart: RestartPolicy{MaxRestarts: 4, Backoff: 10 * time.Millisecond,
 					MaxBackoff: 40 * time.Millisecond, JitterSeed: seed},
 				Exec: fakeExec("agent", nil),
@@ -280,12 +285,14 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 func TestChaosSwapStormSoak(t *testing.T) {
 	// Candidates alternate engines so every probing step is a real handoff —
 	// the scenario's crash point is guaranteed to arm within the first sweep.
-	const candidates = "tl2/backoff+norec/backoff+tl2/greedy+norec/greedy"
-	results, err := Run(chaosChildren(), Options{
+	specs := chaosChildren()
+	for i := range specs {
+		specs[i].Adaptive = "tl2:backoff+norec:backoff+tl2:greedy+norec:greedy"
+	}
+	results, err := Run(specs, Options{
 		Duration: 2 * time.Second,
 		Period:   5 * time.Millisecond,
-		Chaos:    "swapstorm@13",
-		Adaptive: candidates,
+		Stack:    chaos("swapstorm@13", ""),
 		Restart: RestartPolicy{MaxRestarts: 2, Backoff: 10 * time.Millisecond,
 			MaxBackoff: 40 * time.Millisecond, JitterSeed: 13},
 		Exec: fakeExec("agent", nil),

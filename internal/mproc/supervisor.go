@@ -3,14 +3,12 @@ package mproc
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"os"
 	"os/exec"
-	"strconv"
 	"sync"
 	"time"
 
@@ -20,29 +18,10 @@ import (
 	"rubic/internal/trace"
 )
 
-// ChildSpec describes one co-located stack to run as a child OS process.
-type ChildSpec struct {
-	// Name labels the child in results and errors; empty names get a
-	// generated "P<i>-workload-policy" label.
-	Name string
-	// Workload and Policy select the stack (colocate.StackSpec semantics).
-	Workload string
-	Policy   string
-	// ArrivalDelay postpones the child's launch relative to the group's
-	// start; the child then runs for the remaining duration.
-	ArrivalDelay time.Duration
-	// Pool is the child's worker count.
-	Pool int
-	// Seed derives the child's random streams.
-	Seed int64
-	// GOMAXPROCS, when positive, caps the child's Go scheduler.
-	GOMAXPROCS int
-}
-
-// ExecFunc constructs the command for one agent child from its flag list.
-// Tests substitute fake agents; the default re-executes the current binary
-// with an "agent" subcommand.
-type ExecFunc func(spec ChildSpec, args []string) (*exec.Cmd, error)
+// ExecFunc constructs the command for the named agent child from its flag
+// list. Tests substitute fake agents; the default re-executes the current
+// binary with an "agent" subcommand.
+type ExecFunc func(name string, args []string) (*exec.Cmd, error)
 
 // RestartPolicy governs how the supervisor handles a crashed agent: restart
 // it with exponential backoff and deterministic jitter, up to a bounded
@@ -113,11 +92,21 @@ type Options struct {
 	Duration time.Duration
 	// Period is the controllers' monitoring period (default 10 ms).
 	Period time.Duration
-	// Engine selects the STM engine for every child (default tl2).
-	Engine string
-	// Processes overrides the sibling count passed to agents (for the
-	// equalshare policy); defaults to the number of specs.
-	Processes int
+	// Stack is the group's stack options; child i runs Stack.For(i), the
+	// options goroutine mode gives its i-th stack. Engine defaults to tl2,
+	// Processes to the number of specs. Stack.Chaos is threaded to every
+	// agent with its child index and incarnation. With Stack.Durable on, every
+	// child logs in its own directory under the root (colocate.WalDir),
+	// stable across its incarnations, so a restarted agent recovers its
+	// predecessor's committed prefix — and the supervisor asserts it did: a
+	// replacement whose recovered prefix misses a commit the predecessor had
+	// acked durable fails the child. Fsync defaults to always — the only
+	// policy whose acks survive kill -9 by contract, so the only one the
+	// exact-prefix assertion can hold restarted incarnations to.
+	Stack colocate.StackOptions
+	// GOMAXPROCS, when positive, caps every child's Go scheduler — the knob
+	// for pinning each co-located process to a hardware-context budget.
+	GOMAXPROCS int
 	// StartupTimeout bounds the wait for a child's handshake (default 10s).
 	StartupTimeout time.Duration
 	// SetupTimeout bounds the wait between the handshake and the first
@@ -139,24 +128,6 @@ type Options struct {
 	// per attempt — counted in ChildResult.DroppedFrames — before declaring
 	// a protocol error (default 0: strict).
 	FrameErrorBudget int
-	// Chaos names a fault scenario ("scenario@seed", see fault.ParseScenario)
-	// threaded to every agent along with its child index and incarnation;
-	// empty runs no chaos.
-	Chaos string
-	// Adaptive, when non-empty, runs every child's runtime adaptively over
-	// this candidate list (colocate.ParseAdaptive syntax). The supervisor
-	// preserves each child's last published policy state and hands it to
-	// replacement incarnations, mirroring the tuning-state preservation.
-	Adaptive string
-	// Durable runs every child with a write-ahead log in its own directory
-	// under Durable.Root (colocate.WalDir), stable across its incarnations,
-	// so a restarted agent recovers its predecessor's committed prefix — and
-	// the supervisor asserts it did: a replacement whose recovered prefix
-	// misses a commit the predecessor had acked durable fails the child.
-	// Fsync defaults to always — the only policy whose acks survive kill -9
-	// by contract, so the only one the exact-prefix assertion can hold
-	// restarted incarnations to.
-	Durable colocate.DurableFlags
 	// Exec overrides child command construction; nil re-executes the
 	// current binary in agent mode.
 	Exec ExecFunc
@@ -228,7 +199,7 @@ type ChildResult struct {
 // Failures are per-child: a crashed, wedged or crash-looping child never
 // stops its siblings, and with a RestartPolicy installed it is relaunched
 // within its backoff budget.
-func Run(specs []ChildSpec, opt Options) ([]ChildResult, error) {
+func Run(specs []colocate.StackSpec, opt Options) ([]ChildResult, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("mproc: no children")
 	}
@@ -238,11 +209,14 @@ func Run(specs []ChildSpec, opt Options) ([]ChildResult, error) {
 	if opt.Period <= 0 {
 		opt.Period = core.DefaultPeriod
 	}
-	if opt.Engine == "" {
-		opt.Engine = "tl2"
+	if opt.Stack.Engine == "" {
+		opt.Stack.Engine = "tl2"
 	}
-	if opt.Processes <= 0 {
-		opt.Processes = len(specs)
+	if opt.Stack.Processes <= 0 {
+		opt.Stack.Processes = len(specs)
+	}
+	if opt.Stack.Durable.Fsync == "" {
+		opt.Stack.Durable.Fsync = "always"
 	}
 	if opt.StartupTimeout <= 0 {
 		opt.StartupTimeout = 10 * time.Second
@@ -257,41 +231,19 @@ func Run(specs []ChildSpec, opt Options) ([]ChildResult, error) {
 		opt.KillGrace = 2 * time.Second
 	}
 	opt.Restart.defaults()
-	// A bad engine, scenario or candidate list would otherwise only surface
-	// inside every agent, after the children are already launched.
-	if _, err := colocate.ParseEngine(opt.Engine); err != nil {
-		return nil, err
-	}
-	if opt.Chaos != "" {
-		if _, _, err := fault.ParseScenario(opt.Chaos); err != nil {
-			return nil, err
-		}
-	}
-	if opt.Adaptive != "" {
-		if _, err := colocate.ParseAdaptive(opt.Adaptive); err != nil {
-			return nil, err
-		}
-	}
-	if opt.Durable.Fsync == "" {
-		opt.Durable.Fsync = "always"
-	}
-	if _, err := opt.Durable.Options(""); err != nil {
-		return nil, err
-	}
 	if opt.Exec == nil {
 		opt.Exec = selfExec
 	}
-	names := map[string]struct{}{}
-	for i := range specs {
-		if specs[i].Name == "" {
-			specs[i].Name = fmt.Sprintf("P%d-%s-%s", i+1, specs[i].Workload, specs[i].Policy)
+	// Every child is assembled here first, exactly as its agent will assemble
+	// it: a spec, option or log flag the agent would refuse fails the run by
+	// name before any child is launched, not as a crash loop after.
+	for i, spec := range specs {
+		p, err := opt.agent(spec, i, opt.Duration).Proc()
+		if err == nil {
+			_, err = colocate.NewGroup([]colocate.Proc{p}, opt.Period)
 		}
-		if _, dup := names[specs[i].Name]; dup {
-			return nil, fmt.Errorf("mproc: duplicate child name %q", specs[i].Name)
-		}
-		names[specs[i].Name] = struct{}{}
-		if specs[i].Pool < 1 {
-			return nil, fmt.Errorf("mproc: child %s pool size %d", specs[i].Name, specs[i].Pool)
+		if err != nil {
+			return nil, fmt.Errorf("mproc: child %s: %w", spec.Name(i), err)
 		}
 	}
 
@@ -314,33 +266,16 @@ func Run(specs []ChildSpec, opt Options) ([]ChildResult, error) {
 	return results, nil
 }
 
-// AgentArgs returns the agent-mode flag list for a child running for the
-// given active duration (total minus arrival delay).
-func AgentArgs(spec ChildSpec, opt Options, active time.Duration) []string {
-	args := []string{
-		"-workload", spec.Workload,
-		"-policy", spec.Policy,
-		"-pool", strconv.Itoa(spec.Pool),
-		"-seed", strconv.FormatInt(spec.Seed, 10),
-		"-duration", active.String(),
-		"-period", opt.Period.String(),
-		"-engine", opt.Engine,
-		"-gomaxprocs", strconv.Itoa(spec.GOMAXPROCS),
-		"-processes", strconv.Itoa(opt.Processes),
-	}
-	if opt.Adaptive != "" {
-		args = append(args, "-adaptive", opt.Adaptive)
-	}
-	if d := opt.Durable; d.On {
-		args = append(args, "-durable", "-wal-dir", colocate.WalDir(d.Root, spec.Name), "-fsync", d.Fsync)
-	}
-	return args
+// agent is what child i's agent runs for the given active duration (total
+// minus arrival delay and earlier incarnations' measured time).
+func (opt Options) agent(spec colocate.StackSpec, i int, active time.Duration) AgentConfig {
+	return AgentConfig{Spec: spec, Stack: opt.Stack.For(i), Duration: active, Period: opt.Period, GOMAXPROCS: opt.GOMAXPROCS}
 }
 
 // selfExec re-executes the current binary in agent mode, the production
 // path: supervisor and agent are one binary, so the protocol versions match
 // by construction.
-func selfExec(spec ChildSpec, args []string) (*exec.Cmd, error) {
+func selfExec(_ string, args []string) (*exec.Cmd, error) {
 	self, err := os.Executable()
 	if err != nil {
 		return nil, fmt.Errorf("mproc: locating own binary: %w", err)
@@ -496,13 +431,14 @@ type attemptOutcome struct {
 // runChild supervises one child slot from launch to final outcome: it runs
 // the agent, and — when a RestartPolicy is installed — relaunches crashed
 // incarnations with exponentially backed-off, deterministically jittered
-// delays, preserving the tuner's CUBIC state across restarts, until the
-// child succeeds, the budget is exhausted, the circuit breaker trips on a
-// crash-loop, or no meaningful run time remains.
-func runChild(spec ChildSpec, idx int, opt Options, res *ChildResult) {
-	res.Name = spec.Name
-	res.Levels = trace.NewSeries(spec.Name + "/level")
-	res.Throughputs = trace.NewSeries(spec.Name + "/throughput")
+// delays, preserving the tuner's CUBIC state and the adaptive policy's
+// state across restarts, until the child succeeds, the budget is exhausted,
+// the circuit breaker trips on a crash-loop, or no meaningful run time
+// remains.
+func runChild(spec colocate.StackSpec, idx int, opt Options, res *ChildResult) {
+	res.Name = spec.Name(idx)
+	res.Levels = trace.NewSeries(res.Name + "/level")
+	res.Throughputs = trace.NewSeries(res.Name + "/throughput")
 	if spec.ArrivalDelay > 0 {
 		time.Sleep(spec.ArrivalDelay)
 	}
@@ -518,12 +454,12 @@ func runChild(spec ChildSpec, idx int, opt Options, res *ChildResult) {
 	var consumed time.Duration // measurement time burned by prior incarnations
 	crashLoops := 0
 	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			if preserved != nil {
-				res.CtlRestored = true
-			}
+		if attempt > 0 && preserved != nil {
+			res.CtlRestored = true
 		}
-		out := runAttempt(spec, idx, attempt, active-consumed, preserved, preservedAdapt, preservedAcked, opt, res)
+		cfg := opt.agent(spec, idx, active-consumed)
+		cfg.Stack.Incarnation, cfg.Restore, cfg.AdaptRestore = attempt, preserved, preservedAdapt
+		out := runAttempt(cfg, preservedAcked, opt, res)
 		consumed += out.measured
 		if out.ctl != nil {
 			preserved = out.ctl
@@ -569,7 +505,7 @@ func runChild(spec ChildSpec, idx int, opt Options, res *ChildResult) {
 			// incarnation.
 			return
 		}
-		delay := opt.Restart.Delay(spec.Name, attempt+1)
+		delay := opt.Restart.Delay(res.Name, attempt+1)
 		res.Backoffs = append(res.Backoffs, delay)
 		time.Sleep(delay)
 		res.Restarts++
@@ -581,31 +517,14 @@ func runChild(spec ChildSpec, idx int, opt Options, res *ChildResult) {
 // watchdog covers every stage of the child's life (silent child, runaway
 // child, stuck pipe) with an interrupt→kill escalation, so the frame loop
 // may simply read until EOF and Wait afterwards.
-func runAttempt(spec ChildSpec, idx, attempt int, active time.Duration, restore *core.TuningState, adaptRestore *core.AdaptiveState, preservedAcked uint64, opt Options, res *ChildResult) attemptOutcome {
+func runAttempt(cfg AgentConfig, preservedAcked uint64, opt Options, res *ChildResult) attemptOutcome {
 	var out attemptOutcome
+	active, attempt := cfg.Duration, cfg.Stack.Incarnation
 	if active <= 0 {
 		out.err = errors.New("no run time left")
 		return out
 	}
-	args := AgentArgs(spec, opt, active)
-	if attempt > 0 {
-		args = append(args, "-incarnation", strconv.Itoa(attempt))
-	}
-	if opt.Chaos != "" {
-		args = append(args, "-chaos", opt.Chaos, "-chaos-child", strconv.Itoa(idx))
-	}
-	if restore != nil {
-		args = append(args, "-restore",
-			strconv.FormatFloat(restore.Level, 'g', -1, 64)+","+
-				strconv.FormatFloat(restore.WMax, 'g', -1, 64)+","+
-				strconv.FormatFloat(restore.Epoch, 'g', -1, 64))
-	}
-	if adaptRestore != nil {
-		// AdaptiveState marshals without error (strings and scalars only).
-		payload, _ := json.Marshal(adaptRestore)
-		args = append(args, "-adapt-restore", string(payload))
-	}
-	cmd, err := opt.Exec(spec, args)
+	cmd, err := opt.Exec(res.Name, AgentArgs(cfg))
 	if err != nil {
 		out.err = err
 		return out

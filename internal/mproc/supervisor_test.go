@@ -5,24 +5,13 @@ import (
 	"os"
 	"os/exec"
 	"os/signal"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"rubic/internal/colocate"
 	"rubic/internal/core"
 )
-
-// argAfter extracts the value following a flag in a raw agent argument list
-// (the helper children parse just the flags their behavior depends on).
-func argAfter(args []string, flag string) string {
-	for i := 0; i < len(args)-1; i++ {
-		if args[i] == flag {
-			return args[i+1]
-		}
-	}
-	return ""
-}
 
 // TestHelperAgent is not a test: it is the body of the fake (and real) agent
 // children the supervisor tests spawn. The parent re-executes its own test
@@ -77,17 +66,21 @@ func TestHelperAgent(t *testing.T) {
 		// Crashes its first two incarnations after publishing resumable tuning
 		// state; the third incarnation succeeds and echoes the state the
 		// supervisor restored into it (as MeanLevel), proving preservation.
-		inc, _ := strconv.Atoi(argAfter(args, "-incarnation"))
+		cfg, err := parseAgentFlags(args)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 		enc.Encode(hello)
-		if inc < 2 {
+		if inc := cfg.Stack.Incarnation; inc < 2 {
 			enc.Encode(TelemetryFrame(Telemetry{T: 0.01, Level: 3, Tput: 50,
 				Ctl: &core.TuningState{Level: 7, WMax: 9 + float64(inc), Epoch: 1.5}}))
 			fmt.Fprintln(os.Stderr, "fake agent: flaky crash")
 			os.Exit(3)
 		}
 		res := Result{Completed: 100, Tput: 10, MeanLevel: 1, Verified: true}
-		if st, err := parseRestore(argAfter(args, "-restore")); err == nil {
-			res.MeanLevel = st.WMax
+		if cfg.Restore != nil {
+			res.MeanLevel = cfg.Restore.WMax
 		}
 		enc.Encode(ResultFrame(res))
 	case "crashloop":
@@ -129,8 +122,8 @@ func TestHelperAgent(t *testing.T) {
 // fakeExec reroutes each child to this test binary's TestHelperAgent with a
 // per-child-name behavior (children without an entry get the default mode).
 func fakeExec(defaultMode string, modes map[string]string) ExecFunc {
-	return func(spec ChildSpec, args []string) (*exec.Cmd, error) {
-		mode, ok := modes[spec.Name]
+	return func(name string, args []string) (*exec.Cmd, error) {
+		mode, ok := modes[name]
 		if !ok {
 			mode = defaultMode
 		}
@@ -140,15 +133,19 @@ func fakeExec(defaultMode string, modes map[string]string) ExecFunc {
 	}
 }
 
-func twoChildren() []ChildSpec {
-	return []ChildSpec{
-		{Name: "A", Workload: "rbtree-ro", Policy: "rubic", Pool: 2, Seed: 1},
-		{Name: "B", Workload: "rbtree-ro", Policy: "rubic", Pool: 2, Seed: 2},
-	}
+// A and B are the names Run gives twoChildren's stacks.
+const A, B = "P1-rbtree-ro-rubic", "P2-rbtree-ro-rubic"
+
+func twoChildren() []colocate.StackSpec {
+	return []colocate.StackSpec{{Workload: "rbtree-ro", Policy: "rubic"}, {Workload: "rbtree-ro", Policy: "rubic"}}
 }
+
+// pool2 is a run's stack options: two workers per stack, the rest default.
+var pool2 = colocate.StackOptions{StackFlags: colocate.StackFlags{Pool: 2}}
 
 func TestSupervisorFakeAgents(t *testing.T) {
 	results, err := Run(twoChildren(), Options{
+		Stack:    pool2,
 		Duration: 100 * time.Millisecond,
 		Exec:     fakeExec("good", nil),
 	})
@@ -173,13 +170,14 @@ func TestSupervisorFakeAgents(t *testing.T) {
 
 func TestSupervisorChildCrashMidRun(t *testing.T) {
 	results, err := Run(twoChildren(), Options{
+		Stack:    pool2,
 		Duration: 100 * time.Millisecond,
-		Exec:     fakeExec("good", map[string]string{"B": "crash"}),
+		Exec:     fakeExec("good", map[string]string{B: "crash"}),
 	})
 	if err == nil {
 		t.Fatal("crash went unreported")
 	}
-	if !strings.Contains(err.Error(), "B") || !strings.Contains(err.Error(), "exit status 3") {
+	if !strings.Contains(err.Error(), B) || !strings.Contains(err.Error(), "exit status 3") {
 		t.Errorf("error does not name the crashed child and cause: %v", err)
 	}
 	// The survivor's results are intact.
@@ -200,13 +198,14 @@ func TestSupervisorChildCrashMidRun(t *testing.T) {
 
 func TestSupervisorTruncatedFrame(t *testing.T) {
 	results, err := Run(twoChildren(), Options{
+		Stack:    pool2,
 		Duration: 100 * time.Millisecond,
-		Exec:     fakeExec("good", map[string]string{"A": "truncated"}),
+		Exec:     fakeExec("good", map[string]string{A: "truncated"}),
 	})
 	if err == nil {
 		t.Fatal("truncated frame went unreported")
 	}
-	if !strings.Contains(err.Error(), "A") || !strings.Contains(err.Error(), "malformed frame") {
+	if !strings.Contains(err.Error(), A) || !strings.Contains(err.Error(), "malformed frame") {
 		t.Errorf("error does not name the child and the malformed frame: %v", err)
 	}
 	if results[1].Err != nil {
@@ -216,6 +215,7 @@ func TestSupervisorTruncatedFrame(t *testing.T) {
 
 func TestSupervisorVersionMismatch(t *testing.T) {
 	_, err := Run(twoChildren()[:1], Options{
+		Stack:    pool2,
 		Duration: 100 * time.Millisecond,
 		Exec:     fakeExec("badversion", nil),
 	})
@@ -227,6 +227,7 @@ func TestSupervisorVersionMismatch(t *testing.T) {
 func TestSupervisorStartupTimeout(t *testing.T) {
 	start := time.Now()
 	_, err := Run(twoChildren()[:1], Options{
+		Stack:          pool2,
 		Duration:       100 * time.Millisecond,
 		StartupTimeout: 200 * time.Millisecond,
 		Grace:          100 * time.Millisecond,
@@ -240,22 +241,54 @@ func TestSupervisorStartupTimeout(t *testing.T) {
 	}
 }
 
+// TestSupervisorValidation: everything an agent would refuse fails the run
+// before any child is launched — a configuration error is not a crash loop —
+// naming the child when one is at fault.
 func TestSupervisorValidation(t *testing.T) {
-	good := twoChildren()
+	durable := func(root string) colocate.StackOptions {
+		o := pool2
+		o.Durable = colocate.DurableFlags{On: true, Root: root}
+		return o
+	}
+	withStack := func(mutate func(*colocate.StackOptions)) colocate.StackOptions {
+		o := pool2
+		mutate(&o)
+		return o
+	}
 	cases := []struct {
-		name  string
-		specs []ChildSpec
-		opt   Options
+		name, specs, want string
+		stack             colocate.StackOptions
+		duration          time.Duration
 	}{
-		{"no children", nil, Options{Duration: time.Second}},
-		{"zero duration", good, Options{}},
-		{"duplicate names", []ChildSpec{good[0], good[0]}, Options{Duration: time.Second}},
-		{"bad pool", []ChildSpec{{Name: "A", Workload: "bank", Policy: "rubic"}}, Options{Duration: time.Second}},
+		{"no children", "", "no children", pool2, time.Second},
+		{"zero duration", "bank:rubic", "duration", pool2, 0},
+		{"bad pool", "bank:rubic", "P1-bank-rubic: colocate: pool size 0", colocate.StackOptions{}, time.Second},
+		{"unknown workload", "bank:rubic,nope:rubic", "P2-nope-rubic", pool2, time.Second},
+		{"unknown policy", "bank:nope", "P1-bank-nope: core: unknown policy", pool2, time.Second},
+		{"unknown engine", "bank:rubic", "unknown stm engine", withStack(func(o *colocate.StackOptions) { o.Engine = "quantum" }), time.Second},
+		{"unknown scenario", "bank:rubic", "earthquake", withStack(func(o *colocate.StackOptions) { o.Chaos = "earthquake@1" }), time.Second},
+		{"bad candidate", "bank:rubic/adaptive=tl2:nope", "contention manager", pool2, time.Second},
+		{"log without a root", "bank:rubic", "-wal-dir", durable(""), time.Second},
+		{"log on a workload without durable state", "rbtree:rubic", "no durable state", durable(t.TempDir()), time.Second},
+		{"open-loop stack", "bank:rubic,kv/qps=100", "child P2-kv/poisson: mproc: kv:greedy/qps=100/arrival=poisson is an open-loop stack", pool2, time.Second},
+		{"no single runtime", "shardedkv:rubic", "no single STM runtime", pool2, time.Second},
 	}
 	for _, tc := range cases {
-		tc.opt.Exec = fakeExec("good", nil)
-		if _, err := Run(tc.specs, tc.opt); err == nil {
-			t.Errorf("%s accepted", tc.name)
+		var specs []colocate.StackSpec
+		if tc.specs != "" {
+			var err error
+			if specs, err = colocate.ParseSpecs(tc.specs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		launched := 0
+		good := fakeExec("good", nil)
+		_, err := Run(specs, Options{Duration: tc.duration, Stack: tc.stack, Exec: func(name string, args []string) (*exec.Cmd, error) {
+			launched++
+			return good(name, args)
+		}})
+		if err == nil || !strings.Contains(err.Error(), tc.want) || launched != 0 {
+			t.Errorf("%s: err = %v after %d launches, want %q before any", tc.name, err, launched, tc.want)
 		}
 	}
 }
@@ -264,10 +297,11 @@ func TestSupervisorLateArrivalRejected(t *testing.T) {
 	specs := twoChildren()
 	specs[1].ArrivalDelay = time.Second
 	results, err := Run(specs, Options{
+		Stack:    pool2,
 		Duration: 50 * time.Millisecond,
 		Exec:     fakeExec("good", nil),
 	})
-	if err == nil || !strings.Contains(err.Error(), "B") {
+	if err == nil || !strings.Contains(err.Error(), B) {
 		t.Fatalf("late arrival not attributed to B: %v", err)
 	}
 	if results[0].Err != nil {
@@ -303,10 +337,11 @@ func TestRestartPolicyDelayDeterministic(t *testing.T) {
 // process, and the sibling is untouched throughout.
 func TestSupervisorRestartRecovers(t *testing.T) {
 	opt := Options{
+		Stack:    pool2,
 		Duration: 5 * time.Second,
 		Restart: RestartPolicy{MaxRestarts: 3, Backoff: 5 * time.Millisecond,
 			MaxBackoff: 20 * time.Millisecond, JitterSeed: 7},
-		Exec: fakeExec("good", map[string]string{"A": "flaky"}),
+		Exec: fakeExec("good", map[string]string{A: "flaky"}),
 	}
 	results, err := Run(twoChildren(), opt)
 	if err != nil {
@@ -320,7 +355,7 @@ func TestSupervisorRestartRecovers(t *testing.T) {
 		t.Fatalf("recorded backoffs %v, want 2 entries", a.Backoffs)
 	}
 	for i, d := range a.Backoffs {
-		if want := opt.Restart.Delay("A", i+1); d != want {
+		if want := opt.Restart.Delay(A, i+1); d != want {
 			t.Errorf("backoff %d = %v, want the deterministic %v", i, d, want)
 		}
 	}
@@ -344,10 +379,11 @@ func TestSupervisorRestartRecovers(t *testing.T) {
 // restart budget — while the sibling stack runs to completion.
 func TestSupervisorBreakerTrips(t *testing.T) {
 	results, err := Run(twoChildren(), Options{
+		Stack:    pool2,
 		Duration: 5 * time.Second,
 		Restart: RestartPolicy{MaxRestarts: 10, Backoff: 2 * time.Millisecond,
 			MaxBackoff: 8 * time.Millisecond, JitterSeed: 3, BreakerThreshold: 3},
-		Exec: fakeExec("good", map[string]string{"B": "crashloop"}),
+		Exec: fakeExec("good", map[string]string{B: "crashloop"}),
 	})
 	if err == nil || !strings.Contains(err.Error(), "circuit breaker") {
 		t.Fatalf("breaker trip unreported: %v", err)
@@ -366,6 +402,7 @@ func TestSupervisorBreakerTrips(t *testing.T) {
 
 func TestSupervisorRestartBudgetExhausted(t *testing.T) {
 	results, err := Run(twoChildren()[:1], Options{
+		Stack:    pool2,
 		Duration: 5 * time.Second,
 		Restart:  RestartPolicy{MaxRestarts: 2, Backoff: 2 * time.Millisecond, JitterSeed: 1},
 		Exec:     fakeExec("crashloop", nil),
@@ -382,6 +419,7 @@ func TestSupervisorRestartBudgetExhausted(t *testing.T) {
 // and counted instead of failing the child.
 func TestSupervisorFrameErrorBudget(t *testing.T) {
 	results, err := Run(twoChildren()[:1], Options{
+		Stack:            pool2,
 		Duration:         time.Second,
 		FrameErrorBudget: 2,
 		Exec:             fakeExec("corrupty", nil),
@@ -403,6 +441,7 @@ func TestSupervisorFrameErrorBudget(t *testing.T) {
 func TestSupervisorWedgedChildBoundedTeardown(t *testing.T) {
 	start := time.Now()
 	_, err := Run(twoChildren()[:1], Options{
+		Stack:     pool2,
 		Duration:  100 * time.Millisecond,
 		Grace:     100 * time.Millisecond,
 		KillGrace: 200 * time.Millisecond,
@@ -421,6 +460,7 @@ func TestSupervisorWedgedChildBoundedTeardown(t *testing.T) {
 // final (partial, Interrupted) result before the kill would land.
 func TestSupervisorInterruptLetsAgentFlush(t *testing.T) {
 	results, err := Run(twoChildren()[:1], Options{
+		Stack:     pool2,
 		Duration:  100 * time.Millisecond,
 		Grace:     100 * time.Millisecond,
 		KillGrace: 5 * time.Second,
@@ -442,10 +482,11 @@ func TestSmokeTwoRealAgents(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping process-spawning smoke test in -short mode")
 	}
-	results, err := Run([]ChildSpec{
-		{Name: "P1", Workload: "rbtree-ro", Policy: "rubic", Pool: 2, Seed: 1},
-		{Name: "P2", Workload: "bank", Policy: "ebs", Pool: 2, Seed: 2},
+	results, err := Run([]colocate.StackSpec{
+		{Workload: "rbtree-ro", Policy: "rubic"},
+		{Workload: "bank", Policy: "ebs"},
 	}, Options{
+		Stack:    pool2,
 		Duration: 200 * time.Millisecond,
 		Period:   5 * time.Millisecond,
 		Exec:     fakeExec("agent", nil),
