@@ -130,9 +130,13 @@ chaos:
 # switch-storm rounds, the quiesce-protocol unit tests, the adaptive-stack
 # wiring, and the seeded swapstorm recovery soak (kills an agent
 # mid-handoff, fixed seed). Deterministic schedules; no benchmark noise.
+# The stm line runs at 1, 2 and 4 processors: the status-word gate's
+# store/load race against a drain only has real interleavings with more
+# than one.
 adaptive-soak:
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Switch|Adaptive|Profile' ./internal/stm
 	$(GO) test -race -count=1 -run 'Switch|Adaptive|Profile' \
-		./internal/stm ./internal/core ./internal/colocate
+		./internal/core ./internal/colocate
 	$(GO) test -race -count=1 -run 'TestChaosSwapStormSoak' ./internal/mproc
 
 # shard-soak exercises the range-sharded runtime and the B-Link index under
@@ -218,7 +222,7 @@ fuzz-containers:
 # It is also a ratchet: it fails when the sum exceeds LOC_MAX, the total of
 # the last PR that changed it. A PR that must grow the code raises the number
 # in its own diff; one that shrinks it lowers the number to its new total.
-LOC_MAX = 16277
+LOC_MAX = 16300
 loc:
 	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | \
 	while read -r pkg dir files; do \

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
+	"math/bits"
 	"os"
 	"os/exec"
 	"sync"
@@ -31,8 +33,8 @@ type RestartPolicy struct {
 	// MaxRestarts is the restart budget per child; 0 (the zero value)
 	// disables restarts and fails the child on its first crash.
 	MaxRestarts int
-	// Backoff is the delay before the first restart (default 50 ms when
-	// restarts are enabled), doubling on each consecutive restart.
+	// Backoff is the delay before the first restart (default 50 ms),
+	// doubling on each consecutive restart.
 	Backoff time.Duration
 	// MaxBackoff caps the exponential growth (default 2 s).
 	MaxBackoff time.Duration
@@ -52,37 +54,35 @@ type RestartPolicy struct {
 }
 
 func (p *RestartPolicy) defaults() {
-	if p.MaxRestarts > 0 {
-		if p.Backoff <= 0 {
-			p.Backoff = 50 * time.Millisecond
-		}
-		if p.MaxBackoff <= 0 {
-			p.MaxBackoff = 2 * time.Second
-		}
+	if p.Backoff <= 0 {
+		p.Backoff = 50 * time.Millisecond
+	}
+	if p.MaxBackoff <= 0 {
+		p.MaxBackoff = 2 * time.Second
 	}
 }
 
 // Delay returns the deterministic backoff before the child's restart-th
 // restart (1-based): exponential from Backoff, capped at MaxBackoff, scaled
 // by a jitter factor in [0.5, 1.5) derived from JitterSeed, the child's name
-// and the restart index.
+// and the restart index. It is total and O(1): any policy and index give a
+// delay in [0, 1.5·cap], saturating at the largest Duration, where cap is
+// the effective MaxBackoff (the defaults apply to any non-positive bound).
 func (p RestartPolicy) Delay(child string, restart int) time.Duration {
 	p.defaults()
 	if restart < 1 {
 		restart = 1
 	}
-	base := p.Backoff
-	for i := 1; i < restart && base < p.MaxBackoff; i++ {
-		base *= 2
-	}
-	if base > p.MaxBackoff {
-		base = p.MaxBackoff
+	base := p.MaxBackoff
+	if n := uint(restart - 1); n < 63 && p.Backoff <= p.MaxBackoff>>n {
+		base = p.Backoff << n
 	}
 	h := fnv.New64a()
 	_, _ = io.WriteString(h, child)
 	jitter := fault.Mix64(uint64(p.JitterSeed) ^ h.Sum64() ^ uint64(restart))
-	factor := 0.5 + float64(jitter%1024)/1024
-	return time.Duration(float64(base) * factor)
+	// base·(512+j)/1024 exactly: the product needs at most 74 bits.
+	hi, lo := bits.Mul64(uint64(base), 512+jitter%1024)
+	return time.Duration(min(hi<<54|lo>>10, math.MaxInt64))
 }
 
 // Options configures a supervised run.

@@ -2,6 +2,7 @@ package mproc
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -328,6 +329,68 @@ func TestRestartPolicyDelayDeterministic(t *testing.T) {
 			t.Fatalf("restart %d: delay %v outside [%v, %v)", r, a, base/2, base+base/2)
 		}
 	}
+}
+
+// TestRestartPolicyDelayTotal pins Delay over the corners of its domain:
+// the schedule TestRestartPolicyDelayDeterministic checks keeps its exact
+// values, a cap of math.MaxInt64 saturates instead of overflowing, an index
+// of math.MaxInt returns at once, and non-positive bounds take the defaults.
+func TestRestartPolicyDelayTotal(t *testing.T) {
+	ms := time.Millisecond
+	pinned := RestartPolicy{MaxRestarts: 5, Backoff: 10 * ms, MaxBackoff: 80 * ms, JitterSeed: 42}
+	huge := RestartPolicy{MaxRestarts: 1, Backoff: time.Second, MaxBackoff: math.MaxInt64}
+	for _, tc := range []struct {
+		p       RestartPolicy
+		restart int
+		lo, hi  time.Duration // inclusive bounds; lo == hi pins the value
+	}{
+		{pinned, 1, 9873046, 9873046},
+		{pinned, 2, 23593750, 23593750},
+		{pinned, 3, 39843750, 39843750},
+		{pinned, 4, 81484375, 81484375},
+		{pinned, 5, 41718750, 41718750},
+		{pinned, 6, 81250000, 81250000},
+		{pinned, 7, 119062500, 119062500},
+		{pinned, 8, 112500000, 112500000},
+		{huge, 1, 1015625000, 1015625000},
+		{huge, 30, time.Second << 29 / 2, time.Second<<29 + time.Second<<28},
+		{huge, 40, math.MaxInt64 / 2, math.MaxInt64},
+		{huge, 63, math.MaxInt64 / 2, math.MaxInt64},
+		{huge, 64, math.MaxInt64 / 2, math.MaxInt64},
+		{huge, math.MaxInt, math.MaxInt64 / 2, math.MaxInt64},
+		{RestartPolicy{Backoff: 3 * time.Second, MaxBackoff: time.Second}, 1, 500 * ms, 1500 * ms},
+		{RestartPolicy{Backoff: -1, MaxBackoff: -1}, math.MinInt, 25 * ms, 75 * ms},
+		{RestartPolicy{}, math.MaxInt, time.Second, 3 * time.Second},
+	} {
+		if d := tc.p.Delay("child", tc.restart); d < tc.lo || d > tc.hi {
+			t.Errorf("%+v restart %d: delay %v outside [%v, %v]", tc.p, tc.restart, d, tc.lo, tc.hi)
+		}
+	}
+}
+
+// FuzzRestartPolicyDelay: for any policy, child and index, Delay returns a
+// delay in [0, 1.5·cap], cap being the effective MaxBackoff, in constant time
+// (the fuzzer's per-input timeout catches a loop over the index).
+func FuzzRestartPolicyDelay(f *testing.F) {
+	f.Add(int64(time.Second), int64(math.MaxInt64), int64(0), math.MaxInt, "child")
+	f.Add(int64(10*time.Millisecond), int64(80*time.Millisecond), int64(42), 3, "P1-bank-rubic")
+	f.Add(int64(-1), int64(0), int64(-7), math.MinInt, "")
+	f.Fuzz(func(t *testing.T, backoff, maxBackoff, seed int64, restart int, child string) {
+		p := RestartPolicy{Backoff: time.Duration(backoff), MaxBackoff: time.Duration(maxBackoff), JitterSeed: seed}
+		d := p.Delay(child, restart)
+		limit := time.Duration(maxBackoff)
+		if limit <= 0 {
+			limit = 2 * time.Second
+		}
+		if limit <= math.MaxInt64/3*2 {
+			limit += limit / 2
+		} else {
+			limit = math.MaxInt64
+		}
+		if d < 0 || d > limit {
+			t.Fatalf("%+v restart %d: delay %v outside [0, %v]", p, restart, d, limit)
+		}
+	})
 }
 
 // TestSupervisorRestartRecovers is the recovery half of the crash-loop

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"rubic/internal/fault"
 	"rubic/internal/metrics"
@@ -38,13 +39,18 @@ type Pool struct {
 	// PaddedInt64) so a level actuation or admission bump does not
 	// invalidate the line the other workers' task loops are reading — the
 	// same false-sharing discipline the STM applies to its global clock.
-	level  metrics.PaddedInt32
-	stop   chan struct{}
-	sems   []chan struct{}
-	count  *metrics.ShardedCounter // shard = worker id
-	faults *metrics.ShardedCounter // shard = worker id; recovered task panics
-	active metrics.PaddedInt64     // workers currently holding a gate slot
-	inj    *fault.Injector         // nil: no chaos (one pointer test per task)
+	level metrics.PaddedInt32
+	// stopped is what a running worker polls once per task: one load, where
+	// a select on stop is a runtime call. stop is closed right after it is
+	// set and wakes the workers blocked on a semaphore or in a stall, which
+	// cannot poll.
+	stopped atomic.Bool
+	stop    chan struct{}
+	sems    []chan struct{}
+	count   *metrics.ShardedCounter // shard = worker id
+	faults  *metrics.ShardedCounter // shard = worker id; recovered task panics
+	active  metrics.PaddedInt64     // workers currently holding a gate slot
+	inj     *fault.Injector         // nil: no chaos (one pointer test per task)
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -117,7 +123,10 @@ func (p *Pool) Start() {
 // Stop terminates all workers (parked or running after their current task)
 // and waits for them to exit. It is idempotent.
 func (p *Pool) Stop() {
-	p.stopOnce.Do(func() { close(p.stop) })
+	p.stopOnce.Do(func() {
+		p.stopped.Store(true)
+		close(p.stop)
+	})
 	p.wg.Wait()
 }
 
@@ -143,10 +152,8 @@ func (p *Pool) worker(tid int) {
 	defer release()
 	rng := rand.New(rand.NewSource(p.seed + int64(tid)*1_000_003))
 	for {
-		select {
-		case <-p.stop:
+		if p.stopped.Load() {
 			return
-		default:
 		}
 		if tid >= int(p.level.Load()) {
 			release()

@@ -4,20 +4,22 @@ import "math/bits"
 
 // This file implements the runtime's hot-swap surface (DESIGN.md §12): the
 // contention manager swaps immediately, the engine swaps through a
-// quiesce-and-switch barrier. The protocol is a one-word gate plus a sharded
-// in-flight count:
+// quiesce-and-switch barrier. The barrier is a one-word gate plus each Tx's
+// own status word, which every attempt writes anyway:
 //
-//   - every atomic block enters the gate before its first attempt (enter)
-//     and leaves after its last (exit);
-//   - a switcher closes the gate, waits for the in-flight count to drain to
-//     zero, swaps the engine word, and reopens;
-//   - blocked or retrying attempts re-park at safe points (the retry-loop
-//     top and inside Tx.Retry's wait loop), so a drain never deadlocks on a
-//     transaction that is merely waiting.
+//   - every attempt starts in enter, which stores the Tx active and then
+//     loads the gate; a block's exit is release's poison store;
+//   - a switcher closes the gate, waits until every Tx the runtime has
+//     created is parked or poisoned, swaps the engine word, and reopens;
+//   - blocked or retrying attempts re-enter at safe points (the retry-loop
+//     top and inside Tx.Retry's wait loop) and park there, so a drain never
+//     deadlocks on a transaction that is merely waiting.
 //
-// Nothing here allocates and the gate fast path is two uncontended atomic
-// loads plus one sharded add, so the non-adaptive hot path keeps its
-// zero-alloc budget with the hook compiled in (the benchgate pins this).
+// Both sides store before they load, through Go's sequentially consistent
+// atomics, so as in Dekker's protocol at least one sees the other: an
+// attempt that missed the closed gate is seen active by the drain. The
+// gate therefore costs an attempt one load beyond the status store it
+// always made, and nothing here allocates.
 
 // sigAggWindow is the decay window of the rolling write-signature
 // aggregate: every sigAggWindow-th sampled writer commit replaces the
@@ -36,30 +38,29 @@ const sigAggWindow = 64
 // hands out (sync.Pool drops objects at random under the race detector).
 const sigSampleEvery = 8
 
-// enter parks until no engine switch is draining, then claims an in-flight
-// slot. The double check closes the race with a switcher sampling the count
-// between our gate load and our increment: either we see the closed gate
-// and back out, or the switcher's drain loop sees our increment and waits.
+// enter starts an attempt of tx: it stores the status active, then parks —
+// holding nothing — for as long as an engine switch has the gate closed.
 //
 //rubic:noalloc
-func (rt *Runtime) enter(shard int) {
-	for spins := 0; ; spins++ {
+func (rt *Runtime) enter(tx *Tx) {
+	gen := tx.status.Load() &^ stateMask
+	for spins := 0; ; {
+		tx.status.Store(gen | txActive)
 		if rt.swGate.Load() == 0 {
-			rt.inflight.Add(shard, 1)
-			if rt.swGate.Load() == 0 {
-				return
-			}
-			rt.inflight.Add(shard, ^uint64(0))
+			return
 		}
-		backoffSpin(spins)
+		tx.status.Store(gen | txParked)
+		for ; rt.swGate.Load() != 0; spins++ {
+			backoffSpin(spins)
+		}
 	}
 }
 
-// exit releases the in-flight slot claimed by enter.
-//
-//rubic:noalloc
-func (rt *Runtime) exit(shard int) {
-	rt.inflight.Add(shard, ^uint64(0))
+// quiescent reports whether tx is outside every attempt: parked at the
+// gate or back in the pool.
+func (tx *Tx) quiescent() bool {
+	s := tx.state()
+	return s == txParked || s == txPoisoned
 }
 
 // SetContentionManager installs cm runtime-wide, effective for every
@@ -68,17 +69,15 @@ func (rt *Runtime) exit(shard int) {
 // (liveness), never what a commit publishes (safety) — under encounter-time
 // locking every lock is released by its owner on commit or rollback
 // regardless of which manager doomed whom, so attempts racing the swap see
-// either manager and both answers are correct.
+// either manager and both answers are correct. A block keeps the birth its
+// begin drew, or did not draw (Tx.birth).
 func (rt *Runtime) SetContentionManager(cm ContentionManager) {
-	if cm == nil {
-		cm = BackoffCM{}
-	}
-	rt.cmAtom.Store(&cm)
+	rt.cmAtom.Store(newCMSlot(cm))
 	rt.cmSwitches.Add(1)
 }
 
 // SwitchEngine performs the stop-the-world engine handoff: close the gate,
-// drain every in-flight attempt, re-seed the version clock, swap, reopen.
+// drain every attempt, re-seed the version clock, swap, reopen.
 // It is safe at any time from any goroutine and serializes with concurrent
 // switchers; switching to the current engine still drains (useful as a
 // barrier in tests). Pooled Tx contexts are untouched — their read/write
@@ -97,8 +96,17 @@ func (rt *Runtime) SwitchEngine(to Algorithm) {
 	defer rt.swMu.Unlock()
 	from := rt.engine()
 	rt.swGate.Store(1)
-	for spins := 0; rt.inflight.Sum() != 0; spins++ {
-		backoffSpin(spins)
+	// A Tx registered after this load enters after the gate closed, so it
+	// parks; the walk need not see it.
+	rt.txsMu.Lock()
+	txs := rt.txs
+	rt.txsMu.Unlock()
+	for _, p := range txs {
+		if tx := p.Value(); tx != nil {
+			for spins := 0; !tx.quiescent(); spins++ {
+				backoffSpin(spins)
+			}
+		}
 	}
 	if from == NOrec {
 		seq := rt.norec.waitEven() // even once drained; waitEven keeps the seqlock protocol visible

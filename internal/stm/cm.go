@@ -23,6 +23,27 @@ type ContentionManager interface {
 	Name() string
 }
 
+// birthOrdered marks the managers that compare birth timestamps. Under any
+// other manager begin skips the draw from the runtime's shared tsc word.
+type birthOrdered interface{ ordersByBirth() }
+
+// cmSlot is what Runtime.cmAtom points at: the installed manager and
+// whether it orders by birth, decided once at installation so that begin
+// pays one pointer load and no type assertion.
+type cmSlot struct {
+	cm      ContentionManager
+	byBirth bool
+}
+
+// newCMSlot wraps cm for installation; nil means the default BackoffCM.
+func newCMSlot(cm ContentionManager) *cmSlot {
+	if cm == nil {
+		cm = BackoffCM{}
+	}
+	_, byBirth := cm.(birthOrdered)
+	return &cmSlot{cm: cm, byBirth: byBirth}
+}
+
 // SuicideCM aborts the attacker immediately on any conflict and retries
 // without delay. It is the simplest livelock-prone baseline.
 type SuicideCM struct{}
@@ -200,15 +221,19 @@ func (BackoffCM) Name() string { return "backoff" }
 type GreedyCM struct{}
 
 // ShouldAbort compares birth timestamps; older transactions win conflicts.
+// The attacker is the caller's own block; the owner's birth is the copy it
+// published with its first lock.
 func (GreedyCM) ShouldAbort(attacker, owner *Tx) bool {
-	if attacker.ts.Load() < owner.ts.Load() {
+	if attacker.birth < owner.ts.Load() {
 		// Attacker is older: doom the owner (no effect if it already
 		// committed or aborted) and wait for the lock to be released.
-		owner.status.CompareAndSwap(txActive, txDoomed)
+		owner.leaveActive(txDoomed)
 		return false
 	}
 	return true
 }
+
+func (GreedyCM) ordersByBirth() {}
 
 // BeforeRetry yields once; ordering, not delay, provides progress.
 func (GreedyCM) BeforeRetry(_ *Tx, _ int) { runtime.Gosched() }
@@ -239,6 +264,8 @@ func (c TwoPhaseCM) ShouldAbort(attacker, owner *Tx) bool {
 	}
 	return c.backoff.ShouldAbort(attacker, owner)
 }
+
+func (TwoPhaseCM) ordersByBirth() {}
 
 // BeforeRetry delegates to the phase-appropriate policy.
 func (c TwoPhaseCM) BeforeRetry(tx *Tx, attempt int) {
@@ -273,7 +300,7 @@ func (KarmaCM) ShouldAbort(attacker, owner *Tx) bool {
 	// cannot both keep winning a comparison against a stale number.
 	attacker.workPub.Store(attacker.work)
 	if attacker.work >= owner.workPub.Load() {
-		owner.status.CompareAndSwap(txActive, txDoomed)
+		owner.leaveActive(txDoomed)
 		return false
 	}
 	return true

@@ -17,8 +17,7 @@ import (
 // way that would reseed mid-stream.
 func TestNextRandDeterministicPerTx(t *testing.T) {
 	draw := func(seed uint64, n int) []uint64 {
-		tx := &Tx{}
-		tx.ts.Store(seed)
+		tx := &Tx{birth: seed}
 		out := make([]uint64, n)
 		for i := range out {
 			out[i] = tx.nextRand()
@@ -153,11 +152,7 @@ func TestBackoffPlanTotal(t *testing.T) {
 // timestamps plan identical ladders (the deterministic-jitter contract the
 // chaos and differential harnesses rely on).
 func TestBackoffJitterMatchesTxStream(t *testing.T) {
-	mk := func() *Tx {
-		tx := &Tx{}
-		tx.ts.Store(99)
-		return tx
-	}
+	mk := func() *Tx { return &Tx{birth: 99} }
 	cm := BackoffCM{}
 	tx1, tx2 := mk(), mk()
 	for attempt := 1; attempt <= 10; attempt++ {

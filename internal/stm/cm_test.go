@@ -79,10 +79,10 @@ func TestKarmaAccumulatesAcrossRetries(t *testing.T) {
 
 func TestTwoPhaseEscalates(t *testing.T) {
 	rt := New(Config{})
-	owner := &Tx{rt: rt}
+	owner := &Tx{rt: rt, birth: 1}
 	owner.ts.Store(1)
 	owner.reset()
-	attacker := &Tx{rt: rt}
+	attacker := &Tx{rt: rt, birth: 2}
 	attacker.ts.Store(2)
 	attacker.reset()
 
@@ -149,5 +149,152 @@ func TestCMProgressUnderContention(t *testing.T) {
 				t.Fatalf("counter = %d, want %d", got, goroutines*perG)
 			}
 		})
+	}
+}
+
+// TestBirthOnlyUnderOrderingManagers: a block draws a birth timestamp from
+// the runtime's shared tsc word only when the installed manager orders by
+// birth, so uncontended blocks under the default BackoffCM leave it at 0.
+func TestBirthOnlyUnderOrderingManagers(t *testing.T) {
+	rt := New(Config{})
+	x := NewVar(0)
+	for i := 0; i < 10_000; i++ {
+		if err := rt.AtomicRO(func(tx *Tx) error { x.Read(tx); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Atomic(func(tx *Tx) error { x.Write(tx, x.Read(tx)+1); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := rt.tsc.Load(); got != 0 {
+		t.Fatalf("tsc = %d after uncontended blocks under BackoffCM, want 0", got)
+	}
+}
+
+// TestBirthStableAcrossAttempts: under a manager that orders by birth, every
+// block draws exactly one timestamp, and a block that conflicts keeps it on
+// every attempt — the property that makes greedy management starvation-free.
+func TestBirthStableAcrossAttempts(t *testing.T) {
+	for _, cm := range []ContentionManager{GreedyCM{}, TwoPhaseCM{}} {
+		t.Run(cm.Name(), func(t *testing.T) {
+			rt := New(Config{CM: cm})
+			x := NewVar(0)
+			const blocks = 100
+			for i := 0; i < blocks; i++ {
+				if err := rt.Atomic(func(tx *Tx) error { x.Write(tx, i); return nil }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := rt.tsc.Load(); got != blocks {
+				t.Fatalf("tsc = %d after %d blocks, want one birth each", got, blocks)
+			}
+			var births, published []uint64
+			if err := rt.Atomic(func(tx *Tx) error {
+				x.Write(tx, -1)
+				births = append(births, tx.birth)
+				published = append(published, tx.ts.Load())
+				if tx.Attempt() < 3 {
+					tx.conflict(ConflictValidation)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(births) != 4 || rt.tsc.Load() != blocks+1 {
+				t.Fatalf("%d attempts, tsc %d; want 4 attempts and one more birth", len(births), rt.tsc.Load())
+			}
+			for i := range births {
+				if births[i] != blocks+1 || published[i] != blocks+1 {
+					t.Fatalf("attempt %d: birth %d, published %d; want %d on every attempt", i, births[i], published[i], blocks+1)
+				}
+			}
+		})
+	}
+}
+
+// TestSwitchBackoffToGreedyMidBlock: blocks that began under BackoffCM have
+// no birth when the manager becomes GreedyCM inside one of them. They rank
+// older than every block born after the swap, and the contended run still
+// completes with every increment.
+func TestSwitchBackoffToGreedyMidBlock(t *testing.T) {
+	rt := New(Config{})
+	hot := make([]Var[int], 4)
+	const workers, perWorker = 4, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				if err := rt.Atomic(func(tx *Tx) error {
+					a, b := &hot[(i+w)%len(hot)], &hot[(i+w+1)%len(hot)]
+					a.Write(tx, a.Read(tx)+1)
+					if w == 0 && i == perWorker/4 {
+						rt.SetContentionManager(GreedyCM{})
+					}
+					b.Write(tx, b.Read(tx)+1)
+					return nil
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("contended blocks did not complete after the mid-block manager swap")
+	}
+	sum := 0
+	for i := range hot {
+		sum += hot[i].Peek()
+	}
+	if sum != 2*workers*perWorker {
+		t.Fatalf("increments sum to %d, want %d", sum, 2*workers*perWorker)
+	}
+}
+
+// TestGreedyRanksPreSwapBlockOlder: a block begun under BackoffCM (birth 0)
+// that attacks, after the swap to GreedyCM, an owner born under GreedyCM
+// dooms it; the owner retries and both commit.
+func TestGreedyRanksPreSwapBlockOlder(t *testing.T) {
+	rt := New(Config{})
+	var x Var[int]
+	begun, lockHeld := make(chan struct{}), make(chan struct{})
+	var onceBegun, onceHeld sync.Once
+	deadline := time.Now().Add(10 * time.Second)
+	old := make(chan error, 1)
+	go func() {
+		old <- rt.Atomic(func(tx *Tx) error {
+			onceBegun.Do(func() { close(begun) })
+			<-lockHeld
+			x.Write(tx, x.Read(tx)+1)
+			return nil
+		})
+	}()
+	<-begun
+	rt.SetContentionManager(GreedyCM{})
+	err := rt.Atomic(func(tx *Tx) error {
+		x.Write(tx, x.Read(tx)+1)
+		if tx.Attempt() == 0 {
+			onceHeld.Do(func() { close(lockHeld) })
+			for time.Now().Before(deadline) {
+				_ = x.Read(tx) // checkAlive unwinds once doomed
+			}
+			t.Error("the owner born after the swap was never doomed")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-old; err != nil {
+		t.Fatal(err)
+	}
+	if x.Peek() != 2 || rt.Stats().Conflicts[ConflictDoomed] == 0 {
+		t.Fatalf("x = %d, doomed aborts %d; want 2 and at least one", x.Peek(), rt.Stats().Conflicts[ConflictDoomed])
 	}
 }

@@ -27,7 +27,6 @@ func TestTL2NoLostIncrements(t *testing.T) {
 		cfg  Config
 	}{
 		{"lazy-clock", Config{Algorithm: TL2}},
-		{"eager-clock", Config{Algorithm: TL2, DisableLazyClock: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			deadline := time.Now().Add(time.Second)

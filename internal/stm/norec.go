@@ -178,7 +178,7 @@ func (tx *Tx) commitNorec() bool {
 	for {
 		s := tx.rt.norec.waitEven()
 		if s != tx.rv && !tx.revalidateNorecAt(s) {
-			tx.status.Store(txAborted)
+			tx.setState(txAborted)
 			tx.rt.stats.conflicts[ConflictValidation].Add(tx.shard, 1)
 			return false
 		}
@@ -193,7 +193,7 @@ func (tx *Tx) commitNorec() bool {
 			tx.writes[i].publishNorec()
 		}
 		tx.rt.norec.seq.Store(s + 2)
-		tx.status.Store(txCommitted)
+		tx.setState(txCommitted)
 		tx.publishDurable()
 		return true
 	}
@@ -211,5 +211,5 @@ func (tx *Tx) revalidateNorecAt(s uint64) bool {
 
 // rollbackNorec: nothing is held; just mark the attempt.
 func (tx *Tx) rollbackNorec() {
-	tx.status.Store(txAborted)
+	tx.setState(txAborted)
 }

@@ -61,7 +61,7 @@ func TestPoisonSurvivesRecycling(t *testing.T) {
 	rt := New(Config{})
 	x := NewVar(0)
 	leaked := leakTx(t, rt)
-	genAtLeak := leaked.gen.Load()
+	genAtLeak := leaked.generation()
 	if genAtLeak == 0 {
 		t.Fatal("generation not bumped on release")
 	}
@@ -82,7 +82,7 @@ func TestPoisonSurvivesRecycling(t *testing.T) {
 	if !reused {
 		t.Log("pool did not hand the leaked object back (GC or multi-P); poison check still applies")
 	}
-	if got := leaked.gen.Load(); got < genAtLeak {
+	if got := leaked.generation(); got < genAtLeak {
 		t.Fatalf("generation went backwards: %d -> %d", genAtLeak, got)
 	}
 	mustPoisonPanic(t, "Read", func() { x.Read(leaked) })

@@ -46,14 +46,12 @@ func (tx *Tx) waitForChange() error {
 		return ErrRetryWithoutReads
 	}
 	for spin := 0; ; spin++ {
-		// A blocked Retry holds a quiesce-gate slot; parking here instead
-		// would deadlock an engine drain against a waiter that may only be
-		// woken by a transaction parked behind the gate. Treat the switch as
-		// a spurious wakeup: release the slot, let the drain finish, re-park
-		// and re-execute the block under the (possibly new) engine.
+		// A drain waits for this Tx to park, and the write that would wake
+		// it may come from a transaction parked behind the gate. Treat the
+		// switch as a spurious wakeup: re-enter, which parks until the drain
+		// is over, and re-execute the block under the (possibly new) engine.
 		if tx.rt.swGate.Load() != 0 {
-			tx.rt.exit(tx.shard)
-			tx.rt.enter(tx.shard)
+			tx.rt.enter(tx)
 			return nil
 		}
 		for i := range watchTL2 {

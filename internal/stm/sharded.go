@@ -261,7 +261,7 @@ func (cx *CrossTx) execute(fn func(cx *CrossTx) error) (userErr error, conflicte
 				return
 			}
 			// Not a conflict: roll back and release everything before the
-			// panic escapes (the single-shard path's deferred exit/release).
+			// panic escapes (the single-shard path's deferred release).
 			cx.rollbackAll(ConflictValidation, false)
 			cx.finishAttempt(false)
 			if _, ok := r.(retrySignal); ok {
@@ -279,7 +279,7 @@ func (cx *CrossTx) execute(fn func(cx *CrossTx) error) (userErr error, conflicte
 func (cx *CrossTx) rollbackAll(kind ConflictKind, countAbort bool) {
 	for _, i := range cx.used {
 		tx := cx.txs[i]
-		if tx.status.Load() == txActive || tx.status.Load() == txDoomed {
+		if s := tx.state(); s == txActive || s == txDoomed {
 			tx.rollback()
 		}
 		if countAbort {
@@ -289,8 +289,8 @@ func (cx *CrossTx) rollbackAll(kind ConflictKind, countAbort bool) {
 	}
 }
 
-// finishAttempt releases every sub-transaction back to its shard (finish:
-// exits the switch gate and returns the Tx context to its pool). On
+// finishAttempt releases every sub-transaction back to its shard (release:
+// leaves the switch gate and returns the Tx context to its pool). On
 // committed attempts the per-shard commit statistics are recorded first.
 func (cx *CrossTx) finishAttempt(committed bool) {
 	for _, i := range cx.used {
@@ -299,7 +299,7 @@ func (cx *CrossTx) finishAttempt(committed bool) {
 		if committed {
 			rt.noteCommit(tx)
 		}
-		rt.finish(tx)
+		rt.release(tx)
 		cx.txs[i] = nil
 	}
 	cx.used = cx.used[:0]
@@ -334,7 +334,7 @@ func (cx *CrossTx) commitAll() bool {
 	var failKind ConflictKind
 	// Phase 1a: doom check before taking any shared locks.
 	for _, i := range cx.order {
-		if cx.txs[i].status.Load() == txDoomed {
+		if cx.txs[i].state() == txDoomed {
 			failed, failKind = true, ConflictDoomed
 			break
 		}
@@ -401,7 +401,7 @@ func (cx *CrossTx) commitAll() bool {
 		}
 		// Phase 2b: commit point — flip every sub-transaction.
 		for _, i := range cx.order {
-			if !cx.txs[i].status.CompareAndSwap(txActive, txCommitted) {
+			if !cx.txs[i].leaveActive(txCommitted) {
 				failed, failKind = true, ConflictDoomed
 				break
 			}
@@ -421,8 +421,8 @@ func (cx *CrossTx) commitAll() bool {
 		cx.holds = cx.holds[:0]
 		for _, i := range cx.order {
 			tx := cx.txs[i]
-			if st := tx.status.Load(); st == txCommitted {
-				tx.status.Store(txActive) // restore so rollback paths agree
+			if tx.state() == txCommitted {
+				tx.setState(txActive) // restore so rollback paths agree
 			}
 			tx.rollback()
 			tx.rt.stats.aborts.Add(tx.shard, 1)

@@ -28,15 +28,16 @@
 // only a box per written value too wide for a Var's own words (kind.go);
 // commit/abort statistics land on cache-line padded shards instead of one
 // shared line; and commit timestamps come from a lazy GV4-style clock
-// protocol unless Config.DisableLazyClock asks for the eager fetch-and-add.
+// protocol.
 package stm
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"rubic/internal/metrics"
 )
@@ -52,13 +53,6 @@ type Config struct {
 	MaxRetries int
 	// Algorithm selects the concurrency-control engine; defaults to TL2.
 	Algorithm Algorithm
-	// DisableLazyClock reverts the TL2 engine's commit timestamping from the
-	// lazy GV4 scheme (clock.tickLazy: CAS fast path, shared timestamps on
-	// contention) to an unconditional fetch-and-add per writer commit. Both
-	// modes provide identical transactional semantics; the flag exists for
-	// measurement and as an escape hatch. NOrec ignores it (its sequence
-	// lock is the algorithm, not an optimization).
-	DisableLazyClock bool
 }
 
 // ErrTooManyRetries is returned by Atomic when Config.MaxRetries attempts
@@ -75,10 +69,9 @@ const maxRetainedEntries = 1 << 14
 // bound to whichever Runtime's transactions access them, so a Var must not
 // be shared across Runtimes.
 type Runtime struct {
-	cfg       Config
-	lazyClock bool
-	clock     clock      // cache-line padded: every commit writes it
-	norec     norecState // cache-line padded: every NOrec commit writes it
+	cfg   Config
+	clock clock      // cache-line padded: every commit writes it
+	norec norecState // cache-line padded: every NOrec commit writes it
 
 	// algoAtom holds the active engine and cmAtom the active contention
 	// manager. Both are atomics because SwitchEngine/SetContentionManager may
@@ -88,19 +81,22 @@ type Runtime struct {
 	// engine swaps go through the quiesce gate below so no transaction ever
 	// observes a mid-swap engine.
 	algoAtom atomic.Uint32
-	cmAtom   atomic.Pointer[ContentionManager]
+	cmAtom   atomic.Pointer[cmSlot]
 
 	// swGate is nonzero while an engine switch is draining or swapping;
-	// starting attempts park on it (see enter). inflight counts attempts
-	// currently inside the gate, sharded like the statistics so the
-	// non-adaptive hot path never bounces a shared line. swMu serializes
-	// switchers; norecMark remembers the NOrec sequence value at the start of
-	// the current NOrec era so the TL2 clock can be re-seeded with the era's
+	// attempts starting meanwhile park in enter. swMu serializes switchers;
+	// norecMark remembers the NOrec sequence value at the start of the
+	// current NOrec era so the TL2 clock can be re-seeded with the era's
 	// writer commits on the way out (guarded by swMu).
 	swGate    metrics.PaddedUint64
-	inflight  *metrics.ShardedCounter
 	swMu      sync.Mutex
 	norecMark uint64
+
+	// txs holds every Tx txPool has created: the set a switch drains.
+	// sync.Pool drops objects at garbage collection, so the pointers are
+	// weak, and register compacts the dead ones away when the slice is full.
+	txsMu sync.Mutex
+	txs   []weak.Pointer[Tx]
 
 	// engineSwitches/cmSwitches count completed swaps, for telemetry.
 	engineSwitches atomic.Uint64
@@ -118,10 +114,10 @@ type Runtime struct {
 	// configuration pays one atomic load and a nil test per writer commit.
 	sinkAtom atomic.Pointer[CommitSink]
 
-	// tsc is the birth-timestamp source for greedy contention management.
-	// Every transaction start increments it, so like the clock it lives
-	// alone on its cache line instead of bouncing the read-mostly fields
-	// around it.
+	// tsc is the birth-timestamp source. Only blocks that begin under a
+	// manager ordering by birth, and nextRand's first seed, draw from it;
+	// each draw writes a shared word, so like the clock it lives alone on
+	// its cache line instead of bouncing the read-mostly fields around it.
 	tsc   metrics.PaddedUint64
 	stats runtimeStats
 
@@ -135,22 +131,30 @@ type Runtime struct {
 
 // New returns a Runtime with the given configuration.
 func New(cfg Config) *Runtime {
-	rt := &Runtime{
-		cfg:       cfg,
-		lazyClock: !cfg.DisableLazyClock,
-		stats:     newRuntimeStats(),
-		inflight:  metrics.NewShardedCounter(runtime.GOMAXPROCS(0)),
-	}
+	rt := &Runtime{cfg: cfg, stats: newRuntimeStats()}
 	rt.algoAtom.Store(uint32(cfg.Algorithm))
-	cm := cfg.CM
-	if cm == nil {
-		cm = BackoffCM{}
-	}
-	rt.cmAtom.Store(&cm)
+	rt.cmAtom.Store(newCMSlot(cfg.CM))
 	rt.txPool.New = func() any {
-		return &Tx{rt: rt, shard: int(rt.shardSeq.Add(1))}
+		tx := &Tx{rt: rt, shard: int(rt.shardSeq.Add(1))}
+		tx.status.Store(txPoisoned) // idle until its first enter
+		rt.register(tx)
+		return tx
 	}
 	return rt
+}
+
+// register adds a new Tx to the set SwitchEngine drains. When the slice is
+// full it first drops the Txs the collector has freed, so it grows only
+// when every entry is live and stays within twice the peak live count. It
+// compacts into a copy because a drain walks the slice it loaded without
+// holding txsMu.
+func (rt *Runtime) register(tx *Tx) {
+	rt.txsMu.Lock()
+	defer rt.txsMu.Unlock()
+	if len(rt.txs) == cap(rt.txs) {
+		rt.txs = slices.DeleteFunc(slices.Clone(rt.txs), func(p weak.Pointer[Tx]) bool { return p.Value() == nil })
+	}
+	rt.txs = append(rt.txs, weak.Make(tx))
 }
 
 // engine returns the active engine. Within one transaction attempt every
@@ -163,7 +167,7 @@ func (rt *Runtime) engine() Algorithm { return Algorithm(rt.algoAtom.Load()) }
 // curCM returns the active contention manager.
 //
 //rubic:noalloc
-func (rt *Runtime) curCM() ContentionManager { return *rt.cmAtom.Load() }
+func (rt *Runtime) curCM() ContentionManager { return rt.cmAtom.Load().cm }
 
 // Algorithm reports the runtime's engine.
 func (rt *Runtime) Algorithm() Algorithm { return rt.engine() }
@@ -185,41 +189,34 @@ func (rt *Runtime) AtomicRO(fn func(tx *Tx) error) error {
 	return rt.run(fn, true)
 }
 
-// begin checks a pooled Tx out for one atomic block: a fresh birth
-// timestamp, zero karma, and a slot inside the engine-switch gate. Every
-// block — Runtime.run's and each CrossTx sub-transaction — starts here and
-// ends in finish, so the fixed cost of a block exists once.
+// begin checks a pooled Tx out for one atomic block: zero karma, a birth
+// timestamp if the installed manager orders by birth, and an active status
+// past the engine-switch gate. Every block — Runtime.run's and each CrossTx
+// sub-transaction — starts here and ends in release, so the fixed cost of a
+// block exists once.
 func (rt *Runtime) begin(readOnly bool) *Tx {
 	tx := rt.txPool.Get().(*Tx)
 	tx.readOnly = readOnly
 	tx.work = 0
-	tx.ts.Store(rt.tsc.Add(1))
-	rt.enter(tx.shard)
+	tx.birth = 0
+	if rt.cmAtom.Load().byBirth {
+		tx.birth = rt.tsc.Add(1)
+	}
+	rt.enter(tx)
 	return tx
-}
-
-// finish ends the block begin started: it leaves the gate and returns the
-// poisoned Tx to the pool.
-func (rt *Runtime) finish(tx *Tx) {
-	rt.exit(tx.shard)
-	rt.release(tx)
 }
 
 func (rt *Runtime) run(fn func(tx *Tx) error, readOnly bool) error {
 	tx := rt.begin(readOnly)
-	defer rt.finish(tx)
-	shard := tx.shard
+	defer rt.release(tx)
 	for attempt := 0; ; attempt++ {
 		if rt.cfg.MaxRetries > 0 && attempt >= rt.cfg.MaxRetries {
 			return fmt.Errorf("%w (after %d attempts)", ErrTooManyRetries, attempt)
 		}
 		if attempt > 0 {
-			// Between attempts nothing is held, so a pending engine switch
-			// may drain here: release the gate slot and re-park.
-			if rt.swGate.Load() != 0 {
-				rt.exit(shard)
-				rt.enter(shard)
-			}
+			// Between attempts nothing is held: the attempt re-enters, where
+			// a pending engine switch parks it.
+			rt.enter(tx)
 			rt.curCM().BeforeRetry(tx, attempt)
 		}
 		tx.attempt = attempt
@@ -252,15 +249,15 @@ func (rt *Runtime) run(fn func(tx *Tx) error, readOnly bool) error {
 	}
 }
 
-// release poisons a finished Tx and returns it to the pool. Poisoning first
-// (generation bump, then the status store that publishes it) makes a leaked
-// handle fail loudly on its next transactional operation instead of
+// release ends the block begin started and returns the Tx to the pool. Its
+// one status store bumps the generation and poisons the Tx, which is also
+// the block's exit from the engine-switch gate; poisoning first makes a
+// leaked handle fail loudly on its next transactional operation instead of
 // corrupting whatever atomic block recycles the object next. The attempt
 // state is cleared so pooled Txs don't pin user values for the garbage
 // collector, and oversized sets are dropped entirely.
 func (rt *Runtime) release(tx *Tx) {
-	tx.gen.Add(1)
-	tx.status.Store(txPoisoned)
+	tx.status.Store((tx.generation()+1)<<stateBits | txPoisoned)
 	tx.noteUsed()
 	tx.reads = clearUsed(tx.reads, tx.usedReads)
 	tx.vreads = clearUsed(tx.vreads, tx.usedVreads)

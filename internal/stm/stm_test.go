@@ -214,10 +214,10 @@ func TestGreedyOlderWins(t *testing.T) {
 	rt := New(Config{CM: GreedyCM{}})
 	x := NewVar(0)
 
-	older := &Tx{rt: rt}
+	older := &Tx{rt: rt, birth: 1}
 	older.ts.Store(1)
 	older.reset()
-	younger := &Tx{rt: rt}
+	younger := &Tx{rt: rt, birth: 2}
 	younger.ts.Store(2)
 	younger.reset()
 	x.Write(younger, 5)

@@ -1,7 +1,9 @@
 package stm
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -200,5 +202,221 @@ func TestSetContentionManager(t *testing.T) {
 	v := NewVar(0)
 	if err := rt.Atomic(func(tx *Tx) error { v.Write(tx, 1); return nil }); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// holdBlock starts an atomic block that stays inside fn until release is
+// closed, and returns once it is there; the block's error arrives on done.
+func holdBlock(rt *Runtime, readOnly bool, v *Var[int], release <-chan struct{}) (done <-chan error) {
+	in := make(chan struct{})
+	errc := make(chan error, 1)
+	var once sync.Once
+	fn := func(tx *Tx) error {
+		if readOnly {
+			v.Read(tx)
+		} else {
+			v.Write(tx, v.Read(tx)+1)
+		}
+		once.Do(func() { close(in) })
+		<-release
+		return nil
+	}
+	go func() {
+		if readOnly {
+			errc <- rt.AtomicRO(fn)
+		} else {
+			errc <- rt.Atomic(fn)
+		}
+	}()
+	<-in
+	return errc
+}
+
+// switchAsync runs SwitchEngine(to) on its own goroutine; the channel closes
+// when it returns.
+func switchAsync(rt *Runtime, to Algorithm) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		rt.SwitchEngine(to)
+		close(done)
+	}()
+	return done
+}
+
+// TestSwitchWaitsForHeldBlock: a block inside fn — read-only, whose status
+// stays active until release poisons it, or writing — keeps SwitchEngine
+// from returning until the block returns.
+func TestSwitchWaitsForHeldBlock(t *testing.T) {
+	for _, readOnly := range []bool{true, false} {
+		for _, dir := range switchDirections {
+			rt := New(Config{Algorithm: dir[0]})
+			v := NewVar(0)
+			release := make(chan struct{})
+			held := holdBlock(rt, readOnly, v, release)
+			sw := switchAsync(rt, dir[1])
+			select {
+			case <-sw:
+				t.Fatalf("readOnly=%v %s->%s: SwitchEngine returned while a block was inside fn",
+					readOnly, dir[0].String(), dir[1].String())
+			case <-time.After(20 * time.Millisecond):
+			}
+			close(release)
+			if err := <-held; err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-sw:
+			case <-time.After(5 * time.Second):
+				t.Fatal("SwitchEngine never returned after the held block did")
+			}
+		}
+	}
+}
+
+// TestSwitchParksLateBlock: a block that begins while a drain has the gate
+// closed parks in enter — its fn does not run — and runs under the new
+// engine once the switch is over.
+func TestSwitchParksLateBlock(t *testing.T) {
+	for _, dir := range switchDirections {
+		rt := New(Config{Algorithm: dir[0]})
+		v := NewVar(0)
+		release := make(chan struct{})
+		held := holdBlock(rt, false, v, release)
+		sw := switchAsync(rt, dir[1])
+		for rt.swGate.Load() == 0 {
+			runtime.Gosched()
+		}
+		var ran atomic.Bool
+		var engine Algorithm
+		late := make(chan error, 1)
+		go func() {
+			late <- rt.Atomic(func(tx *Tx) error {
+				ran.Store(true)
+				engine = rt.Algorithm()
+				v.Write(tx, v.Read(tx)+1)
+				return nil
+			})
+		}()
+		parked := func() bool {
+			rt.txsMu.Lock()
+			defer rt.txsMu.Unlock()
+			for _, p := range rt.txs {
+				if tx := p.Value(); tx != nil && tx.state() == txParked {
+					return true
+				}
+			}
+			return false
+		}
+		for deadline := time.Now().Add(5 * time.Second); !parked(); {
+			if time.Now().After(deadline) {
+				t.Fatal("the late block never parked")
+			}
+			runtime.Gosched()
+		}
+		if ran.Load() {
+			t.Fatalf("%s->%s: a block ran while the gate was closed", dir[0].String(), dir[1].String())
+		}
+		close(release)
+		if err := <-held; err != nil {
+			t.Fatal(err)
+		}
+		<-sw
+		if err := <-late; err != nil {
+			t.Fatal(err)
+		}
+		if engine != dir[1] || v.Peek() != 2 {
+			t.Fatalf("%s->%s: late block ran under %s, v=%d; want %s, 2",
+				dir[0].String(), dir[1].String(), engine.String(), v.Peek(), dir[1].String())
+		}
+		if parked() {
+			t.Fatal("a Tx is still parked after the switch")
+		}
+	}
+}
+
+// TestSwitchAfterPooledTxsDropped: the drain walks weak pointers, so Txs the
+// pool drops at garbage collection neither wedge SwitchEngine nor pile up —
+// the set stays within twice the peak number of live Txs.
+func TestSwitchAfterPooledTxsDropped(t *testing.T) {
+	const live = 8
+	rt := New(Config{})
+	v := NewVar(0)
+	hold := func() {
+		release := make(chan struct{})
+		var held []<-chan error
+		for i := 0; i < live; i++ {
+			held = append(held, holdBlock(rt, true, v, release))
+		}
+		close(release)
+		for _, h := range held {
+			if err := <-h; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	registered := func() (n, c int) {
+		rt.txsMu.Lock()
+		defer rt.txsMu.Unlock()
+		return len(rt.txs), cap(rt.txs)
+	}
+	for round := 0; round < 3; round++ {
+		hold()
+		for i := 0; i < 3; i++ {
+			runtime.GC()
+		}
+		select {
+		case <-switchAsync(rt, TL2):
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: SwitchEngine wedged after the pool dropped its Txs", round)
+		}
+		if n, c := registered(); n > 2*live || c > 2*live {
+			t.Fatalf("round %d: %d Txs registered (capacity %d) for a peak of %d live", round, n, c, live)
+		}
+	}
+}
+
+// TestSwitchDrainsRetryWaiters: Retry waiters on both engines re-enter and
+// park when a drain closes the gate, so a run of switches completes while
+// they wait, and each waiter then wakes on the write it was waiting for.
+func TestSwitchDrainsRetryWaiters(t *testing.T) {
+	const waiters = 4
+	rt := New(Config{})
+	flag := NewVar(0)
+	var started sync.WaitGroup
+	started.Add(waiters)
+	done := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		var once sync.Once
+		go func() {
+			done <- rt.Atomic(func(tx *Tx) error {
+				v := flag.Read(tx)
+				once.Do(started.Done)
+				if v == 0 {
+					tx.Retry()
+				}
+				return nil
+			})
+		}()
+	}
+	started.Wait()
+	for _, to := range []Algorithm{NOrec, TL2, NOrec, TL2} {
+		select {
+		case <-switchAsync(rt, to):
+		case <-time.After(5 * time.Second):
+			t.Fatalf("switch to %s wedged on Retry waiters", to.String())
+		}
+	}
+	if err := rt.Atomic(func(tx *Tx) error { flag.Write(tx, 1); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < waiters; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a Retry waiter never woke after the switches")
+		}
 	}
 }

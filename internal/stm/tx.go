@@ -7,21 +7,30 @@ import (
 	"unsafe"
 )
 
-// Transaction status values. Transitions: active -> {doomed, committed,
-// aborted}, and any of those -> poisoned when Runtime.Atomic returns the
-// Tx to the pool (a read-only commit goes straight from active: it holds
-// nothing, so no doomer needs to see it committed). A greedy contention manager dooms a competitor by CASing
-// its status from active to doomed; the victim notices at its next
+// Transaction states, the low stateBits of the status word; the bits above
+// them count the atomic blocks the Tx object has completed (its generation).
+// Transitions: active -> {doomed, committed, aborted}, any of those ->
+// active again at the next attempt's enter, and any state -> poisoned when
+// the block returns the Tx to the pool (a read-only commit goes straight
+// from active: it holds nothing, so no doomer needs to see it committed).
+// enter parks a Tx that meets a closed engine-switch gate, holding nothing;
+// a switch drains once every Tx is parked or poisoned (adaptive.go). A
+// contention manager dooms a competitor by CASing its word from active to
+// doomed within the generation it loaded; the victim notices at its next
 // transactional operation or at commit and restarts. The poisoned state
 // turns use of a leaked handle (the pattern rubic-lint's stmescape flags)
 // into an immediate panic instead of silent corruption of a recycled
 // transaction.
 const (
-	txActive uint32 = iota
+	txActive uint64 = iota
 	txDoomed
 	txCommitted
 	txAborted
 	txPoisoned
+	txParked
+
+	stateBits = 3
+	stateMask = 1<<stateBits - 1
 )
 
 // conflictSignal is the sentinel panic payload used to unwind a doomed or
@@ -99,10 +108,19 @@ func (w *writeEntry) publish(wv uint64) {
 // which costs one spurious retry and never breaks consistency.
 type Tx struct {
 	rt     *Runtime
-	status atomic.Uint32
+	status atomic.Uint64 // generation<<stateBits | state
 
-	rv uint64        // read version: snapshot of the global clock
-	ts atomic.Uint64 // birth timestamp for greedy contention management; stable across retries
+	rv uint64 // read version: snapshot of the global clock
+
+	// birth is the block's timestamp for the managers that order by age
+	// (GreedyCM, TwoPhaseCM), stable across retries. begin draws it only
+	// under such a manager; otherwise it stays 0 unless nextRand needs a
+	// seed. ts is the copy competitors read, published at the block's first
+	// write-lock acquisition just before the owner pointer, like workPub. A
+	// block that began under another manager keeps birth 0 after a swap to
+	// GreedyCM, which ranks it older than every block born after the swap.
+	birth uint64
+	ts    atomic.Uint64
 
 	// work counts transactional operations performed since the atomic block
 	// started, accumulated across retries (it is the "karma" of Karma/Polka
@@ -113,10 +131,6 @@ type Tx struct {
 	// nobody's owner, so an uncontended block never pays for publishing.
 	work    int64
 	workPub atomic.Int64
-
-	// gen counts completed atomic blocks this Tx object has hosted; it is
-	// reported by the use-after-Atomic panic so leaks are attributable.
-	gen atomic.Uint64
 
 	// shard is the statistics shard this Tx feeds, assigned round-robin at
 	// pool construction. Pools are per-P, so a shard is effectively per-P
@@ -153,7 +167,7 @@ type Tx struct {
 	readOnly bool
 
 	// prng is the per-Tx xorshift64 state behind nextRand, seeded lazily
-	// from the birth timestamp. Contention-management jitter drawn from it
+	// from birth. Contention-management jitter drawn from it
 	// is deterministic per transaction and touches no shared state (the
 	// global math/rand source serializes every caller on one mutex).
 	prng uint64
@@ -213,14 +227,18 @@ func (tx *Tx) findWrite(b *varBase) int {
 }
 
 // nextRand advances the per-Tx xorshift64 PRNG. The state is seeded from
-// the transaction's birth timestamp on first use, so the jitter sequence is
-// deterministic per transaction and distinct between concurrent ones.
+// the transaction's birth timestamp on first use — drawn then if the block
+// has none — so the jitter sequence is deterministic per transaction and
+// distinct between concurrent ones.
 //
 //rubic:noalloc
 func (tx *Tx) nextRand() uint64 {
 	x := tx.prng
 	if x == 0 {
-		x = tx.ts.Load()*0x9E3779B97F4A7C15 + 0x6A09E667F3BCC909
+		if tx.birth == 0 {
+			tx.birth = tx.rt.tsc.Add(1)
+		}
+		x = tx.birth*0x9E3779B97F4A7C15 + 0x6A09E667F3BCC909
 		if x == 0 {
 			x = 1
 		}
@@ -240,8 +258,9 @@ func (tx *Tx) Attempt() int { return tx.attempt }
 // ReadOnly reports whether the transaction was started with AtomicRO.
 func (tx *Tx) ReadOnly() bool { return tx.readOnly }
 
+// reset starts an attempt's snapshot and sets; the attempt's enter has
+// already made the status active.
 func (tx *Tx) reset() {
-	tx.status.Store(txActive)
 	if tx.rt.engine() == NOrec {
 		tx.rv = tx.rt.norec.waitEven()
 	} else {
@@ -272,11 +291,37 @@ func (tx *Tx) conflict(kind ConflictKind) {
 	panic(conflictSignal{reason: kind})
 }
 
+// state returns the low bits of the status word.
+//
+//rubic:noalloc
+func (tx *Tx) state() uint64 { return tx.status.Load() & stateMask }
+
+// generation returns the number of atomic blocks the Tx object completed.
+func (tx *Tx) generation() uint64 { return tx.status.Load() >> stateBits }
+
+// setState stores state s in the current generation. Only the goroutine
+// running the block calls it, to end or restart an attempt, so a doom CASed
+// in between may be overwritten: the attempt it doomed is over either way.
+//
+//rubic:noalloc
+func (tx *Tx) setState(s uint64) { tx.status.Store(tx.status.Load()&^stateMask | s) }
+
+// leaveActive moves an active word to state s within the generation it
+// loaded. It fails if the word is not active — already doomed, committed or
+// aborted, or, for a stale owner pointer, onto another block. Commit and
+// dooming competitors race through it.
+//
+//rubic:noalloc
+func (tx *Tx) leaveActive(s uint64) bool {
+	w := tx.status.Load()
+	return w&stateMask == txActive && tx.status.CompareAndSwap(w, w|s)
+}
+
 // poisonPanic reports use of a handle that outlived its atomic block.
 func (tx *Tx) poisonPanic() {
 	panic(fmt.Sprintf("stm: transaction handle used after its atomic block returned "+
 		"(object generation %d): the handle leaked from Atomic/AtomicRO — "+
-		"see rubic-lint's stmescape analyzer", tx.gen.Load()))
+		"see rubic-lint's stmescape analyzer", tx.generation()))
 }
 
 // checkAlive aborts the attempt if a competitor doomed us, and panics if
@@ -284,7 +329,7 @@ func (tx *Tx) poisonPanic() {
 //
 //rubic:noalloc
 func (tx *Tx) checkAlive() {
-	switch tx.status.Load() {
+	switch tx.state() {
 	case txDoomed:
 		tx.conflict(ConflictDoomed)
 	case txPoisoned:
@@ -395,8 +440,12 @@ func (tx *Tx) write(b *varBase, v raw, k kind) {
 			}
 		}
 		if b.meta.CompareAndSwap(m, m|lockedBit) {
-			// Publish the karma before the owner pointer: whoever finds tx
-			// through b.owner sees at least the work invested up to here.
+			// Publish the birth and the karma before the owner pointer:
+			// whoever finds tx through b.owner sees this block's birth and at
+			// least the work invested up to here. ts changes once per block.
+			if tx.ts.Load() != tx.birth {
+				tx.ts.Store(tx.birth)
+			}
 			tx.workPub.Store(tx.work)
 			b.owner.Store(tx)
 			tx.appendWrite(writeEntry{base: b, prevMeta: m, val: v, k: k})
@@ -469,7 +518,7 @@ func (tx *Tx) commit() bool {
 	if tx.rt.engine() == NOrec {
 		return tx.commitNorec()
 	}
-	if tx.status.Load() == txDoomed {
+	if tx.state() == txDoomed {
 		tx.rollback()
 		tx.rt.stats.conflicts[ConflictDoomed].Add(tx.shard, 1)
 		return false
@@ -483,14 +532,7 @@ func (tx *Tx) commit() bool {
 	// quiet means no competitor committed between our snapshot and the
 	// acquisition of wv, so nothing we read can have changed and read-set
 	// validation is redundant.
-	var wv uint64
-	var quiet bool
-	if tx.rt.lazyClock {
-		wv, quiet = tx.rt.clock.tickLazy(tx.rv)
-	} else {
-		wv = tx.rt.clock.tick()
-		quiet = wv == tx.rv+1
-	}
+	wv, quiet := tx.rt.clock.tickLazy(tx.rv)
 	tx.wv = wv
 	if !quiet && !tx.validateReads() {
 		tx.rollback()
@@ -499,7 +541,7 @@ func (tx *Tx) commit() bool {
 	}
 	// Win the race against contention managers trying to doom us: once
 	// committed, write-back proceeds and doomers must wait for the locks.
-	if !tx.status.CompareAndSwap(txActive, txCommitted) {
+	if !tx.leaveActive(txCommitted) {
 		tx.rollback()
 		tx.rt.stats.conflicts[ConflictDoomed].Add(tx.shard, 1)
 		return false
@@ -528,7 +570,7 @@ func (tx *Tx) rollback() {
 		w.base.owner.Store(nil)
 		w.base.meta.Store(w.prevMeta)
 	}
-	tx.status.Store(txAborted)
+	tx.setState(txAborted)
 }
 
 // backoffSpin yields the processor with a cost growing in the number of
