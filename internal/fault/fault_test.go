@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -150,5 +151,32 @@ func TestPlanForDeterministic(t *testing.T) {
 	}
 	if _, err := PlanFor("nope", 1, 0, 0); err == nil {
 		t.Error("unknown scenario accepted")
+	}
+}
+
+// TestPlanForTotal: PlanFor is a pure function of its inputs over the whole
+// of them — out-of-range child and incarnation numbers included — so it
+// never panics, never schedules an event before occurrence 0, and gives
+// equal plans for equal inputs.
+func TestPlanForTotal(t *testing.T) {
+	for _, sc := range Scenarios() {
+		for _, child := range []int{-1, 0, 1, math.MaxInt} {
+			for _, inc := range []int{-1, 0, 1, 2, math.MaxInt} {
+				for _, seed := range []int64{0, 7, math.MinInt64} {
+					p, err := PlanFor(sc, seed, child, inc)
+					if err != nil {
+						t.Fatalf("PlanFor(%s, %d, %d, %d): %v", sc, seed, child, inc, err)
+					}
+					for _, e := range p.Events {
+						if e.From < 0 {
+							t.Errorf("PlanFor(%s, %d, %d, %d): %v fires from %d", sc, seed, child, inc, e.Point, e.From)
+						}
+					}
+					if q, _ := PlanFor(sc, seed, child, inc); !reflect.DeepEqual(p, q) {
+						t.Errorf("PlanFor(%s, %d, %d, %d): equal inputs, different plans", sc, seed, child, inc)
+					}
+				}
+			}
+		}
 	}
 }

@@ -47,10 +47,13 @@ const (
 	tagService = 0x53525643 // "SRVC"
 )
 
-// gapNs converts a rate in requests/second into a nanosecond gap.
-func gapNs(qps float64) time.Duration {
-	return time.Duration(float64(time.Second) / qps)
-}
+// seconds converts a gap to a Duration, saturating at 9e9 s (285 years):
+// a rate low enough to draw a longer gap must not wrap it negative.
+func seconds(s float64) time.Duration { return time.Duration(min(s, 9e9) * float64(time.Second)) }
+
+// validRate is every constructor's rate check: a finite rate above zero. A
+// NaN fails the comparison.
+func validRate(qps float64) bool { return qps > 0 && !math.IsInf(qps, 0) }
 
 // Constant emits perfectly periodic arrivals at qps. The degenerate
 // schedule: no burstiness at all, so any queueing it provokes is pure
@@ -61,10 +64,10 @@ type Constant struct {
 
 // NewConstant returns a constant-rate generator. qps must be positive.
 func NewConstant(qps float64) (*Constant, error) {
-	if qps <= 0 || math.IsInf(qps, 0) || math.IsNaN(qps) {
-		return nil, fmt.Errorf("load: constant arrival needs qps > 0, got %v", qps)
+	if !validRate(qps) {
+		return nil, fmt.Errorf("load: constant arrival needs a finite qps > 0, got %v", qps)
 	}
-	return &Constant{gap: gapNs(qps)}, nil
+	return &Constant{gap: seconds(1 / qps)}, nil
 }
 
 //rubic:deterministic
@@ -83,8 +86,8 @@ type Poisson struct {
 
 // NewPoisson returns a seeded Poisson generator. qps must be positive.
 func NewPoisson(qps float64, seed int64) (*Poisson, error) {
-	if qps <= 0 || math.IsInf(qps, 0) || math.IsNaN(qps) {
-		return nil, fmt.Errorf("load: poisson arrival needs qps > 0, got %v", qps)
+	if !validRate(qps) {
+		return nil, fmt.Errorf("load: poisson arrival needs a finite qps > 0, got %v", qps)
 	}
 	return &Poisson{qps: qps, s: rng.NewStream(seed, tagArrival)}, nil
 }
@@ -92,7 +95,7 @@ func NewPoisson(qps float64, seed int64) (*Poisson, error) {
 //rubic:deterministic
 //rubic:noalloc
 func (p *Poisson) Next() time.Duration {
-	return time.Duration(p.s.Exp(p.qps) * float64(time.Second))
+	return seconds(p.s.Exp(p.qps))
 }
 func (p *Poisson) Name() string { return "poisson" }
 
@@ -110,8 +113,8 @@ type Diurnal struct {
 // NewDiurnal returns a seeded diurnal generator oscillating between
 // troughQPS and peakQPS with the given cycle period.
 func NewDiurnal(troughQPS, peakQPS float64, period time.Duration, seed int64) (*Diurnal, error) {
-	if troughQPS <= 0 || peakQPS < troughQPS {
-		return nil, fmt.Errorf("load: diurnal arrival needs 0 < trough <= peak, got %v..%v", troughQPS, peakQPS)
+	if !validRate(troughQPS) || !validRate(peakQPS) || peakQPS < troughQPS {
+		return nil, fmt.Errorf("load: diurnal arrival needs finite 0 < trough <= peak, got %v..%v", troughQPS, peakQPS)
 	}
 	if period <= 0 {
 		return nil, fmt.Errorf("load: diurnal arrival needs a positive period, got %v", period)
@@ -127,13 +130,9 @@ func NewDiurnal(troughQPS, peakQPS float64, period time.Duration, seed int64) (*
 //rubic:deterministic
 //rubic:noalloc
 func (d *Diurnal) Next() time.Duration {
-	rate := d.base + d.amp*math.Sin(2*math.Pi*d.virtual/d.period)
-	if rate <= 0 {
-		rate = 1e-9
-	}
-	gap := d.s.Exp(rate)
+	gap := d.s.Exp(max(d.base+d.amp*math.Sin(2*math.Pi*d.virtual/d.period), 1e-9))
 	d.virtual += gap
-	return time.Duration(gap * float64(time.Second))
+	return seconds(gap)
 }
 func (d *Diurnal) Name() string { return "diurnal" }
 
@@ -154,8 +153,8 @@ type Burst struct {
 // NewBurst returns a seeded burst-spike generator: baseQPS normally,
 // baseQPS*factor during spikes of the given width every interval.
 func NewBurst(baseQPS, factor float64, every, width time.Duration, seed int64) (*Burst, error) {
-	if baseQPS <= 0 || factor < 1 {
-		return nil, fmt.Errorf("load: burst arrival needs qps > 0 and factor >= 1, got %v, %v", baseQPS, factor)
+	if !validRate(baseQPS) || !validRate(baseQPS*factor) || factor < 1 {
+		return nil, fmt.Errorf("load: burst arrival needs finite qps > 0 and qps*factor, factor >= 1, got %v, %v", baseQPS, factor)
 	}
 	if every <= 0 || width <= 0 || width >= every {
 		return nil, fmt.Errorf("load: burst arrival needs 0 < width < every, got width=%v every=%v", width, every)
@@ -178,7 +177,7 @@ func (b *Burst) Next() time.Duration {
 	}
 	gap := b.s.Exp(rate)
 	b.virtual += gap
-	return time.Duration(gap * float64(time.Second))
+	return seconds(gap)
 }
 func (b *Burst) Name() string { return "burst" }
 

@@ -228,6 +228,40 @@ func TestQueueShedAndDrain(t *testing.T) {
 	q.Close() // idempotent
 }
 
+// TestArrivalTotal: NewArrival is a pure function of (name, qps, seed) over
+// every finite qps > 0, so each generator either refuses a rate or emits
+// gaps that are never negative — a gap longer than a Duration saturates —
+// and no constructor takes a NaN or infinite rate.
+func TestArrivalTotal(t *testing.T) {
+	for _, name := range ArrivalNames() {
+		for _, qps := range []float64{5e-324, 1e-10, 1, 1e300, math.MaxFloat64} {
+			g, err := NewArrival(name, qps, 7)
+			if err != nil {
+				continue
+			}
+			for i := 0; i < 10000; i++ {
+				if gap := g.Next(); gap < 0 {
+					t.Fatalf("%s at qps=%v: gap %d is %v", name, qps, i, gap)
+				}
+			}
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for what, err := range map[string]error{
+			"diurnal trough": second(NewDiurnal(bad, 10, time.Second, 1)),
+			"diurnal peak":   second(NewDiurnal(1, bad, time.Second, 1)),
+			"burst rate":     second(NewBurst(bad, 2, time.Second, time.Millisecond, 1)),
+			"burst factor":   second(NewBurst(10, bad, time.Second, time.Millisecond, 1)),
+		} {
+			if err == nil {
+				t.Errorf("%s %v accepted", what, bad)
+			}
+		}
+	}
+}
+
+func second[T any](_ T, err error) error { return err }
+
 func TestArrivalValidation(t *testing.T) {
 	if _, err := NewArrival("warp", 10, 1); err == nil {
 		t.Fatal("unknown arrival accepted")

@@ -3,6 +3,7 @@ package stm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -77,6 +78,19 @@ func TestShardForRouting(t *testing.T) {
 	for k := uint64(0); k < 1000; k++ {
 		if one.ShardFor(k) != 0 {
 			t.Fatalf("1-shard ShardFor(%d) = %d", k, one.ShardFor(k))
+		}
+	}
+}
+
+// TestShardForTotal: ShardFor maps every key, the extremes included, into
+// [0, Shards()) for every shard count NewSharded accepts.
+func TestShardForTotal(t *testing.T) {
+	for _, n := range []int{-1, 0, 1, 2, 3, 64, 65} {
+		sr := NewSharded(n, Config{})
+		for _, key := range []uint64{0, 1, math.MaxUint64, 1 << 63} {
+			if i := sr.ShardFor(key); i < 0 || i >= sr.Shards() {
+				t.Errorf("NewSharded(%d).ShardFor(%#x) = %d, want [0, %d)", n, key, i, sr.Shards())
+			}
 		}
 	}
 }
@@ -432,198 +446,61 @@ func TestShardedSwitchEngine(t *testing.T) {
 	}
 }
 
-// --- Sharded serializability oracle ---
-//
-// The single-runtime oracle (differential_test.go) requires every
-// transaction to read all variables. Sharded histories mix cross-shard
-// transactions (which can) with single-shard ones (which, by definition,
-// see only their own shard), so records carry a read mask and the
-// sequential search checks only the positions a transaction actually
-// observed. Unique write values keep the search exact.
-
-type shardDiffRecord struct {
-	mask  [3]bool
-	reads [3]int
-	widx  int
-	val   int
+// recordSharded records s on sr with cell c on shard c mod the shard count.
+// A transaction over cells of one shard runs on that shard's Runtime, any
+// other through AtomicAcross.
+func recordSharded(h *History, sr *ShardedRuntime, s shape, workers, txs int, seed int64) error {
+	shard := func(c int) int { return c % sr.Shards() }
+	h.shardOf = shard
+	run := func(cells []int, readOnly bool, body func(func(int) *Tx, int) error) error {
+		for _, c := range cells {
+			if shard(c) != shard(cells[0]) {
+				return sr.AtomicAcross(func(cx *CrossTx) error {
+					return body(func(c int) *Tx { return cx.On(shard(c)) }, cx.attempt)
+				})
+			}
+		}
+		return onRuntime(sr.Shard(shard(cells[0])))(cells, readOnly, body)
+	}
+	return h.record(run, newCells(s.cells), s, workers, txs, seed)
 }
 
-// findSerialOrderMasked searches for a sequential execution explaining the
-// histories under per-worker program order, matching each record's snapshot
-// only at its masked positions.
-func findSerialOrderMasked(histories [][]shardDiffRecord, final [3]int) bool {
-	next := make([]int, len(histories))
-	var state [3]int
-	remaining := 0
-	for _, h := range histories {
-		remaining += len(h)
-	}
-	var search func() bool
-	search = func() bool {
-		if remaining == 0 {
-			return state == final
-		}
-		for w, h := range histories {
-			if next[w] >= len(h) {
-				continue
-			}
-			r := h[next[w]]
-			ok := true
-			for j := 0; j < 3; j++ {
-				if r.mask[j] && r.reads[j] != state[j] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			prev := state[r.widx]
-			state[r.widx] = r.val
-			next[w]++
-			remaining--
-			if search() {
-				return true
-			}
-			remaining++
-			next[w]--
-			state[r.widx] = prev
-		}
-		return false
-	}
-	return search()
-}
-
-// shardedDiffWorkload runs workers over a 4-shard runtime with one variable
-// pinned to each of shards 0..2. Odd iterations run a cross-shard
-// transaction reading all three and writing one; even iterations run a
-// single-shard transaction read-modify-writing the worker's variable.
-func shardedDiffWorkload(t *testing.T, sr *ShardedRuntime, workers, txPerWorker int) ([][]shardDiffRecord, [3]int) {
-	t.Helper()
-	vars := [3]*Var[int]{NewVar(0), NewVar(0), NewVar(0)} // var j lives on shard j
-	histories := make([][]shardDiffRecord, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < txPerWorker; i++ {
-				val := 1 + w*txPerWorker + i // unique, never the initial 0
-				if i%2 == 1 {
-					widx := (w + i) % 3
-					var snap [3]int
-					err := sr.AtomicAcross(func(cx *CrossTx) error {
-						for j := range vars {
-							snap[j] = vars[j].Read(cx.On(j))
-						}
-						vars[widx].Write(cx.On(widx), val)
-						return nil
-					})
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					histories[w] = append(histories[w], shardDiffRecord{
-						mask: [3]bool{true, true, true}, reads: snap, widx: widx, val: val,
-					})
-				} else {
-					widx := w % 3
-					var read int
-					err := sr.Shard(widx).Atomic(func(tx *Tx) error {
-						read = vars[widx].Read(tx)
-						vars[widx].Write(tx, val)
-						return nil
-					})
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					rec := shardDiffRecord{widx: widx, val: val}
-					rec.mask[widx] = true
-					rec.reads[widx] = read
-					histories[w] = append(histories[w], rec)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", w, err)
-		}
-	}
-	var final [3]int
-	for j := range vars {
-		final[j] = vars[j].Peek()
-	}
-	return histories, final
-}
-
-// TestShardedSerializability: mixed single- and cross-shard histories on
-// every engine configuration must be explainable by one sequential order.
+// TestShardedSerializability records the hot mix — single-shard and
+// cross-shard transactions, read-only audits spanning every shard — on every
+// engine configuration, and checks it with History.Check.
 func TestShardedSerializability(t *testing.T) {
-	const workers, txPerWorker = 3, 6
 	for _, eng := range shardedEngines {
 		t.Run(eng.name, func(t *testing.T) {
-			for round := 0; round < 15; round++ {
-				sr := newShardedForTest(4, eng)
-				histories, final := shardedDiffWorkload(t, sr, workers, txPerWorker)
-				if !findSerialOrderMasked(histories, final) {
-					t.Fatalf("round %d: no sequential order explains the sharded history\nhistories: %+v\nfinal: %v",
-						round, histories, final)
-				}
+			for seed := int64(1); seed <= 4; seed++ {
+				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+					var h History
+					if err := recordSharded(&h, newShardedForTest(4, eng), yieldMix, 4, 1000, seed); err != nil {
+						t.Fatal(err)
+					}
+					check(t, &h)
+				})
 			}
 		})
 	}
 }
 
-// TestShardedSwitchPointOracle extends the switch-point oracle to sharded
-// commits: a full-sweep engine switch is injected after the c-th commit for
-// every cut point c, and the mixed single/cross history must remain
-// serializable across the handoff.
+// TestShardedSwitchPointOracle injects a full-sweep engine switch after the
+// c-th commit for every other cut c, and the mixed single/cross-shard
+// history must still pass History.Check.
 func TestShardedSwitchPointOracle(t *testing.T) {
-	const workers, txPerWorker = 3, 4
-	const total = workers * txPerWorker
-	for _, dir := range switchDirections {
-		from, to := dir[0], dir[1]
-		t.Run(from.String()+"_to_"+to.String(), func(t *testing.T) {
-			for cut := uint64(0); cut <= total; cut += 2 {
-				sr := NewSharded(4, Config{Algorithm: from})
-				done := make(chan struct{})
-				go func() {
-					defer close(done)
-					for sr.Stats().Commits < cut {
-						runtime.Gosched()
-					}
-					sr.SwitchEngine(to)
-				}()
-				histories, final := shardedDiffWorkload(t, sr, workers, txPerWorker)
-				<-done
-				for i := 0; i < sr.Shards(); i++ {
-					if got := sr.Shard(i).Algorithm(); got != to {
-						t.Fatalf("cut %d: shard %d engine %s, want %s", cut, i, got.String(), to.String())
-					}
-				}
-				if !findSerialOrderMasked(histories, final) {
-					t.Fatalf("cut %d (%s->%s): no sequential order explains the sharded history\nhistories: %+v\nfinal: %v",
-						cut, from.String(), to.String(), histories, final)
-				}
+	switchPoints(t, 2, func(t *testing.T, from, to Algorithm, cut uint64) {
+		sr := NewSharded(4, Config{Algorithm: from})
+		wait := atCut(cut, func() uint64 { return sr.Stats().Commits }, func() { sr.SwitchEngine(to) })
+		var h History
+		if err := recordSharded(&h, sr, diffMix, 3, 8, int64(cut)); err != nil {
+			t.Fatal(err)
+		}
+		wait()
+		for i := 0; i < sr.Shards(); i++ {
+			if got := sr.Shard(i).Algorithm(); got != to {
+				t.Fatalf("shard %d engine %v, want %v", i, got, to)
 			}
-		})
-	}
-}
-
-// TestFindSerialOrderMaskedRejectsBadHistory sanity-checks the masked
-// oracle: a cross-shard record claiming a snapshot no interleaving produced
-// must be rejected.
-func TestFindSerialOrderMaskedRejectsBadHistory(t *testing.T) {
-	histories := [][]shardDiffRecord{
-		{{mask: [3]bool{true, true, true}, reads: [3]int{0, 0, 0}, widx: 0, val: 1}},
-		// Claims var0=1, var1=5 — nobody ever wrote 5.
-		{{mask: [3]bool{true, true, true}, reads: [3]int{1, 5, 0}, widx: 1, val: 2}},
-	}
-	if findSerialOrderMasked(histories, [3]int{1, 2, 0}) {
-		t.Fatal("masked oracle accepted an unserializable history")
-	}
+		}
+		check(t, &h)
+	})
 }

@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -418,5 +419,102 @@ func TestSwitchDrainsRetryWaiters(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("a Retry waiter never woke after the switches")
 		}
+	}
+}
+
+// switchDirections covers all four engine-transition directions. The
+// identity transitions matter too: a drain that closes and reopens the gate
+// with no engine change exercises the quiesce barrier against concurrent
+// commits without the clock re-seed in play.
+var switchDirections = [4][2]Algorithm{
+	{TL2, NOrec},
+	{NOrec, TL2},
+	{TL2, TL2},
+	{NOrec, NOrec},
+}
+
+// switchPoints runs test once per transition direction and every step-th
+// cut of a diffMix history of 3 workers x 8 transactions, a subtest each.
+func switchPoints(t *testing.T, step uint64, test func(t *testing.T, from, to Algorithm, cut uint64)) {
+	for _, dir := range switchDirections {
+		t.Run(fmt.Sprintf("%v_to_%v", dir[0], dir[1]), func(t *testing.T) {
+			for cut := uint64(0); cut <= 3*8; cut += step {
+				t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) { test(t, dir[0], dir[1], cut) })
+			}
+		})
+	}
+}
+
+// atCut calls sw on its own goroutine once commits() reaches cut; the
+// returned wait blocks until it has.
+func atCut(cut uint64, commits func() uint64, sw func()) (wait func()) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for commits() < cut {
+			runtime.Gosched()
+		}
+		sw()
+	}()
+	return func() { <-done }
+}
+
+// TestSwitchPointOracle injects a combined CM+engine switch after the c-th
+// commit of a recorded history, for every cut c, in all four directions.
+// A commit straddling the handoff, a stale clock after the NOrec->TL2
+// re-seed or a reader of a half-switched world makes the history fail
+// History.Check.
+func TestSwitchPointOracle(t *testing.T) {
+	switchPoints(t, 1, func(t *testing.T, from, to Algorithm, cut uint64) {
+		rt := New(Config{Algorithm: from})
+		// CM swap first (undrained by design), then the engine handoff
+		// (stop-the-world) at the same cut point.
+		wait := atCut(cut, func() uint64 { return rt.Stats().Commits }, func() {
+			rt.SetContentionManager(GreedyCM{})
+			rt.SwitchEngine(to)
+		})
+		var h History
+		if err := h.record(onRuntime(rt), newCells(diffMix.cells), diffMix, 3, 8, int64(cut)); err != nil {
+			t.Fatal(err)
+		}
+		wait()
+		if eng, cms := rt.SwitchCounts(); rt.Algorithm() != to || eng != 1 || cms != 1 {
+			t.Fatalf("engine %v after %d engine and %d CM switches, want %v after 1 and 1", rt.Algorithm(), eng, cms, to)
+		}
+		check(t, &h)
+	})
+}
+
+// TestSwitchStormSerializability records the hot mix while a storm
+// goroutine flips the engine and rotates the contention manager as fast as
+// the drain allows; the history must pass History.Check across every
+// handoff the storm lands.
+func TestSwitchStormSerializability(t *testing.T) {
+	cms := []ContentionManager{BackoffCM{}, GreedyCM{}, KarmaCM{}, SuicideCM{}}
+	engines := []Algorithm{NOrec, TL2}
+	for seed := int64(1); seed <= 5; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rt := New(Config{Algorithm: TL2})
+			var stop atomic.Bool
+			storm := make(chan struct{})
+			go func() {
+				defer close(storm)
+				for i := 0; !stop.Load(); i++ {
+					rt.SetContentionManager(cms[i%len(cms)])
+					rt.SwitchEngine(engines[i%len(engines)])
+					runtime.Gosched()
+				}
+			}()
+			var h History
+			err := h.record(onRuntime(rt), newCells(yieldMix.cells), yieldMix, 4, 2000, seed)
+			stop.Store(true)
+			<-storm
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, &h)
+			eng, _ := rt.SwitchCounts()
+			t.Logf("%d engine switches", eng)
+		})
 	}
 }
