@@ -242,8 +242,8 @@ func (h *History) record(run runner, cells []cell, s shape, workers, txs int, se
 func (h *History) Check() error {
 	var nodes []*attempt
 	var edges [][]int
-	edge := func(from, to int) {
-		if from != to {
+	edge := func(from, to int) { // from < 0: no node
+		if from >= 0 && from != to {
 			edges[from] = append(edges[from], to)
 		}
 	}
@@ -254,10 +254,8 @@ func (h *History) Check() error {
 		for _, a := range log {
 			a.id, nodes, edges = len(nodes), append(nodes, a), append(edges, nil)
 			byVal[a.val()] = a
-			if a.committed && last >= 0 {
-				edge(last, a.id)
-			}
 			if a.committed {
+				edge(last, a.id)
 				last = a.id
 			}
 			for _, x := range a.writes {
@@ -424,7 +422,8 @@ func parse(final string, lines ...string) *History {
 
 // TestHistoryChecker feeds the checker one hand-built history per anomaly,
 // each of which it must reject with its named reason, and one serializable
-// history with an aborted attempt, which it must pass.
+// history with an aborted attempt, which it must pass. A read of a value
+// never written is TestFindSerialOrderRejectsBadHistory's.
 func TestHistoryChecker(t *testing.T) {
 	pair := "w0/t0#0 x0=init x1=init +x0 +x1" // commits x0 and x1 together
 	for _, tc := range []struct {
@@ -441,8 +440,6 @@ func TestHistoryChecker(t *testing.T) {
 			[]string{pair, "w1/t0#0 aborted x0=init x1=w0/t0#0 +x0"}},
 		{"dirty read", "dirty read", "x0=init",
 			[]string{"w0/t0#0 aborted x0=init +x0", "w1/t0#0 x0=w0/t0#0"}},
-		{"never-written value", "never written", "x0=init",
-			[]string{"w0/t0#0 x0=w3/t9#0"}},
 		{"session order inverted", "cycle of 2", "x0=w0/t0#0 x1=w0/t1#0",
 			[]string{"w0/t0#0 x0=init +x0", "w0/t1#0 x0=init x1=init +x1"}},
 		{"blind write", "blind write", "x0=w0/t0#0",
@@ -459,6 +456,21 @@ func TestHistoryChecker(t *testing.T) {
 			}
 			t.Log(err)
 		})
+	}
+}
+
+// TestFindSerialOrderRejectsBadHistory: Check must find no serial order for
+// a history whose second transaction saw x0 after the first one's commit and
+// x1 holding a value nobody ever wrote.
+func TestFindSerialOrderRejectsBadHistory(t *testing.T) { rejectsBadHistory(t, nil) }
+
+// rejectsBadHistory checks that Check rejects the history above, with
+// h.shardOf set to shardOf.
+func rejectsBadHistory(t *testing.T, shardOf func(c int) int) {
+	h := parse("x0=w0/t0#0 x1=w1/t0#0", "w0/t0#0 x0=init x1=init +x0", "w1/t0#0 x0=w0/t0#0 x1=w3/t9#0 +x1")
+	h.shardOf = shardOf
+	if err := h.Check(); err == nil || !strings.Contains(err.Error(), "never written") {
+		t.Fatalf("Check() = %v, want a read of a value never written", err)
 	}
 }
 

@@ -465,6 +465,13 @@ func recordSharded(h *History, sr *ShardedRuntime, s shape, workers, txs int, se
 	return h.record(run, newCells(s.cells), s, workers, txs, seed)
 }
 
+// TestFindSerialOrderMaskedRejectsBadHistory: the same history on two
+// shards, where Check holds aborted attempts to opacity one shard at a time,
+// must still be rejected — its bad reader committed across both.
+func TestFindSerialOrderMaskedRejectsBadHistory(t *testing.T) {
+	rejectsBadHistory(t, func(c int) int { return c % 2 })
+}
+
 // TestShardedSerializability records the hot mix — single-shard and
 // cross-shard transactions, read-only audits spanning every shard — on every
 // engine configuration, and checks it with History.Check.
