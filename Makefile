@@ -230,7 +230,7 @@ fuzz-containers:
 # It is also a ratchet: it fails when the sum exceeds LOC_MAX, the total of
 # the last PR that changed it. A PR that must grow the code raises the number
 # in its own diff; one that shrinks it lowers the number to its new total.
-LOC_MAX = 16295
+LOC_MAX = 16327
 loc:
 	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | \
 	while read -r pkg dir files; do \

@@ -125,8 +125,7 @@ func (k *KV) ServeKey(_ int, key uint64, rng *rand.Rand) bool {
 		return true
 	}
 	err := k.rt.Atomic(func(tx *stm.Tx) error {
-		v, _ := k.m.Get(tx, id)
-		k.m.Put(tx, id, v+1)
+		k.m.Update(tx, id, func(v int64, _ bool) int64 { return v + 1 })
 		return nil
 	})
 	if err != nil {

@@ -22,17 +22,19 @@ import "math/bits"
 // always made, and nothing here allocates.
 
 // sigAggWindow is the decay window of the rolling write-signature
-// aggregate: every sigAggWindow-th sampled writer commit replaces the
-// aggregate with its own signature instead of ORing into it, so the
-// estimate tracks the recent epoch instead of saturating over the run.
+// aggregate: the sampled writer commit whose timestamp is a multiple of
+// sigAggWindow*sigSampleEvery replaces the aggregate with its own signature
+// instead of ORing into it, so the estimate tracks the recent epoch instead
+// of saturating over the run. Keying the decay on the timestamp, like the
+// sample, costs no shared counter.
 const sigAggWindow = 64
 
 // sigSampleEvery is the sampling period of the signature aggregate: the
 // writer commits whose timestamp (Tx.wv) is a multiple of it feed it. The
 // conflict degree is a ratio of two sums over the same commits, so a
 // subsample estimates it as well as the full stream does, and only the
-// adaptive policy reads it — seven writers in eight skip two shared-word
-// atomics and two counter adds. The set-size sums stay exact. Sampling by
+// adaptive policy reads it — seven writers in eight skip a shared-word
+// atomic and two counter adds. The set-size sums stay exact. Sampling by
 // timestamp keeps the profile a pure function of the commit sequence: a
 // counter on the pooled Tx object would tie it to which object the pool
 // hands out (sync.Pool drops objects at random under the race detector).
@@ -70,7 +72,8 @@ func (tx *Tx) quiescent() bool {
 // locking every lock is released by its owner on commit or rollback
 // regardless of which manager doomed whom, so attempts racing the swap see
 // either manager and both answers are correct. A block keeps the birth its
-// begin drew, or did not draw (Tx.birth).
+// begin drew, or did not draw (Tx.birth), and whether it publishes owners
+// (Tx.ownerless: blocks of both kinds stay live together).
 func (rt *Runtime) SetContentionManager(cm ContentionManager) {
 	rt.cmAtom.Store(newCMSlot(cm))
 	rt.cmSwitches.Add(1)
@@ -150,7 +153,7 @@ func (rt *Runtime) noteCommit(tx *Tx) {
 	agg := rt.sigAgg.Load()
 	rt.stats.sigBits.Add(tx.shard, uint64(bits.OnesCount64(sig)))
 	rt.stats.sigOverlap.Add(tx.shard, uint64(bits.OnesCount64(sig&agg)))
-	if rt.sigSeq.Add(1)%sigAggWindow == 0 {
+	if (tx.wv/sigSampleEvery)%sigAggWindow == 0 {
 		rt.sigAgg.Store(sig)
 	} else {
 		// Single-attempt CAS: a lost race drops one statistical sample from

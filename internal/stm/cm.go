@@ -27,12 +27,19 @@ type ContentionManager interface {
 // other manager begin skips the draw from the runtime's shared tsc word.
 type birthOrdered interface{ ordersByBirth() }
 
-// cmSlot is what Runtime.cmAtom points at: the installed manager and
-// whether it orders by birth, decided once at installation so that begin
-// pays one pointer load and no type assertion.
+// ownerBlind marks the managers that abort the attacker on every conflict
+// and so never read a lock's owner, its birth or its karma. A block begun
+// under one takes its locks without publishing any of them (Tx.publishes);
+// a manager that embeds one inherits the mark and must not read owners.
+type ownerBlind interface{ ignoresOwner() }
+
+// cmSlot is what Runtime.cmAtom points at: the installed manager, whether
+// it orders by birth and whether it reads owners, decided once at
+// installation so that begin pays one pointer load and no type assertion.
 type cmSlot struct {
-	cm      ContentionManager
-	byBirth bool
+	cm         ContentionManager
+	byBirth    bool
+	readsOwner bool
 }
 
 // newCMSlot wraps cm for installation; nil means the default BackoffCM.
@@ -41,7 +48,8 @@ func newCMSlot(cm ContentionManager) *cmSlot {
 		cm = BackoffCM{}
 	}
 	_, byBirth := cm.(birthOrdered)
-	return &cmSlot{cm: cm, byBirth: byBirth}
+	_, blind := cm.(ownerBlind)
+	return &cmSlot{cm: cm, byBirth: byBirth, readsOwner: !blind}
 }
 
 // SuicideCM aborts the attacker immediately on any conflict and retries
@@ -56,6 +64,8 @@ func (SuicideCM) BeforeRetry(_ *Tx, _ int) { runtime.Gosched() }
 
 // Name implements ContentionManager.
 func (SuicideCM) Name() string { return "suicide" }
+
+func (SuicideCM) ignoresOwner() {}
 
 // BackoffCM aborts the attacker and paces retries with an adaptive
 // spin → yield → sleep ladder, randomized from the transaction's private
@@ -211,6 +221,8 @@ func (b BackoffCM) BeforeRetry(tx *Tx, attempt int) {
 
 // Name implements ContentionManager.
 func (BackoffCM) Name() string { return "backoff" }
+
+func (BackoffCM) ignoresOwner() {}
 
 // GreedyCM implements timestamp-based greedy contention management (Guerraoui
 // et al., PODC'05), the policy SwissTM applies to long transactions: the

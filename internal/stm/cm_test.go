@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -147,6 +148,63 @@ func TestCMProgressUnderContention(t *testing.T) {
 			wg.Wait()
 			if got := x.Peek(); got != goroutines*perG {
 				t.Fatalf("counter = %d, want %d", got, goroutines*perG)
+			}
+		})
+	}
+}
+
+// customCM is a manager the package has no mark for: it must be treated as
+// one that reads owners.
+type customCM struct{}
+
+func (customCM) ShouldAbort(_, _ *Tx) bool { return true }
+func (customCM) BeforeRetry(*Tx, int)      {}
+func (customCM) Name() string              { return "custom" }
+
+// TestOwnerPublishedOnlyWhereRead: a block holding locks publishes its owner
+// pointer, birth and karma only under a manager that reads them — every
+// manager but SuicideCM and BackoffCM, custom ones included — and every
+// lock's owner is nil again once the block commits or rolls back.
+func TestOwnerPublishedOnlyWhereRead(t *testing.T) {
+	const unset = 1 << 40
+	errRollback := errors.New("roll back")
+	for _, tc := range []struct {
+		cm        ContentionManager
+		publishes bool
+	}{
+		{SuicideCM{}, false}, {BackoffCM{}, false}, {GreedyCM{}, true}, {TwoPhaseCM{}, true},
+		{KarmaCM{}, true}, {PolkaCM{}, true}, {customCM{}, true},
+	} {
+		t.Run(tc.cm.Name(), func(t *testing.T) {
+			rt := New(Config{CM: tc.cm})
+			var x, y Var[int]
+			for _, want := range []error{nil, errRollback} {
+				err := rt.Atomic(func(tx *Tx) error {
+					tx.ts.Store(unset)
+					tx.workPub.Store(unset)
+					x.Write(tx, x.Read(tx)+1)
+					y.Write(tx, 1)
+					owner := (*Tx)(nil)
+					if tc.publishes {
+						owner = tx
+					}
+					for _, b := range []*varBase{&x.base, &y.base} {
+						if got := b.owner.Load(); got != owner {
+							t.Errorf("lock held: owner %p, want %p", got, owner)
+						}
+					}
+					ts, work := tx.ts.Load(), tx.workPub.Load()
+					if tc.publishes && (ts != tx.birth || work != tx.work) || !tc.publishes && (ts != unset || work != unset) {
+						t.Errorf("ts %d, workPub %d (birth %d, work %d): publishing %v", ts, work, tx.birth, tx.work, tc.publishes)
+					}
+					return want
+				})
+				if !errors.Is(err, want) {
+					t.Fatalf("Atomic = %v, want %v", err, want)
+				}
+				if x.base.owner.Load() != nil || y.base.owner.Load() != nil {
+					t.Fatalf("an owner outlived the block (returned %v)", want)
+				}
 			}
 		})
 	}

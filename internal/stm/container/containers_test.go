@@ -98,6 +98,63 @@ func TestHashMapModel(t *testing.T) {
 	})
 }
 
+// TestHashMapUpdateWalksOnce pins Update's one walk through the exact
+// read-set count: on either engine, an update of a key at chain depth p
+// records p+2 reads (bucket, p next links, value) and one write, and an
+// update of an absent key inserts it and bumps Len.
+func TestHashMapUpdateWalksOnce(t *testing.T) {
+	for _, algo := range []stm.Algorithm{stm.TL2, stm.NOrec} {
+		t.Run(algo.String(), func(t *testing.T) {
+			rt := stm.New(stm.Config{Algorithm: algo})
+			m := NewHashMap[int](1)
+			var chain []int64 // keys of one bucket, in insertion order
+			for k := int64(0); len(chain) < 5; k++ {
+				if m.hash(k) == m.hash(0) {
+					chain = append(chain, k)
+					run(t, rt, func(tx *stm.Tx) { m.Put(tx, k, 10) })
+				}
+			}
+			inc := func(v int, ok bool) int {
+				if !ok {
+					return -1
+				}
+				return v + 1
+			}
+			for i, key := range chain {
+				depth := uint64(len(chain) - 1 - i) // Put prepends
+				rt.ResetStats()
+				run(t, rt, func(tx *stm.Tx) {
+					if m.Update(tx, key, inc) {
+						t.Errorf("Update(%d) inserted a present key", key)
+					}
+				})
+				if s := rt.Stats(); s.ReadSetSum != depth+2 || s.WriteSetSum != 1 {
+					t.Errorf("key at depth %d: %d reads, %d writes; want %d and 1", depth, s.ReadSetSum, s.WriteSetSum, depth+2)
+				}
+			}
+			absent := int64(-1)
+			run(t, rt, func(tx *stm.Tx) {
+				if !m.Update(tx, absent, inc) {
+					t.Error("Update of an absent key did not insert")
+				}
+			})
+			run(t, rt, func(tx *stm.Tx) {
+				if n := m.Len(tx); n != len(chain)+1 {
+					t.Errorf("Len = %d, want %d", n, len(chain)+1)
+				}
+				for _, key := range chain {
+					if v, _ := m.Get(tx, key); v != 11 {
+						t.Errorf("Get(%d) = %d, want 11", key, v)
+					}
+				}
+				if v, ok := m.Get(tx, absent); !ok || v != -1 {
+					t.Errorf("Get(absent) = %d,%v, want -1,true", v, ok)
+				}
+			})
+		})
+	}
+}
+
 func TestHashMapConcurrentDisjoint(t *testing.T) {
 	rt := stm.New(stm.Config{})
 	m := NewHashMap[int](64)

@@ -15,22 +15,23 @@ import (
 // operation — a differential check on top of the model check.
 //
 // Op encoding: two bytes per operation. The first byte selects the
-// operation, the second the key; the keyspace is kept tiny (16 keys) so
-// sequences collide constantly and exercise rebalancing/deletion paths.
+// operation (modulo the target's kinds), the second the key; the keyspace is
+// kept tiny (16 keys) so sequences collide constantly and exercise
+// rebalancing/deletion paths.
 
 const fuzzKeySpace = 16
 
 type fuzzOp struct {
-	kind byte // 0=Put 1=Delete 2=Get 3=Len
+	kind byte // 0=Put 1=Delete 2=Get 3=Len, and for FuzzHashMap 4=Update
 	key  int64
 	val  int
 }
 
-func decodeOps(data []byte) []fuzzOp {
+func decodeOps(data []byte, kinds byte) []fuzzOp {
 	ops := make([]fuzzOp, 0, len(data)/2)
 	for i := 0; i+1 < len(data); i += 2 {
 		ops = append(ops, fuzzOp{
-			kind: data[i] % 4,
+			kind: data[i] % kinds,
 			key:  int64(data[i+1] % fuzzKeySpace),
 			// A value unique to the op position, small enough to box free.
 			val: (i / 2) & 0x7f,
@@ -53,7 +54,7 @@ func addFuzzSeeds(f *testing.F) {
 func FuzzRBTree(f *testing.F) {
 	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ops := decodeOps(data)
+		ops := decodeOps(data, 4)
 		if len(ops) > 512 {
 			ops = ops[:512]
 		}
@@ -186,7 +187,7 @@ func oracleAfter(oracle map[int64]int, op fuzzOp) map[int64]int {
 func FuzzHashMap(f *testing.F) {
 	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ops := decodeOps(data)
+		ops := decodeOps(data, 5)
 		if len(ops) > 512 {
 			ops = ops[:512]
 		}
@@ -195,6 +196,16 @@ func FuzzHashMap(f *testing.F) {
 			stm.New(stm.Config{Algorithm: stm.NOrec}),
 		}
 		maps := []*HashMap[int]{NewHashMap[int](4), NewHashMap[int](4)}
+		// update is the read-modify-write op 4 applies, to the maps and to
+		// the oracle alike.
+		update := func(val int) func(cur int, ok bool) int {
+			return func(cur int, ok bool) int {
+				if ok {
+					return cur + val + 1
+				}
+				return val
+			}
+		}
 		oracle := map[int64]int{}
 		for opIdx, op := range ops {
 			var results [2]struct {
@@ -216,6 +227,8 @@ func FuzzHashMap(f *testing.F) {
 						r.got, r.ok = m.Get(tx, op.key)
 					case 3:
 						r.n = m.Len(tx)
+					case 4:
+						r.changed = m.Update(tx, op.key, update(op.val))
 					}
 					return nil
 				})
@@ -226,7 +239,7 @@ func FuzzHashMap(f *testing.F) {
 			if results[0] != results[1] {
 				t.Fatalf("op %d: engines disagree: tl2=%+v norec=%+v", opIdx, results[0], results[1])
 			}
-			_, inOracle := oracle[op.key]
+			cur, inOracle := oracle[op.key]
 			switch op.kind {
 			case 0:
 				if results[0].changed != !inOracle {
@@ -239,14 +252,19 @@ func FuzzHashMap(f *testing.F) {
 				}
 				delete(oracle, op.key)
 			case 2:
-				if results[0].ok != inOracle || (inOracle && results[0].got != oracle[op.key]) {
+				if results[0].ok != inOracle || (inOracle && results[0].got != cur) {
 					t.Fatalf("op %d: Get(%d) = (%d,%v), oracle (%d,%v)",
-						opIdx, op.key, results[0].got, results[0].ok, oracle[op.key], inOracle)
+						opIdx, op.key, results[0].got, results[0].ok, cur, inOracle)
 				}
 			case 3:
 				if results[0].n != len(oracle) {
 					t.Fatalf("op %d: Len = %d, oracle %d", opIdx, results[0].n, len(oracle))
 				}
+			case 4:
+				if results[0].changed != !inOracle {
+					t.Fatalf("op %d: Update(%d) changed=%v, oracle had=%v", opIdx, op.key, results[0].changed, inOracle)
+				}
+				oracle[op.key] = update(op.val)(cur, inOracle)
 			}
 			// Size consistency after every commit: Len must equal the number
 			// of keys Range visits.
@@ -309,7 +327,7 @@ func FuzzAdaptiveSwitch(f *testing.F) {
 			period = 1 + int(data[0]%8)
 			data = data[1:]
 		}
-		ops := decodeOps(data)
+		ops := decodeOps(data, 4)
 		if len(ops) > 256 {
 			ops = ops[:256]
 		}

@@ -95,6 +95,25 @@ func (m *HashMap[V]) Put(tx *stm.Tx, key int64, val V) bool {
 	return true
 }
 
+// Update stores fn(current value, true) under key, or inserts fn(zero,
+// false) when key is absent, and reports whether an entry was created: the
+// read-modify-write of Get then Put in one walk of the chain, so a key at
+// depth p costs p+2 reads instead of 2p+3.
+func (m *HashMap[V]) Update(tx *stm.Tx, key int64, fn func(cur V, ok bool) V) bool {
+	head := &m.buckets[m.hash(key)]
+	e := head.Read(tx)
+	for n := e; n != nil; n = n.next.Read(tx) {
+		if n.key == key {
+			n.val.Write(tx, fn(n.val.Read(tx), true))
+			return false
+		}
+	}
+	var zero V
+	head.Write(tx, newEntry(key, fn(zero, false), e))
+	m.size.Write(tx, m.size.Read(tx)+1)
+	return true
+}
+
 // PutIfAbsent inserts key only when missing; it returns the resident value
 // and whether an insertion happened.
 func (m *HashMap[V]) PutIfAbsent(tx *stm.Tx, key int64, val V) (V, bool) {

@@ -88,12 +88,11 @@ func (m *ShardedHashMap[V]) Delete(key int64) (removed bool, err error) {
 
 // Update applies fn to key's current value (zero if absent) inside key's
 // shard transaction and stores the result — the read-modify-write form the
-// keyed workloads use.
+// keyed workloads use (HashMap.Update).
 func (m *ShardedHashMap[V]) Update(key int64, fn func(cur V, ok bool) V) error {
 	i := m.ShardFor(key)
 	return m.sr.Shard(i).Atomic(func(tx *stm.Tx) error {
-		cur, ok := m.shards[i].Get(tx, key)
-		m.shards[i].Put(tx, key, fn(cur, ok))
+		m.shards[i].Update(tx, key, fn)
 		return nil
 	})
 }

@@ -12,9 +12,9 @@ import (
 // purely about ordering:
 //
 //   - BeginCommit is called inside the commit critical section — after the
-//     transaction has irrevocably won its commit (TL2: the status CAS has
-//     succeeded and every write lock is still held; NOrec: the global
-//     sequence lock is held). A dependent transaction can only read or
+//     transaction has irrevocably won its commit (TL2: validated and past
+//     the status CAS, which a blind block skips, with every write lock
+//     still held; NOrec: the global sequence lock is held). A dependent transaction can only read or
 //     overwrite this transaction's locations after that critical section
 //     ends, and it draws its own CSN before ending its own — so commit
 //     sequence numbers are monotone along every read-from and

@@ -192,8 +192,9 @@ func (tx *Tx) commitNorec() bool {
 		for i := range tx.writes {
 			tx.writes[i].publishNorec()
 		}
+		// No txCommitted store: no NOrec block is ever an owner, so nothing
+		// reads its status until release poisons it.
 		tx.rt.norec.seq.Store(s + 2)
-		tx.setState(txCommitted)
 		tx.publishDurable()
 		return true
 	}

@@ -103,11 +103,9 @@ type Runtime struct {
 	cmSwitches     atomic.Uint64
 
 	// sigAgg is the rolling OR-aggregate of committed writers' wsig
-	// signatures; sigSeq counts writer commits to decay it (every
-	// sigAggWindow-th commit replaces instead of ORing). ConflictProfile
+	// signatures, decayed by commit timestamp (noteCommit). ConflictProfile
 	// estimates conflict degree from signature overlap against it.
 	sigAgg metrics.PaddedUint64
-	sigSeq metrics.PaddedUint64
 
 	// sinkAtom holds the attached CommitSink (durable.go), or nil. Commits
 	// load it once after winning their critical section; the non-durable
@@ -190,18 +188,20 @@ func (rt *Runtime) AtomicRO(fn func(tx *Tx) error) error {
 }
 
 // begin checks a pooled Tx out for one atomic block: zero karma, a birth
-// timestamp if the installed manager orders by birth, and an active status
-// past the engine-switch gate. Every block — Runtime.run's and each CrossTx
-// sub-transaction — starts here and ends in release, so the fixed cost of a
-// block exists once.
+// timestamp if the installed manager orders by birth, whether its locks
+// publish an owner, and an active status past the engine-switch gate. Every
+// block — Runtime.run's and each CrossTx sub-transaction — starts here and
+// ends in release, so the fixed cost of a block exists once.
 func (rt *Runtime) begin(readOnly bool) *Tx {
 	tx := rt.txPool.Get().(*Tx)
 	tx.readOnly = readOnly
 	tx.work = 0
 	tx.birth = 0
-	if rt.cmAtom.Load().byBirth {
+	slot := rt.cmAtom.Load()
+	if slot.byBirth {
 		tx.birth = rt.tsc.Add(1)
 	}
+	tx.publishes = slot.readsOwner
 	rt.enter(tx)
 	return tx
 }

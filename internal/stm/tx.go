@@ -11,8 +11,10 @@ import (
 // them count the atomic blocks the Tx object has completed (its generation).
 // Transitions: active -> {doomed, committed, aborted}, any of those ->
 // active again at the next attempt's enter, and any state -> poisoned when
-// the block returns the Tx to the pool (a read-only commit goes straight
-// from active: it holds nothing, so no doomer needs to see it committed).
+// the block returns the Tx to the pool (only a publishing TL2 writer,
+// Tx.publishes, and a CrossTx sub-transaction pass through committed: no
+// doomer can find any other block, which holds nothing or publishes no
+// owner, so its commit goes straight from active).
 // enter parks a Tx that meets a closed engine-switch gate, holding nothing;
 // a switch drains once every Tx is parked or poisoned (adaptive.go). A
 // contention manager dooms a competitor by CASing its word from active to
@@ -85,12 +87,13 @@ type writeEntry struct {
 }
 
 // publish is the TL2 write-back of one entry: store the value, then release
-// the write lock at commit version wv.
+// the write lock at commit version wv. Only a publishing block (Tx.publishes)
+// has an owner to clear.
 //
 //rubic:noalloc
 func (w *writeEntry) publish(wv uint64) {
 	w.base.store(w.val, w.k)
-	w.base.owner.Store(nil)
+	w.base.disown()
 	w.base.meta.Store(wv << 1)
 }
 
@@ -125,10 +128,10 @@ type Tx struct {
 	// work counts transactional operations performed since the atomic block
 	// started, accumulated across retries (it is the "karma" of Karma/Polka
 	// contention management). Only the running goroutine touches it;
-	// competitors read workPub, the copy published at each write-lock
-	// acquisition just before the owner pointer that leads them here (and by
-	// KarmaCM at each conflict) — a transaction that holds no lock is
-	// nobody's owner, so an uncontended block never pays for publishing.
+	// competitors read workPub, the copy a publishing block stores at each
+	// write-lock acquisition just before the owner pointer that leads them
+	// here (and KarmaCM at each conflict) — a transaction that holds no lock
+	// is nobody's owner, so an uncontended block never pays for publishing.
 	work    int64
 	workPub atomic.Int64
 
@@ -165,6 +168,14 @@ type Tx struct {
 	// insert/clear costs at all. Retained across retries and pooled reuse.
 	windex   map[*varBase]int
 	readOnly bool
+
+	// publishes is set by begin when the installed manager reads owners
+	// (every manager but BackoffCM and SuicideCM): only then do the block's
+	// lock acquisitions publish ts, workPub and the owner pointer, and its
+	// commit take the status CAS a doomer races. A blind block (publishes
+	// false) is nobody's owner; ownerless says why mixing the two across a
+	// manager swap stays live.
+	publishes bool
 
 	// prng is the per-Tx xorshift64 state behind nextRand, seeded lazily
 	// from birth. Contention-management jitter drawn from it
@@ -355,10 +366,9 @@ func (tx *Tx) read(b *varBase) raw {
 		if m1&lockedBit != 0 {
 			owner := b.owner.Load()
 			if owner == nil || owner == tx {
-				// Transient acquisition/release window, or our own lock
-				// racing with the windex check (cannot happen for a
-				// well-formed Tx, but harmless): retry.
-				runtime.Gosched()
+				// No owner published, or our own lock racing with the windex
+				// check (cannot happen for a well-formed Tx, but harmless).
+				tx.ownerless(ConflictLockedRead)
 				continue
 			}
 			if tx.rt.curCM().ShouldAbort(tx, owner) {
@@ -419,7 +429,7 @@ func (tx *Tx) write(b *varBase, v raw, k kind) {
 		if m&lockedBit != 0 {
 			owner := b.owner.Load()
 			if owner == nil {
-				runtime.Gosched()
+				tx.ownerless(ConflictLockedWrite)
 				continue
 			}
 			if owner == tx {
@@ -440,18 +450,57 @@ func (tx *Tx) write(b *varBase, v raw, k kind) {
 			}
 		}
 		if b.meta.CompareAndSwap(m, m|lockedBit) {
-			// Publish the birth and the karma before the owner pointer:
-			// whoever finds tx through b.owner sees this block's birth and at
-			// least the work invested up to here. ts changes once per block.
-			if tx.ts.Load() != tx.birth {
-				tx.ts.Store(tx.birth)
+			if tx.publishes {
+				// Publish the birth and the karma before the owner pointer:
+				// whoever finds tx through b.owner sees this block's birth
+				// and at least the work invested up to here. ts changes once
+				// per block.
+				if tx.ts.Load() != tx.birth {
+					tx.ts.Store(tx.birth)
+				}
+				tx.workPub.Store(tx.work)
+				b.owner.Store(tx)
 			}
-			tx.workPub.Store(tx.work)
-			b.owner.Store(tx)
 			tx.appendWrite(writeEntry{base: b, prevMeta: m, val: v, k: k})
 			return
 		}
 	}
+}
+
+// ownerless is an attacker's move on a location locked with no owner
+// published. A blind attacker (one begun under BackoffCM or SuicideCM)
+// aborts, which is what its manager decides for every lock anyway. A
+// publishing attacker waits, checking its own status on every poll: the
+// holder is a publishing block between its CAS and its owner store (or its
+// owner clear and its release), or a blind block, which holds its locks
+// ownerless for its whole attempt.
+//
+// Waiting stays live across a manager swap, which can leave blocks of both
+// kinds holding locks. A block waits on a holder only if it is publishing
+// and the holder blind (here), or if its manager doomed the published
+// holder (ShouldAbort returns false only after leaveActive; a doom that
+// fails finds the holder committed or aborting, and it releases). So in a
+// cycle of blocks each waiting for a lock the next holds:
+//   - blind waits on blind: impossible, both abort on sight as under one
+//     blind manager;
+//   - blind waits on publishing: the publishing holder was doomed;
+//   - publishing waits on blind: the blind holder itself either aborts or
+//     waits on a publishing block it doomed (the previous case);
+//   - publishing waits on publishing: the holder was doomed, as under one
+//     manager.
+//
+// Every cycle therefore holds a doomed block, and a doomed block that waits
+// sees its status on its next poll, here or in read/write, and unwinds,
+// releasing its locks. A stale doom of a blind block is harmless: it
+// aborts, or it has passed the doom check in commit and releases anyway.
+//
+//rubic:noalloc
+func (tx *Tx) ownerless(kind ConflictKind) {
+	if !tx.publishes {
+		tx.conflict(kind)
+	}
+	tx.checkAlive()
+	runtime.Gosched()
 }
 
 // appendWrite records a new write-set entry, folds the base into the
@@ -492,7 +541,9 @@ func (tx *Tx) extend() bool {
 }
 
 // validateReads checks that every location in the read set still carries the
-// version observed at read time and is not locked by a competitor.
+// version observed at read time and is not locked by a competitor. A lock is
+// ours iff its location is in the write set, which is exactly the set of
+// locks the attempt holds (a blind block publishes no owner to compare).
 //
 //rubic:noalloc
 func (tx *Tx) validateReads() bool {
@@ -500,7 +551,7 @@ func (tx *Tx) validateReads() bool {
 		e := &tx.reads[i]
 		cur := e.base.meta.Load()
 		if cur&lockedBit != 0 {
-			if e.base.owner.Load() != tx {
+			if tx.findWrite(e.base) < 0 {
 				return false
 			}
 			cur &^= lockedBit
@@ -540,8 +591,11 @@ func (tx *Tx) commit() bool {
 		return false
 	}
 	// Win the race against contention managers trying to doom us: once
-	// committed, write-back proceeds and doomers must wait for the locks.
-	if !tx.leaveActive(txCommitted) {
+	// committed, write-back proceeds and doomers must wait for the locks. A
+	// blind block published no owner, so only a stale pointer can doom it and
+	// either outcome of that race is harmless: the state load above is its
+	// commit point.
+	if tx.publishes && !tx.leaveActive(txCommitted) {
 		tx.rollback()
 		tx.rt.stats.conflicts[ConflictDoomed].Add(tx.shard, 1)
 		return false
@@ -567,7 +621,7 @@ func (tx *Tx) rollback() {
 	}
 	for i := range tx.writes {
 		w := &tx.writes[i]
-		w.base.owner.Store(nil)
+		w.base.disown()
 		w.base.meta.Store(w.prevMeta)
 	}
 	tx.setState(txAborted)

@@ -18,9 +18,11 @@ const lockedBit uint64 = 1
 // Invariants:
 //   - meta is either version<<1 (unlocked) or version<<1|lockedBit (locked,
 //     version preserved from before the acquisition).
-//   - While the locked bit is set, owner is nil only transiently (between
-//     the acquiring CAS and the owner store, or between the owner clear and
-//     the releasing store); readers observing nil simply retry.
+//   - While the locked bit is set, owner is the holder if the holder is a
+//     publishing block (Tx.publishes), nil otherwise, and nil transiently
+//     for a publishing holder too (between the acquiring CAS and the owner
+//     store, or between the owner clear and the releasing store). While it
+//     is clear, owner is nil. Tx.ownerless handles a locked nil owner.
 //   - The value lives in exactly one of the two slots, chosen by T's kind
 //     (kind.go): a scalar's bits in word, a pointer in ptr, and for any
 //     other T the address of an immutable box in ptr. The other slot stays
@@ -75,6 +77,16 @@ func (b *varBase) store(v raw, k kind) {
 		b.word.Store(v.w)
 	} else {
 		atomic.StorePointer(&b.ptr, v.p)
+	}
+}
+
+// disown clears the owner before the lock holder releases the location. A
+// blind holder never stored one, so the load saves it the store.
+//
+//rubic:noalloc
+func (b *varBase) disown() {
+	if b.owner.Load() != nil {
+		b.owner.Store(nil)
 	}
 }
 
